@@ -1,8 +1,8 @@
 """Benchmark: compiled vs pure-Python convolution kernels.
 
 Times conv_trunc across sizes/coefficient magnitudes in both the
-schoolbook and Kronecker regimes, plus an end-to-end eta-quotient
-expansion.  Run:
+schoolbook and Kronecker regimes.  End-to-end timings are in
+perfbench/ (python3 perfbench/run.py --workload expand-deep).  Run:
 
     python3 benchmarks/bench_kernels.py
 """
@@ -52,26 +52,6 @@ def bench_conv() -> None:
         print(f"{name:30s} {t_py*1e3:10.2f}ms {t_c*1e3:10.2f}ms {t_py/t_c:8.2f}x")
 
 
-def bench_eta_expansion() -> None:
-    import etaq.kernels
-    from etaq.eta import EtaQuotient
-
-    def expand_all(prec_q: int) -> None:
-        for exps in [
-            {1: -8, 2: 20, 4: -8},
-            {1: -16, 2: 40, 4: -16},
-            {1: 2, 2: -5, 4: 10, 8: -5, 16: 2},
-        ]:
-            q = EtaQuotient(max(exps), exps)
-            q.expansion(q.offset() + 24 * prec_q)
-
-    print()
-    print(f"eta-quotient expansions to 200 q-exponents, backend={etaq.kernels.BACKEND}")
-    print(f"  {timeit(expand_all, 200, repeat=3)*1e3:.1f} ms")
-    print("(set ETAQ_PURE_PYTHON=1 and rerun to time the fallback end to end)")
-
-
 if __name__ == "__main__":
     print("conv_trunc (truncated integer convolution), best of 5:")
     bench_conv()
-    bench_eta_expansion()

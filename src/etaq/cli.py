@@ -52,6 +52,17 @@ def _parse_element_arg(text: str, level: int | None) -> EisensteinElement:
         raise UsageError(str(exc)) from exc
 
 
+def _prec_arg(text: str) -> int:
+    """--prec value: a positive number of q-exponents."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of q-exponents, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 q-exponent, got {value}")
+    return value
+
+
 def _emit(payload, args) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -319,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", help="eta quotient, e.g. 'eta(2)^20*eta(1)^-8*eta(4)^-8'")
     p.add_argument("--element", help="Eisenstein combination, e.g. '8*E2(1)-32*E2(4)'")
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--prec", type=int, default=10, help="number of q-exponents")
+    p.add_argument("--prec", type=_prec_arg, default=10, help="number of q-exponents")
     common(p)
     p.set_defaults(func=cmd_expand)
 
@@ -333,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--cusp", required=True, help="cusp a/c with c | level")
-    p.add_argument("--prec", type=int, default=10)
+    p.add_argument("--prec", type=_prec_arg, default=10, help="number of local-variable exponents")
     common(p)
     p.set_defaults(func=cmd_cusp_expand)
 
@@ -357,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["identities", "corollaries", "maingen", "second-derivative", "all"],
         default="all",
     )
-    p.add_argument("--prec", type=int, default=None, help="identity-suite precision override")
+    p.add_argument("--prec", type=_prec_arg, default=None,
+                   help="identity-suite precision override, in q-exponents")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--levels", default=DEFAULT_LEVELS)

@@ -18,10 +18,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from .arith import divisors, lcm, prime_power, totient
-from .series import QSeries, SeriesDomainError, eta_series
+from .arith import divisors, lcm, prime_power, sigma_range, totient
+from .series import QSeries, SeriesDomainError
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
 
@@ -100,17 +101,38 @@ class EtaQuotient:
     # -- expansion ---------------------------------------------------------
 
     def expansion(self, prec: int) -> QSeries:
-        """Exact q-expansion below exponent prec (in 1/24 units, scale 24)."""
+        """Exact q-expansion below exponent prec (in 1/24 units, scale 24).
+
+        q^(-offset/24) * f is F = prod_t prod_m (1 - q^(tm))^(r_t) =
+        sum c_n q^n, whose logarithmic derivative D(F)/F (D = q d/dq) is
+        sum_k b_k q^k with b_k = sum_{t | k} (-t r_t) sigma(k/t), the
+        coefficients of log_derivative() times those of sum sigma(m) q^(tm).
+        Comparing coefficients in D(F) = F * (D(F)/F) gives the recurrence
+        n c_n = sum_{k=1}^{n} b_k c_(n-k); the c_n are integers, so every
+        division by n is exact.
+        """
         off = self.offset()
         if prec <= off:
             raise SeriesDomainError("precision-exhausted", f"prec {prec} <= offset {off}")
         rel = prec - off
-        out = QSeries.one(24, rel)
-        for t, r in self.exponents.items():
-            nterms = -(-rel // t)  # eta(tz) advances in steps of t
-            factor = eta_series(1 + nterms, 24).substitute_power(t) ** r
-            out = out * factor
-        return out.truncate(prec)
+        n = -(-rel // 24)
+        sig = sigma_range(1, n)
+        b = [0] * n
+        for t, lt in self.log_derivative().coeffs.items():
+            lt = int(lt)
+            for m in range(1, (n - 1) // t + 1):
+                b[t * m] += lt * sig[m]
+        c = [1] + [0] * (n - 1)
+        for j in range(1, n):
+            s = sum(map(mul, b[1 : j + 1], c[j - 1 :: -1]))
+            c[j], rem = divmod(s, j)
+            if rem:
+                raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
+        vec = [Fraction(0)] * rel
+        for j, cj in enumerate(c):
+            if cj:
+                vec[24 * j] = Fraction(cj)
+        return QSeries(24, off, vec, prec)
 
     # -- orders at cusps ----------------------------------------------------
 

@@ -43,7 +43,10 @@ class SeriesDomainError(ArithmeticError):
 
 
 def _as_coeff(v: Scalar) -> Coeff:
-    if isinstance(v, (int, Fraction)):
+    # Fractions are immutable, so an existing one is shared, not copied
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, CycNumber):
         return v
@@ -296,16 +299,9 @@ class QSeries:
                 continue
             e = self.offset + i
             cs = str(c) if isinstance(c, Fraction) else f"({c.render()})"
-            if e == 0:
-                parts.append(cs)
-            else:
-                g = gcd(abs(e), self.scale)
-                num, den = e // g, self.scale // g
-                ex = f"{var}^({num}/{den})" if den > 1 else (var if num == 1 else f"{var}^{num}")
-                parts.append(f"{cs}*{ex}")
+            parts.append(cs if e == 0 else f"{cs}*{_power(var, e, self.scale)}")
         body = " + ".join(parts) if parts else "0"
-        g = gcd(abs(self.prec), self.scale) if self.prec else 1
-        return f"{body} + O({var}^({self.prec}/{self.scale}))"
+        return f"{body} + O({_power(var, self.prec, self.scale)})"
 
     def to_json_triples(self) -> list[list[int]]:
         """Nonzero rational coefficients as [numerator, denominator, exponent]."""
@@ -322,6 +318,15 @@ class QSeries:
         if len(shown) > 120:
             shown = shown[:117] + "..."
         return f"QSeries(scale={self.scale}, {shown})"
+
+
+def _power(var: str, e: int, scale: int) -> str:
+    """var^(e/scale) with the exponent in lowest terms."""
+    g = gcd(abs(e), scale)
+    num, den = e // g, scale // g
+    if den > 1:
+        return f"{var}^({num}/{den})"
+    return var if num == 1 else f"{var}^{num}"
 
 
 def _rationals_to_ints(coeffs: list[Fraction]) -> tuple[list[int], int]:

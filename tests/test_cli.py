@@ -21,6 +21,26 @@ def test_expand_eta(capsys):
     assert [8, 1, 24] in data["coeffs"]  # coefficient 8 at q^(24/24)
 
 
+def test_expand_eta_o_term_in_lowest_terms(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--eta", "eta(1)^24", "--prec", "3")
+    assert code == 0
+    series = next(line for line in out.splitlines() if line.startswith("series: "))
+    assert series.endswith("252*q^3 + O(q^4)")
+
+
+def test_prec_must_be_positive(capsys):
+    for sub in (
+        ["expand", "--eta", "eta(1)^-1"],
+        ["cusp-expand", "--element", "E4(1)", "--level", "4", "--cusp", "1/2"],
+        ["verify", "--suite", "identities"],
+    ):
+        for prec in ("0", "-3"):
+            code, out, err = run_cli(capsys, *sub, "--prec", prec)
+            assert code == 2 and out == ""
+            assert f"at least 1 q-exponent, got {prec}" in err
+            assert "offset" not in err
+
+
 def test_expand_element(capsys):
     code, out, _ = run_cli(capsys, "expand", "--element", "8*E2(1)-32*E2(4)", "--level", "4", "--prec", "4", "--json")
     assert code == 0

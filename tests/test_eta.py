@@ -10,7 +10,7 @@ import pytest
 from etaq.arith import divisors
 from etaq.eisenstein import EisensteinElement
 from etaq.eta import EtaQuotient, parse_eta
-from etaq.series import SeriesDomainError
+from etaq.series import QSeries, SeriesDomainError, eta_series
 
 JACOBI = EtaQuotient(4, {1: -8, 2: 20, 4: -8})
 
@@ -39,6 +39,32 @@ def test_expansion_offsets():
     assert EtaQuotient(1, {}).expansion(5).coeff(0) == 1
     with pytest.raises(SeriesDomainError):
         f.expansion(10)
+
+
+def product_expansion(f: EtaQuotient, prec: int) -> QSeries:
+    """Reference: the product of pentagonal series eta(tz)^r_t on the
+    scale-24 lattice, with Newton inverses for negative exponents."""
+    rel = prec - f.offset()
+    out = QSeries.one(24, rel)
+    for t, r in f.exponents.items():
+        nterms = -(-rel // t)  # eta(tz) advances in steps of t
+        out = out * eta_series(1 + nterms, 24).substitute_power(t) ** r
+    return out.truncate(prec)
+
+
+def test_expansion_matches_product_reference():
+    rng = random.Random(2024)
+    cases = [EtaQuotient(1, {}), EtaQuotient(4, {1: -12, 2: -12, 4: -12})]
+    for n in (1, 2, 4, 8, 16, 3, 9, 27, 25, 49, 12):
+        for _ in range(10):
+            cases.append(EtaQuotient(n, {t: rng.randint(-12, 12) for t in divisors(n)}))
+    assert any(f.offset() < 0 for f in cases) and any(not f.exponents for f in cases)
+    for i, f in enumerate(cases):
+        # mostly precisions off the q-exponent grid, some on it
+        prec = f.offset() + 24 * rng.randint(0, 12) + (rng.randint(1, 23) if i % 4 else 24)
+        got, want = f.expansion(prec), product_expansion(f, prec)
+        assert (got.scale, got.offset, got.prec) == (want.scale, want.offset, want.prec), f
+        assert got.coeffs == want.coeffs, f
 
 
 def test_expansion_matches_eisenstein_combination():
