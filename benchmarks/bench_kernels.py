@@ -1,10 +1,12 @@
-"""Benchmark: compiled vs pure-Python convolution kernels.
+"""Benchmark: the conv_trunc convolution kernel.
 
 Times conv_trunc across sizes/coefficient magnitudes in both the
-schoolbook and Kronecker regimes.  End-to-end timings are in
-perfbench/ (python3 perfbench/run.py --workload expand-deep).  Run:
+schoolbook and Kronecker regimes; the schoolbook/Kronecker crossover
+``_SCHOOLBOOK_WORK_LIMIT`` in etaq.kernels was read off these cases.
+End-to-end timings are in perfbench/ (python3 perfbench/run.py
+--workload expand-deep).  Run:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ from __future__ import annotations
 import random
 import time
 
-import etaq._kernels_py as kpy
-
-try:
-    import etaq._ckernels as kc
-except ImportError:
-    kc = None
+from etaq.kernels import conv_trunc
 
 
 def timeit(fn, *args, repeat: int = 5) -> float:
@@ -38,18 +35,12 @@ def bench_conv() -> None:
         ("large 1200x1200, 40-digit", 1200, 1200, 10**40),
         ("large 2400x2400, 60-digit", 2400, 2400, 10**60),
     ]
-    print(f"{'case':30s} {'python':>12s} {'cython':>12s} {'speedup':>9s}")
+    print(f"{'case':30s} {'time':>12s}")
     for name, lx, ly, mag in cases:
         xs = [rng.randint(-mag, mag) for _ in range(lx)]
         ys = [rng.randint(-mag, mag) for _ in range(ly)]
-        nout = lx + ly - 1
-        t_py = timeit(kpy.conv_trunc, xs, ys, nout)
-        if kc is None:
-            print(f"{name:30s} {t_py*1e3:10.2f}ms {'n/a':>12s}")
-            continue
-        assert kpy.conv_trunc(xs, ys, nout) == kc.conv_trunc(xs, ys, nout)
-        t_c = timeit(kc.conv_trunc, xs, ys, nout)
-        print(f"{name:30s} {t_py*1e3:10.2f}ms {t_c*1e3:10.2f}ms {t_py/t_c:8.2f}x")
+        t = timeit(conv_trunc, xs, ys, lx + ly - 1)
+        print(f"{name:30s} {t*1e3:10.2f}ms")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Union
 
 from .arith import factorize, lcm, prime_power
 
-__all__ = ["CycNumber", "cyclotomic_polynomial", "cyc_is_zero"]
+__all__ = ["CycNumber", "cyclotomic_polynomial"]
 
 Scalar = Union[int, Fraction]
 
@@ -262,13 +262,6 @@ class CycNumber:
             raise AssertionError("cyclotomic inversion failed")
         return cand
 
-    def to_complex(self) -> complex:
-        """Float evaluation; sanity checks only, never in certified paths."""
-        from cmath import exp, pi
-
-        z = exp(2j * pi / self.order)
-        return sum(float(c) * z**j for j, c in enumerate(self.coeffs) if c)
-
     def render(self, symbol: str = "zeta") -> str:
         """Canonical text form over reduced coordinates, e.g. '1/2 - 3*zeta8^2'."""
         red = self.reduced()
@@ -327,8 +320,3 @@ def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def cyc_is_zero(x: CycNumber) -> bool:
-    """Module-level alias for the exact zero test."""
-    return x.is_zero()

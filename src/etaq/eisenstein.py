@@ -177,7 +177,10 @@ def parse_element(text: str, level: int | None = None) -> EisensteinElement:
         m = _ELEMENT_TERM.match(body)
         if not m:
             raise ValueError(f"bad Eisenstein term {token!r}")
-        c = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        try:
+            c = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficient of {token!r}") from None
         kk = int(m.group(2))
         t = int(m.group(3))
         if k is None:

@@ -210,18 +210,6 @@ class EtaQuotient:
             d = gcd(d, t)
         return d == 1
 
-    def shrink(self) -> "EtaQuotient":
-        """The primitive g with f(z) = g(dz), d maximal (f itself if primitive)."""
-        if not self.exponents:
-            return self
-        d = 0
-        for t in self.exponents:
-            d = gcd(d, t)
-        if d <= 1:
-            return self
-        return EtaQuotient(self.level // d if self.level % d == 0 else self.level,
-                           {t // d: r for t, r in self.exponents.items()})
-
     def log_derivative(self) -> LogDerivative:
         """D(f)/f = -sum_t r_t t E_2(tz), from D(log eta(z)) = -E_2(z)."""
         coeffs = {t: Fraction(-t * r) for t, r in self.exponents.items()}

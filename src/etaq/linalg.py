@@ -1,5 +1,5 @@
 """Dense exact linear algebra over Fraction, for the small systems here
-(undetermined-coefficient matching, cusp-order inversion, nullspaces).
+(undetermined-coefficient matching, cusp-order inversion).
 Matrices are lists of row lists; nothing is ever bigger than ~10x10.
 """
 
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rref", "solve_unique", "nullspace", "mat_inverse", "det"]
+__all__ = ["rref", "solve_unique", "mat_inverse"]
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -59,23 +59,6 @@ def solve_unique(a, b) -> list[Fraction] | None:
     return x
 
 
-def nullspace(a) -> list[list[Fraction]]:
-    """Basis of the right nullspace of A."""
-    if not a:
-        return []
-    red, pivots = rref(a)
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
 def mat_inverse(a) -> Matrix:
     n = len(a)
     aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
@@ -84,22 +67,3 @@ def mat_inverse(a) -> Matrix:
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
 
-
-def det(a) -> Fraction:
-    m = _as_matrix(a)
-    n = len(m)
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            out = -out
-        out *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return out

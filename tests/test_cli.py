@@ -103,6 +103,15 @@ def test_malformed_element_names_token(capsys):
     assert "G2(1)" in err
 
 
+def test_element_zero_denominator_names_term(capsys):
+    code, out, err = run_cli(capsys, "expand", "--element", "1/0*E4(1)")
+    assert code == 2 and out == ""
+    assert err == "error: zero denominator in coefficient of '1/0*E4(1)'\n"
+    code, _, err = run_cli(capsys, "expand", "--element", "E4(1)-3/0*E4(2)", "--level", "2")
+    assert code == 2
+    assert "zero denominator in coefficient of '-3/0*E4(2)'" in err
+
+
 def test_search_level9(capsys):
     code, out, _ = run_cli(capsys, "search", "--weight", "2", "--level", "9", "--json")
     assert code == 0

@@ -4,6 +4,7 @@ logarithmic derivative."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,17 @@ from etaq.eta import EtaQuotient, parse_eta
 from etaq.series import QSeries, SeriesDomainError, eta_series
 
 JACOBI = EtaQuotient(4, {1: -8, 2: 20, 4: -8})
+
+
+def shrink(f: EtaQuotient) -> EtaQuotient:
+    """The primitive g with f(z) = g(dz), d maximal (f itself if primitive)."""
+    d = 0
+    for t in f.exponents:
+        d = gcd(d, t)
+    if d <= 1:
+        return f
+    return EtaQuotient(f.level // d if f.level % d == 0 else f.level,
+                       {t // d: r for t, r in f.exponents.items()})
 
 
 def test_weights():
@@ -162,7 +174,7 @@ def test_rescale_power_primitive():
     g = f.rescale(2)
     assert g.level == 2 and g.exponents == {2: -2}
     assert not g.is_primitive()
-    assert g.shrink() == f
+    assert shrink(g) == f
     assert EtaQuotient(4, {1: -4, 2: 2}).is_primitive()
     assert f.power(3).exponents == {1: -6}
     assert not EtaQuotient(4, {}).is_primitive()

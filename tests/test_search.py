@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from etaq.eta import EtaQuotient
-from etaq.linalg import det
 from etaq.search import (
     EXCLUDED_CELLS,
     REFERENCE_ANTIDERIVATIVES,
@@ -26,6 +25,27 @@ from etaq.search import (
 
 def _freeze(exps):
     return tuple(sorted(exps.items()))
+
+
+def det(a) -> Fraction:
+    """Exact determinant by Gaussian elimination over Fraction."""
+    m = [[Fraction(v) for v in row] for row in a]
+    n = len(m)
+    out = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            out = -out
+        out *= m[col][col]
+        inv = Fraction(1) / m[col][col]
+        for i in range(col + 1, n):
+            if m[i][col] != 0:
+                f = m[i][col] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return out
 
 
 def test_order_matrix_nonsingular():
