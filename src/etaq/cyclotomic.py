@@ -2,25 +2,32 @@
 
 An element is stored on the non-reduced group-ring basis
 {zeta_L^j : 0 <= j < L}, i.e. as a polynomial in zeta_L taken modulo
-x^L - 1.  That representation is not unique, but zero is decidable:
-the element vanishes iff the coefficient polynomial is divisible by
-the L-th cyclotomic polynomial Phi_L.  This is the entire mechanism by
-which vanishing of cusp-expansion coefficients is certified, so the
-division is done exactly over Q and no coefficient ever leaves exact
-arithmetic.
+x^L - 1, written as sparse integer numerators over one positive common
+denominator: (1/den) * sum_j n_j zeta_L^j with only the nonzero n_j kept
+and gcd(den, n_j) = 1.  Sums and products therefore run on Python ints.
+The representation is not unique, but zero is decidable: the element
+vanishes iff the numerator polynomial is divisible by the L-th
+cyclotomic polynomial Phi_L.  Phi_L is monic with integer coefficients,
+so that division is done exactly in Z.  This is the entire mechanism by
+which vanishing of cusp-expansion coefficients is certified; no
+coefficient ever leaves exact arithmetic.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from math import gcd
+from typing import Union
 
-from .arith import factorize, lcm, prime_power
+from .arith import factorize, lcm, prime_power, totient
 
 __all__ = ["CycNumber", "cyclotomic_polynomial"]
 
 Scalar = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 _phi_cache: dict[int, tuple[int, ...]] = {}
 _phi_lock = threading.Lock()
@@ -76,9 +83,8 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
             num: list[int] = [1]
             den: list[int] = [1]
             for d in _squarefree_divisors(order):
-                mu = -1 if _omega(d) % 2 else 1
                 binom = [-1] + [0] * (order // d - 1) + [1]  # x^(L/d) - 1
-                if mu == 1:
+                if _mobius(d) == 1:
                     num = _poly_mul(num, binom)
                 else:
                     den = _poly_mul(den, binom)
@@ -96,27 +102,59 @@ def _squarefree_divisors(n: int) -> list[int]:
     return out
 
 
-def _omega(n: int) -> int:
-    return len(factorize(n))
+def _mobius(n: int) -> int:
+    fac = factorize(n)
+    if any(m > 1 for m in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
 
 
 class CycNumber:
-    """Element of Q(zeta_order) as sum c_j * zeta_order^j, 0 <= j < order."""
+    """Element of Q(zeta_order) as (1/den) * sum terms[j] * zeta_order^j.
 
-    __slots__ = ("order", "coeffs")
+    ``terms`` maps exponents 0 <= j < order to nonzero integer
+    numerators, ``den`` is positive, and gcd(den, all numerators) = 1.
+    Both are read-only.
+    """
+
+    __slots__ = ("order", "terms", "den")
 
     def __init__(self, order: int, coeffs: Union[Mapping[int, Scalar], Iterable[Scalar]]):
         if order < 1:
             raise ValueError("order must be >= 1")
-        vec = [Fraction(0)] * order
-        if isinstance(coeffs, Mapping):
-            for j, c in coeffs.items():
-                vec[j % order] += Fraction(c)
-        else:
-            for j, c in enumerate(coeffs):
-                vec[j % order] += Fraction(c)
+        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
+        acc: dict[int, Scalar] = {}
+        for j, c in items:
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            if c:
+                j %= order
+                acc[j] = acc.get(j, 0) + c
+        den = 1
+        for c in acc.values():
+            d = c.denominator
+            den = den // gcd(den, d) * d
+        # den is the lcm of denominators in lowest terms, so the
+        # numerators below already share no factor with it
         self.order = order
-        self.coeffs = tuple(vec)
+        self.terms = {j: c.numerator * (den // c.denominator) for j, c in acc.items() if c}
+        self.den = den
+
+    @classmethod
+    def _normal(cls, order: int, terms: dict[int, int], den: int) -> "CycNumber":
+        """Drop zero numerators and divide out gcd(den, numerators)."""
+        if 0 in terms.values():
+            terms = {j: n for j, n in terms.items() if n}
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {j: n // g for j, n in terms.items()}
+        x = object.__new__(cls)
+        x.order, x.terms, x.den = order, terms, den
+        return x
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycNumber":
@@ -124,12 +162,24 @@ class CycNumber:
 
     @classmethod
     def from_rational(cls, value: Scalar, order: int = 1) -> "CycNumber":
-        return cls(order, {0: Fraction(value)})
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return cls._normal(order, {0: value.numerator}, value.denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> "CycNumber":
         """zeta_order^exponent."""
-        return cls(order, {exponent % order: Fraction(1)})
+        return cls(order, {exponent % order: 1})
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Dense coordinates c_0 .. c_(order-1) on the basis zeta_order^j."""
+        vec = [_ZERO] * self.order
+        for j, n in self.terms.items():
+            vec[j] = Fraction(n, self.den)
+        return tuple(vec)
 
     def lift(self, new_order: int) -> "CycNumber":
         """Rewrite in Q(zeta_new_order); new_order must be a multiple."""
@@ -138,7 +188,7 @@ class CycNumber:
         if new_order % self.order:
             raise ValueError(f"cannot lift order {self.order} to {new_order}")
         step = new_order // self.order
-        return CycNumber(new_order, {j * step: c for j, c in enumerate(self.coeffs) if c})
+        return CycNumber._normal(new_order, {j * step: n for j, n in self.terms.items()}, self.den)
 
     @staticmethod
     def _coerce(x: "CycNumber | Scalar", order: int) -> "CycNumber":
@@ -148,6 +198,8 @@ class CycNumber:
 
     def _common(self, other: "CycNumber | Scalar") -> tuple["CycNumber", "CycNumber"]:
         o = self._coerce(other, 1)
+        if o.order == self.order:
+            return self, o
         L = lcm(self.order, o.order)
         return self.lift(L), o.lift(L)
 
@@ -155,12 +207,28 @@ class CycNumber:
         if not isinstance(other, (CycNumber, int, Fraction)):
             return NotImplemented
         a, b = self._common(other)
-        return CycNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if not a.terms:
+            return b
+        if not b.terms:
+            return a
+        da, db = a.den, b.den
+        if da == db:
+            out = dict(a.terms)
+            for j, n in b.terms.items():
+                out[j] = out.get(j, 0) + n
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {j: n * fa for j, n in a.terms.items()}
+            for j, n in b.terms.items():
+                out[j] = out.get(j, 0) + n * fb
+            da *= fa
+        return CycNumber._normal(a.order, out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.order, [-c for c in self.coeffs])
+        return CycNumber._normal(self.order, {j: -n for j, n in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (CycNumber, int, Fraction)):
@@ -172,19 +240,23 @@ class CycNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNumber(self.order, [c * other for c in self.coeffs])
+            num, den = other.numerator, other.denominator
+            return CycNumber._normal(
+                self.order, {j: n * num for j, n in self.terms.items()}, self.den * den
+            )
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._common(other)
         L = a.order
-        out = [Fraction(0)] * L
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
-                        k = i + j
-                        out[k - L if k >= L else k] += ai * bj
-        return CycNumber(L, out)
+        out: dict[int, int] = {}
+        bt = b.terms.items()
+        for i, x in a.terms.items():
+            for j, y in bt:
+                k = i + j
+                if k >= L:
+                    k -= L
+                out[k] = out.get(k, 0) + x * y
+        return CycNumber._normal(L, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -200,27 +272,40 @@ class CycNumber:
             e >>= 1
         return out
 
+    def _reduced_numerators(self) -> list[int]:
+        """den * (remainder mod Phi_order), degree < deg Phi, in Z.
+
+        Phi_order is monic with integer coefficients, so the division
+        never leaves the integers.
+        """
+        phi = cyclotomic_polynomial(self.order)
+        deg = len(phi) - 1
+        tail = [(i, p) for i, p in enumerate(phi[:deg]) if p]
+        rem = [0] * self.order
+        for j, n in self.terms.items():
+            rem[j] = n
+        for i in range(len(rem) - 1, deg - 1, -1):
+            q = rem[i]
+            if q:
+                shift = i - deg
+                for j, p in tail:
+                    rem[shift + j] -= q * p
+        return rem[:deg]
+
     def reduced(self) -> tuple[Fraction, ...]:
         """Canonical coordinates: remainder mod Phi_order, degree < deg Phi.
 
         Two representatives of the same field element reduce to the same
         tuple, so this doubles as a normal form.
         """
-        phi = cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        rem = list(self.coeffs)
-        for i in range(len(rem) - 1, deg - 1, -1):
-            q = rem[i]  # phi is monic
-            if q:
-                for j in range(len(phi)):
-                    rem[i - deg + j] -= q * phi[j]
-        return tuple(rem[:deg])
+        den = self.den
+        return tuple(Fraction(n, den) if n else _ZERO for n in self._reduced_numerators())
 
     def is_zero(self) -> bool:
         """Exact test: the representative is divisible by Phi_order."""
-        if all(c == 0 for c in self.coeffs):
+        if not self.terms:
             return True
-        return all(c == 0 for c in self.reduced())
+        return not any(self._reduced_numerators())
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -231,14 +316,24 @@ class CycNumber:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.reduced()))
+        # Tr(x)/phi(L): the same for every representative and every order
+        # the element is written in, and equal to x when x is rational.
+        # zeta_L^j has order m = L/gcd(j, L) and Tr(zeta_L^j)/phi(L) =
+        # mu(m)/phi(m).
+        trace = _ZERO
+        for j, n in self.terms.items():
+            m = self.order // gcd(j, self.order)
+            mu = _mobius(m)
+            if mu:
+                trace += Fraction(mu * n, totient(m))
+        return hash(trace / self.den)
 
     def rational_value(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None."""
-        red = self.reduced()
-        if all(c == 0 for c in red[1:]):
-            return red[0] if red else Fraction(0)
-        return None
+        red = self._reduced_numerators()
+        if any(red[1:]):
+            return None
+        return Fraction(red[0], self.den)
 
     def inverse(self) -> "CycNumber":
         """Multiplicative inverse via extended Euclid against Phi_order."""

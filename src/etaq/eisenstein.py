@@ -82,6 +82,8 @@ class EisensteinElement:
             raise ValueError("level must be >= 1")
         clean: dict[int, Fraction] = {}
         for t, r in coeffs.items():
+            if t < 1:
+                raise ValueError(f"the t in E{k}(t) must be at least 1, got {t}")
             if level % t:
                 raise ValueError(f"divisor {t} does not divide level {level}")
             r = Fraction(r)
@@ -183,6 +185,8 @@ def parse_element(text: str, level: int | None = None) -> EisensteinElement:
             raise ValueError(f"zero denominator in coefficient of {token!r}") from None
         kk = int(m.group(2))
         t = int(m.group(3))
+        if t < 1:
+            raise ValueError(f"the t in Ek(t) must be at least 1 in {token!r}")
         if k is None:
             k = kk
         elif k != kk:

@@ -58,7 +58,7 @@ def _stored_nonzero(c: Coeff) -> bool:
     # decide vanishing (valuation uses the exact test)
     if isinstance(c, Fraction):
         return c != 0
-    return any(x for x in c.coeffs)
+    return bool(c.terms)
 
 
 class QSeries:

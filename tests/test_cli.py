@@ -1,6 +1,9 @@
 """CLI behavior: flag grammar, exit codes, determinism of rendered output."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from etaq.cli import main
 
@@ -110,6 +113,30 @@ def test_element_zero_denominator_names_term(capsys):
     code, _, err = run_cli(capsys, "expand", "--element", "E4(1)-3/0*E4(2)", "--level", "2")
     assert code == 2
     assert "zero denominator in coefficient of '-3/0*E4(2)'" in err
+
+
+def test_element_zero_t_names_term(capsys):
+    for argv in (
+        ["expand", "--element", "E4(0)"],
+        ["expand", "--element", "E4(0)", "--level", "4"],
+        ["cusp-expand", "--element", "E4(0)", "--level", "5", "--cusp", "1/5"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: the t in Ek(t) must be at least 1 in 'E4(0)'\n"
+
+
+GOLDEN = Path(__file__).parent / "data" / "cusp_expand_golden.json"
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()), ids=lambda c: " ".join(c["argv"][1:]))
+def test_cusp_expand_golden(capsys, case):
+    """Byte-stable cusp expansions at levels 27, 32, 49 and 125, in text
+    and JSON: mixed t, cyclotomic orders 3 to 27 whose reduction mod Phi_L
+    wraps exponents, and one expansion that is zero to precision."""
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
 
 
 def test_search_level9(capsys):

@@ -153,6 +153,12 @@ def test_parse_element():
         parse_element("E2(1)+E4(2)")
     with pytest.raises(ValueError):
         parse_element("2*F2(1)")
+    for level in (None, 4):
+        with pytest.raises(ValueError, match=r"t in Ek\(t\) must be at least 1 in '-2\*E4\(0\)'"):
+            parse_element("E4(1)-2*E4(0)", level=level)
+    # the element itself refuses t = 0 before reducing the level mod t
+    with pytest.raises(ValueError, match=r"t in E4\(t\) must be at least 1"):
+        EisensteinElement(4, 4, {0: 1})
 
 
 def test_eisenstein_coefficient_helper():
