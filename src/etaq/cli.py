@@ -5,7 +5,8 @@ second-derivative, verify.  Output is deterministic for fixed flags
 (collections sorted, rationals rendered p/q); --json switches from the
 text rendering to machine-readable JSON.  Exit codes: 0 success or
 verified, 1 verification failure (counterexample in the output),
-2 usage error.
+2 usage error, 3 internal error (a failed certificate: a claim the
+search had selected did not survive its exact series check).
 """
 
 from __future__ import annotations
@@ -52,15 +53,52 @@ def _parse_element_arg(text: str, level: int | None) -> EisensteinElement:
         raise UsageError(str(exc)) from exc
 
 
-def _prec_arg(text: str) -> int:
-    """--prec value: a positive number of q-exponents."""
+def _count_arg(unit: str):
+    """argparse type for a positive count of units (q-exponents, samples)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number of {unit}s, got {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1 {unit}, got {value}")
+        return value
+
+    return parse
+
+
+_prec_arg = _count_arg("q-exponent")
+
+
+def _level_arg(text: str) -> int:
+    """--level value of search: a positive integer."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number of q-exponents, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a level, got {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1 q-exponent, got {value}")
+        raise argparse.ArgumentTypeError(f"a level must be at least 1, got {value}")
     return value
+
+
+def _list_arg(noun: str, minimum: int):
+    """argparse type for a nonempty comma-separated list of integers."""
+
+    def parse(text: str) -> list[int]:
+        try:
+            values = [int(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}s, got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"must name at least one {noun}, got {text!r}")
+        if min(values) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"every {noun} must be at least {minimum}, got {min(values)}")
+        return values
+
+    return parse
 
 
 def _emit(payload, args) -> None:
@@ -245,12 +283,10 @@ def _suite_classification(args) -> tuple[dict, bool]:
 
 
 def _suite_order_bounds(args) -> tuple[dict, bool]:
-    levels = [int(x) for x in args.levels.split(",") if x]
-    weights = [int(x) for x in args.weights.split(",") if x]
     failures = []
     checked = 0
-    for k in weights:
-        for n in levels:
+    for k in args.weights:
+        for n in args.levels:
             pp = prime_power(n)
             if pp is None:
                 raise UsageError(f"order-bound levels must be prime powers, got {n}")
@@ -266,8 +302,8 @@ def _suite_order_bounds(args) -> tuple[dict, bool]:
         "suite": "maingen",
         "samples": args.samples,
         "seed": args.seed,
-        "weights": weights,
-        "levels": levels,
+        "weights": args.weights,
+        "levels": args.levels,
         "checked": checked,
         "failures": failures,
     }
@@ -350,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="eta quotients in the weight-k Eisenstein span")
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--level", type=int, required=True, help="prime power")
+    p.add_argument("--level", type=_level_arg, required=True, help="prime power")
     common(p)
     p.set_defaults(func=cmd_search)
 
@@ -370,10 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--prec", type=_prec_arg, default=None,
                    help="identity-suite precision override, in q-exponents")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count_arg("sample"), default=100,
+                   help="random elements per weight and level (maingen suite)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", default=DEFAULT_LEVELS)
-    p.add_argument("--weights", default=DEFAULT_WEIGHTS)
+    p.add_argument("--levels", type=_list_arg("level", 1), default=DEFAULT_LEVELS)
+    p.add_argument("--weights", type=_list_arg("weight", 2), default=DEFAULT_WEIGHTS)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -394,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

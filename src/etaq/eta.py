@@ -140,13 +140,14 @@ class EtaQuotient:
         """Order of vanishing at any cusp a/c, width-normalized.
 
         v = (N / (24 gcd(c^2, N))) * sum_t gcd(c, t)^2 r_t / t; for eta
-        quotients the numerator a never enters.
+        quotients the numerator a never enters.  Every N/t is an integer,
+        so v is the integer sum_t gcd(c, t)^2 r_t (N/t) over 24 gcd(c^2, N).
         """
         n = self.level
         if c < 1 or n % c:
             raise ValueError(f"cusp denominator {c} must divide level {n}")
-        acc = sum(Fraction(gcd(c, t) ** 2, t) * r for t, r in self.exponents.items())
-        return Fraction(n, 24 * gcd(c * c, n)) * acc
+        acc = sum(gcd(c, t) ** 2 * r * (n // t) for t, r in self.exponents.items())
+        return Fraction(acc, 24 * gcd(c * c, n))
 
     def order_map(self) -> dict[int, Fraction]:
         return {c: self.order_at_denominator(c) for c in divisors(self.level)}

@@ -1,20 +1,29 @@
 """Classification searches over prime-power levels.
 
 The enumeration of all eta quotients lying in the weight-k Eisenstein
-span works backwards from cusp orders: a candidate is a vector of
-orders (one per cusp denominator p^i) on the grid (1/24)Z, capped at 1
-per cusp (2 at the denominator-2 cusp of level 4, the one exception
-the order bound allows), with multiplicity-weighted total equal to the
-valence value (k/12)(p^m + p^(m-1)).  Each candidate order vector is
-pushed through the inverse of the exact linear order map to an
-exponent vector; integral vectors passing the modularity criteria are
-then certified against an Eisenstein combination coefficient-by-
-coefficient.  The per-cusp caps are what make the grid finite, so the
-search is complete for elements with nonzero r_1 and r_{p^m}.
+span works backwards from cusp orders.  The orders of an integer
+exponent vector r, in 1/24 units and one per cusp denominator p^i, are
+the vector B r with B = 24 * order_matrix(p, m), an integer matrix; so
+the order vectors of eta quotients are exactly the lattice B Z^(m+1).
+A lower-triangular (Hermite normal form) basis H = B U of that lattice,
+with U unimodular, lets the search walk the lattice one coordinate at a
+time: coordinate i of H y depends only on y_0..y_i, so each y_i runs
+over an arithmetic progression inside the per-cusp cap (1 per cusp, 2 at
+the denominator-2 cusp of level 4, the one exception the order bound
+allows) and what is left of the multiplicity-weighted total, the valence
+value (k/12)(p^m + p^(m-1)).  Every lattice point maps to the integer
+exponent vector U y; those passing the modularity criteria are then
+certified against an Eisenstein combination coefficient-by-coefficient.
+The per-cusp caps are what make the walk finite, so the search is
+complete for elements with nonzero r_1 and r_{p^m}.
 
 Also here: antiderivatives pairing weight-2 results with the weight-0
 quotients whose derivative they are, and the bounded search for level-4
-quotients whose second derivative is again an eta quotient.
+quotients whose second derivative is again an eta quotient.  That
+search tests proportionality in integers: 12 times the ratio vector is
+an integer quadratic form in (r1, r2, r4), and it is a nonzero multiple
+of a target direction scaled to integers exactly when it is nonzero and
+its three 2x2 minors against the target vanish.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import lcm, totient
+from .arith import lcm, totient, xgcd
 from .eisenstein import (
     EisensteinElement,
     MembershipTag,
@@ -31,7 +40,6 @@ from .eisenstein import (
     match_eta,
 )
 from .eta import EtaQuotient
-from .linalg import mat_inverse
 
 __all__ = [
     "order_matrix",
@@ -102,75 +110,95 @@ class SearchResult:
         }
 
 
+def _lower_hnf(b: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, U) with H = b U in lower-triangular Hermite normal form and U
+    unimodular, for a nonsingular square integer matrix b: the columns
+    of H are a triangular basis of the lattice the columns of b span,
+    with H[i][i] > 0 and 0 <= H[i][j] < H[i][i] for j < i."""
+    size = len(b)
+    h = [list(row) for row in b]
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for col in range(i + 1, size):
+            if h[i][col]:
+                # unimodular column step (det x*a + y*c = 1) clearing h[i][col]
+                g, x, y = xgcd(h[i][i], h[i][col])
+                a, c = h[i][i] // g, h[i][col] // g
+                for row in h + u:
+                    row[i], row[col] = x * row[i] + y * row[col], a * row[col] - c * row[i]
+        if h[i][i] < 0:
+            for row in h + u:
+                row[i] = -row[i]
+        for j in range(i):
+            q = h[i][j] // h[i][i]
+            for row in h + u:
+                row[j] -= q * row[i]
+    return h, u
+
+
+def _integral_exponents(k: int, p: int, m: int):
+    """Yield, in lexicographic order of their cusp-order vectors, the
+    integer exponent vectors (r_{p^j})_j whose orders (in 1/24 units)
+    respect the per-cusp caps and sum, with multiplicity, to the weight-k
+    valence value."""
+    n = p**m
+    mult = [totient(gcd(p**i, p ** (m - i))) for i in range(m + 1)]
+    caps = [24 * (2 if (n == 4 and i == 1) else 1) for i in range(m + 1)]
+    target = 2 * k * (n + n // p) if m >= 1 else 2 * k
+    suffix = [0] * (m + 2)
+    for i in range(m, -1, -1):
+        suffix[i] = suffix[i + 1] + mult[i] * caps[i]
+
+    h, u = _lower_hnf([[int(24 * x) for x in row] for row in order_matrix(p, m)])
+    y = [0] * (m + 1)
+
+    def walk(i: int, remaining: int):
+        if i == m + 1:
+            # the bounds at the last coordinate leave remaining == 0
+            yield [sum(uj * yl for uj, yl in zip(row, y)) for row in u]
+            return
+        lo = max(0, -(-(remaining - suffix[i + 1]) // mult[i]))
+        hi = min(caps[i], remaining // mult[i])
+        base = sum(h[i][j] * y[j] for j in range(i))
+        d = h[i][i]
+        # order i is base + d * y_i, kept inside [lo, hi]
+        for yi in range(-((base - lo) // d), (hi - base) // d + 1):
+            y[i] = yi
+            yield from walk(i + 1, remaining - mult[i] * (base + d * yi))
+
+    yield from walk(0, target)
+
+
 def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     """All eta quotients equal to an Eisenstein combination of weight k
     and level p^m whose combination has nonzero r_1 and r_{p^m}.
 
     An empty result is a valid outcome (and the expected one for all but
-    six (k, p^m) cells).
+    six (k, p^m) cells).  candidates_scanned counts the lattice points
+    walked, each an integral exponent vector.
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be even >= 2")
     n = p**m
-    divs = [p**j for j in range(m + 1)]
-    mult = [totient(gcd(p**i, p ** (m - i))) for i in range(m + 1)]
-    caps = [24 * (2 if (n == 4 and i == 1) else 1) for i in range(m + 1)]
-    target = 2 * k * (n + n // p) if m >= 1 else 2 * k
-
-    ainv = mat_inverse(order_matrix(p, m))
-    denom = 1
-    for row in ainv:
-        for x in row:
-            denom = lcm(denom, (x / 24).denominator)
-    t_int = [[int(x / 24 * denom) for x in row] for row in ainv]
-
-    suffix = [0] * (m + 2)
-    for i in range(m, -1, -1):
-        suffix[i] = suffix[i + 1] + mult[i] * caps[i]
-
     pairs: list[SearchPair] = []
     scanned = 0
-    nvec = [0] * (m + 1)
-
-    def consider() -> None:
-        rvals = []
-        for j in range(m + 1):
-            s = sum(t_int[j][i] * nvec[i] for i in range(m + 1))
-            if s % denom:
-                return
-            rvals.append(s // denom)
-        if all(v == 0 for v in rvals):
-            return
-        quotient = EtaQuotient(n, {divs[j]: rvals[j] for j in range(m + 1)})
+    for r in _integral_exponents(k, p, m):
+        scanned += 1
+        quotient = EtaQuotient(n, {p**j: rj for j, rj in enumerate(r)})
         if quotient.weight() != k:
-            return
+            continue
         if not quotient.is_modular_on_gamma0().is_modular:
-            return
+            continue
         element = match_eta(quotient)
         if element is None:
-            return
+            continue
         if element.classify() is not MembershipTag.IN_P:
-            return
+            continue
         pairs.append(
             SearchPair(
                 quotient, element, match_certification_rows(k, n), quotient.is_primitive()
             )
         )
-
-    def rec(i: int, remaining: int) -> None:
-        nonlocal scanned
-        if i == m + 1:
-            if remaining == 0:
-                scanned += 1
-                consider()
-            return
-        lo = max(0, -(-(remaining - suffix[i + 1]) // mult[i]))
-        hi = min(caps[i], remaining // mult[i])
-        for v in range(lo, hi + 1):
-            nvec[i] = v
-            rec(i + 1, remaining - mult[i] * v)
-
-    rec(0, target)
     pairs.sort(key=lambda sp: sp.eta.key())
     return SearchResult(k, p, m, tuple(pairs), scanned)
 
@@ -376,7 +404,7 @@ def antiderivative(g: EtaQuotient, certify_rel: int = 480) -> DualPair:
     lhs = f.expansion(prec).ramanujan_d()
     rhs = g_der.expansion(prec) * Fraction(lam)
     if not (lhs - rhs).is_zero_to_prec():
-        raise AssertionError("antiderivative certification failed")
+        raise AssertionError(f"antiderivative certification failed for g = {g.render()}")
     return DualPair(f, g_der, Fraction(lam), g)
 
 
@@ -468,10 +496,13 @@ def _certify_second_derivative(
     combo = EisensteinElement(4, 4, {1: s[0], 2: s[1], 4: s[2]})
     rhs = ef * combo.expansion(-(-certify_rel // 24) + 1, scale=24)
     if not (lhs - rhs).is_zero_to_prec():
-        raise AssertionError("second-derivative ratio certification failed")
+        raise AssertionError(f"second-derivative ratio certification failed for r = {r}")
     rhs2 = ef * target.expansion(target.offset() + certify_rel) * scalar
     if not (lhs - rhs2).is_zero_to_prec():
-        raise AssertionError("second-derivative target certification failed")
+        raise AssertionError(
+            f"second-derivative target certification failed for r = {r}, "
+            f"target {target.render()}"
+        )
     return SecondDerivSolution(r, s, f, target, scalar, f.is_primitive())
 
 
@@ -486,33 +517,31 @@ def classify_second_derivatives_level4(
     is again an eta quotient must have weight -1 (and the ratio weight
     4).  Output is deterministic: sorted by exponent triple.
     """
-    targets = level4_targets()
+    targets = []
+    for q, ts in level4_targets():
+        scale = 1
+        for x in ts:
+            scale = lcm(scale, x.denominator)
+        targets.append((q, ts, [int(x * scale) for x in ts]))
     solutions: list[SecondDerivSolution] = []
     for r1 in range(-bound, bound + 1):
         for r2 in range(-bound, bound + 1):
             r4 = -2 - r1 - r2
             if abs(r4) > bound:
                 continue
-            r = (r1, r2, r4)
-            s = second_derivative_ratio(r)
-            if all(x == 0 for x in s):
+            # 12 * second_derivative_ratio((r1, r2, r4)), in integers
+            s1 = r1 * (5 * r1 + 4 * r2 + 2 * r4)
+            s2 = 20 * r2 * r2 + 16 * r1 * r2 + 6 * r1 * r4 + 16 * r2 * r4
+            s4 = 16 * r4 * (5 * r4 + 2 * r1 + 4 * r2)
+            if not (s1 or s2 or s4):
                 continue
-            for q, ts in targets:
-                scalar = None
-                ok = True
-                for sv, tv in zip(s, ts):
-                    if tv == 0:
-                        if sv != 0:
-                            ok = False
-                            break
-                    else:
-                        c = sv / tv
-                        if scalar is None:
-                            scalar = c
-                        elif c != scalar:
-                            ok = False
-                            break
-                if ok and scalar:
+            # (s1, s2, s4) != 0 is a nonzero multiple of the (nonzero)
+            # target direction t exactly when the 2x2 minors vanish
+            for q, ts, (t1, t2, t4) in targets:
+                if s1 * t2 == s2 * t1 and s1 * t4 == s4 * t1 and s2 * t4 == s4 * t2:
+                    r = (r1, r2, r4)
+                    s = second_derivative_ratio(r)
+                    scalar = next(sv / tv for sv, tv in zip(s, ts) if tv)
                     solutions.append(
                         _certify_second_derivative(r, s, q, scalar, certify_rel)
                     )

@@ -139,6 +139,18 @@ def test_cusp_expand_golden(capsys, case):
     assert out == case["stdout"]
 
 
+SEARCH_GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
+
+
+@pytest.mark.parametrize("case", json.loads(SEARCH_GOLDEN.read_text()), ids=lambda c: " ".join(c["argv"]))
+def test_search_golden(capsys, case):
+    """Byte-stable search output for all 19 classification cells and the
+    level-4 second-derivative search, in text and JSON."""
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
+
+
 def test_search_level9(capsys):
     code, out, _ = run_cli(capsys, "search", "--weight", "2", "--level", "9", "--json")
     assert code == 0
@@ -150,6 +162,44 @@ def test_search_level9(capsys):
 def test_search_rejects_composite_level(capsys):
     code, _, err = run_cli(capsys, "search", "--weight", "2", "--level", "12")
     assert code == 2
+
+
+def test_search_level_must_be_positive(capsys):
+    for level in ("0", "-4"):
+        code, out, err = run_cli(capsys, "search", "--weight", "2", "--level", level)
+        assert code == 2 and out == ""
+        assert f"argument --level: a level must be at least 1, got {level}" in err
+        assert "factorize" not in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "-1", "argument --samples: must be at least 1 sample, got -1"),
+    ("--samples", "0", "argument --samples: must be at least 1 sample, got 0"),
+    ("--levels", "", "argument --levels: must name at least one level, got ''"),
+    ("--levels", ",", "argument --levels: must name at least one level, got ','"),
+    ("--levels", "4,0", "argument --levels: every level must be at least 1, got 0"),
+    ("--levels", "4,x", "argument --levels: expected comma-separated levels, got '4,x'"),
+    ("--weights", "", "argument --weights: must name at least one weight, got ''"),
+    ("--weights", "2,0", "argument --weights: every weight must be at least 2, got 0"),
+])
+def test_verify_rejects_empty_runs(capsys, flag, value, message):
+    argv = ["verify", "--suite", "maingen", "--samples", "2", "--levels", "4",
+            "--weights", "2", flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_certificate_failure_is_internal_error(capsys, monkeypatch):
+    from etaq.series import QSeries
+
+    monkeypatch.setattr(QSeries, "is_zero_to_prec", lambda self: False)
+    code, out, err = run_cli(capsys, "second-derivative")
+    assert code == 3 and out == ""
+    assert err == "internal error: second-derivative ratio certification failed for r = (-4, 2, 0)\n"
+    code, out, err = run_cli(capsys, "dual-pairs")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: antiderivative certification failed for g = eta(")
 
 
 def test_verify_identities(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaq.arith import divisors
 from etaq.eisenstein import EisensteinElement
@@ -93,6 +94,30 @@ def test_order_at_denominator_examples():
     assert JACOBI.order_at_denominator(4) == 0
     with pytest.raises(ValueError):
         JACOBI.order_at_denominator(3)
+
+
+def order_reference(f, c):
+    """Width-normalized order at a/c, summed one Fraction per term."""
+    n = f.level
+    acc = sum(Fraction(gcd(c, t) ** 2, t) * r for t, r in f.exponents.items())
+    return Fraction(n, 24 * gcd(c * c, n)) * acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_order_at_denominator_matches_reference(data):
+    # prime powers, composites and squarefull levels; sparse and dense
+    # exponent vectors, including cancelling and large exponents
+    n = data.draw(st.sampled_from([1, 2, 4, 12, 16, 18, 27, 30, 36, 49, 60, 125, 144]))
+    divs = divisors(n)
+    support = data.draw(st.lists(st.sampled_from(divs), unique=True))
+    exps = {t: data.draw(st.integers(-10**6, 10**6)) for t in support}
+    f = EtaQuotient(n, exps)
+    for c in divs:
+        got = f.order_at_denominator(c)
+        assert type(got) is Fraction
+        assert got == order_reference(f, c)
+    assert f.order_map() == {c: order_reference(f, c) for c in divs}
 
 
 def test_total_cusp_order_examples():

@@ -5,13 +5,21 @@ the acceptance suite for the full discussion)."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from etaq.arith import lcm, totient
+from etaq.eisenstein import MembershipTag, match_eta
 from etaq.eta import EtaQuotient
+from etaq.linalg import mat_inverse
 from etaq.search import (
     EXCLUDED_CELLS,
     REFERENCE_ANTIDERIVATIVES,
+    WEIGHT2_CELLS,
+    WEIGHT4_CELLS,
+    _integral_exponents,
+    _lower_hnf,
     antiderivative,
     classify_second_derivatives_level4,
     dual_pairs_prime_power,
@@ -64,6 +72,103 @@ def test_order_matrix_against_eta_orders():
             for i in range(m + 1):
                 expect = sum(a[i][j] * r[j] for j in range(m + 1))
                 assert f.order_at_denominator(p**i) == expect
+
+
+def test_lower_hnf():
+    rng = random.Random(31)
+    mats = [[[int(24 * x) for x in row] for row in order_matrix(p, m)]
+            for p in (2, 3, 5, 7) for m in range(0, 6)]
+    while len(mats) < 60:
+        size = rng.randint(1, 5)
+        b = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        if det(b) != 0:
+            mats.append(b)
+    for b in mats:
+        h, u = _lower_hnf(b)
+        size = len(b)
+        assert abs(det(u)) == 1
+        assert h == [[sum(b[i][l] * u[l][j] for l in range(size)) for j in range(size)]
+                     for i in range(size)]
+        for i in range(size):
+            assert h[i][i] > 0
+            assert all(h[i][j] == 0 for j in range(i + 1, size))
+            assert all(0 <= h[i][j] < h[i][i] for j in range(i))
+
+
+def grid_walk_exponents(k, p, m):
+    """Reference for the lattice walk: every order vector on the grid
+    (1/24)Z under the caps with the valence total, pushed through the
+    inverse order map; the integral images, in grid order."""
+    n = p**m
+    mult = [totient(gcd(p**i, p ** (m - i))) for i in range(m + 1)]
+    caps = [24 * (2 if (n == 4 and i == 1) else 1) for i in range(m + 1)]
+    target = 2 * k * (n + n // p) if m >= 1 else 2 * k
+    ainv = mat_inverse(order_matrix(p, m))
+    denom = 1
+    for row in ainv:
+        for x in row:
+            denom = lcm(denom, (x / 24).denominator)
+    t_int = [[int(x / 24 * denom) for x in row] for row in ainv]
+    suffix = [0] * (m + 2)
+    for i in range(m, -1, -1):
+        suffix[i] = suffix[i + 1] + mult[i] * caps[i]
+    out = []
+    nvec = [0] * (m + 1)
+
+    def rec(i, remaining):
+        if i == m + 1:
+            if remaining == 0:
+                rvals = []
+                for j in range(m + 1):
+                    s = sum(t_int[j][l] * nvec[l] for l in range(m + 1))
+                    if s % denom:
+                        return
+                    rvals.append(s // denom)
+                if any(rvals):
+                    out.append(rvals)
+            return
+        lo = max(0, -(-(remaining - suffix[i + 1]) // mult[i]))
+        hi = min(caps[i], remaining // mult[i])
+        for v in range(lo, hi + 1):
+            nvec[i] = v
+            rec(i + 1, remaining - mult[i] * v)
+
+    rec(0, target)
+    return out
+
+
+def grid_walk_pairs(k, p, m, candidates):
+    """Reference acceptance: the search's checks on the grid candidates."""
+    n = p**m
+    pairs = []
+    for rvals in candidates:
+        quotient = EtaQuotient(n, {p**j: r for j, r in enumerate(rvals)})
+        if quotient.weight() != k or not quotient.is_modular_on_gamma0().is_modular:
+            continue
+        element = match_eta(quotient)
+        if element is None or element.classify() is not MembershipTag.IN_P:
+            continue
+        pairs.append((quotient.key(), element.to_json(), quotient.is_primitive()))
+    return sorted(pairs)
+
+
+PUBLISHED_CELLS = WEIGHT2_CELLS + WEIGHT4_CELLS + EXCLUDED_CELLS
+UNPUBLISHED_CELLS = sorted(
+    {(k, p, m) for k in (2, 4, 6, 8, 10)
+     for p, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2), (3, 3)]}
+    - set(PUBLISHED_CELLS)
+)
+
+
+@pytest.mark.parametrize("cell", PUBLISHED_CELLS + UNPUBLISHED_CELLS, ids=str)
+def test_lattice_walk_matches_grid_walk(cell):
+    k, p, m = cell
+    candidates = grid_walk_exponents(k, p, m)
+    assert list(_integral_exponents(k, p, m)) == candidates
+    res = enumerate_eta_in_e(k, p, m)
+    assert res.candidates_scanned == len(candidates)
+    got = [(sp.eta.key(), sp.element.to_json(), sp.eta_primitive) for sp in res.pairs]
+    assert got == grid_walk_pairs(k, p, m, candidates)
 
 
 def test_weight2_level4_search():
@@ -200,6 +305,49 @@ def test_second_derivative_ratio_against_series():
         combo = EisensteinElement(4, 4, {1: s[0], 2: s[1], 4: s[2]})
         rhs = ef * combo.expansion(prec_q + 1, scale=24)
         assert lhs.agrees_with(rhs)
+
+
+def fraction_loop_hits(bound):
+    """Reference for the integer proportionality test: the ratio vector
+    divided by each target direction in Fractions, first target wins."""
+    hits = []
+    targets = level4_targets()
+    for r1 in range(-bound, bound + 1):
+        for r2 in range(-bound, bound + 1):
+            r4 = -2 - r1 - r2
+            if abs(r4) > bound:
+                continue
+            r = (r1, r2, r4)
+            s = second_derivative_ratio(r)
+            if all(x == 0 for x in s):
+                continue
+            for q, ts in targets:
+                scalar = None
+                ok = True
+                for sv, tv in zip(s, ts):
+                    if tv == 0:
+                        if sv != 0:
+                            ok = False
+                            break
+                    else:
+                        c = sv / tv
+                        if scalar is None:
+                            scalar = c
+                        elif c != scalar:
+                            ok = False
+                            break
+                if ok and scalar:
+                    hits.append((r, q, scalar, s))
+                    break
+    return sorted(hits, key=lambda hit: hit[0])
+
+
+@pytest.mark.parametrize("bound", [6, 20, 30, 60])
+def test_integer_proportionality_matches_fraction_loop(bound):
+    sols = classify_second_derivatives_level4(bound, certify_rel=48)
+    got = [(sol.r, sol.target, sol.scalar, sol.s) for sol in sols]
+    assert got == fraction_loop_hits(bound)
+    assert all(type(x) is Fraction for sol in sols for x in (sol.scalar, *sol.s))
 
 
 def test_level4_targets():
