@@ -12,7 +12,7 @@ pairs).
 
 from .arith import SL2Matrix, bernoulli, divisors, sigma, sl2_complete, efgh_complete
 from .cyclotomic import CycNumber, cyclotomic_polynomial
-from .series import QSeries, SeriesDomainError, eta_series
+from .series import QSeries, SeriesDomainError
 from .eta import EtaQuotient, ModularityReport, parse_eta
 from .eisenstein import (
     EisensteinElement,
@@ -56,7 +56,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "QSeries",
     "SeriesDomainError",
-    "eta_series",
     "EtaQuotient",
     "ModularityReport",
     "parse_eta",

@@ -6,7 +6,8 @@ second-derivative, verify.  Output is deterministic for fixed flags
 text rendering to machine-readable JSON.  Exit codes: 0 success or
 verified, 1 verification failure (counterexample in the output),
 2 usage error, 3 internal error (a failed certificate: a claim the
-search had selected did not survive its exact series check).
+search had selected did not survive its exact series check; or a
+series computation that ran out of known precision).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .search import (
     dual_pairs_prime_power,
     verify_classification_lists,
 )
+from .series import SeriesDomainError
 
 DEFAULT_LEVELS = "2,4,8,16,32,3,9,27,5,25,7,49"
 DEFAULT_WEIGHTS = "2,4,6"
@@ -143,7 +145,7 @@ def cmd_expand(args) -> int:
             "level": quotient.level,
             "weight": str(quotient.weight()),
             "series": series.render_text(),
-            "scale": series.scale,
+            "scale": 24,
         }
     elif args.element:
         element = _parse_element_arg(args.element, args.level)
@@ -153,12 +155,12 @@ def cmd_expand(args) -> int:
             "level": element.level,
             "weight": element.k,
             "series": series.render_text(),
-            "scale": series.scale,
+            "scale": 1,
         }
     else:
         raise UsageError("expand needs --eta or --element")
     if args.json:
-        payload["coeffs"] = series.to_json_triples()
+        payload["coeffs"] = series.to_json_triples(payload["scale"])
     _emit(payload, args)
     return 0
 
@@ -428,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SeriesDomainError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterator
 
 from .arith import (
     SL2Matrix,
@@ -34,7 +35,7 @@ from .arith import (
     efgh_complete,
     lcm,
     prime_power,
-    sigma,
+    sigma_range,
     sl2_complete,
     totient,
 )
@@ -147,7 +148,7 @@ class CuspExpansion:
     cusp: Cusp
     weight: int
     cyc_order: int
-    series: QSeries  # scale 1, local variable q_{c,N}
+    series: QSeries  # offset 0, whole steps of the local variable q_{c,N}
     terms: tuple[_TermData, ...]
 
     def order(self) -> int:
@@ -189,17 +190,37 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[in
     return order, terms
 
 
-def _coefficient(terms: list[_TermData], order: int, k: int, e: int) -> CycNumber:
-    acc: dict[int, Fraction] = {}
+# order_at_cusp usually stops within a step or two of a table sized for
+# the Sturm bound, and asks for the same few (k, prec) again and again
+_sigma_table = lru_cache(maxsize=64)(sigma_range)
+
+
+def _coefficients(terms: list[_TermData], order: int, k: int, prec: int) -> Iterator[CycNumber]:
+    """Cusp coefficients of q_{c,N}^e for e = 0, 1, ..., prec - 1.
+
+    Term t contributes P_t * const at n = 0 and P_t * sigma_{k-1}(n) at
+    n = e/step_t >= 1, with P_t = r_t (gcd(t,c)/t)^k and const = -B_k/2k.
+    Over den = L * den(const), L the lcm of the P_t denominators, those
+    are the integers (L P_t) num(const) and (L P_t) den(const) sigma(n),
+    read from one sigma table.
+    """
     const = Fraction(-bernoulli(k), 2 * k)
+    lden = 1
     for td in terms:
-        if e % td.step:
-            continue
-        n = e // td.step
-        val = td.r * td.prefactor * (const if n == 0 else sigma(k - 1, n))
-        j = (n * td.omega_exp) % order
-        acc[j] = acc.get(j, Fraction(0)) + val
-    return CycNumber(order, acc)
+        lden = lcm(lden, (td.r * td.prefactor).denominator)
+    weights = [(td, int(td.r * td.prefactor * lden)) for td in terms]
+    den = lden * const.denominator
+    table = _sigma_table(k - 1, prec - 1)
+    for e in range(prec):
+        acc: dict[int, int] = {}
+        for td, w in weights:
+            if e % td.step:
+                continue
+            n = e // td.step
+            val = w * const.numerator if n == 0 else w * const.denominator * table[n]
+            j = (n * td.omega_exp) % order
+            acc[j] = acc.get(j, 0) + val
+        yield CycNumber._normal(order, acc, den)
 
 
 def expansion_at_cusp(
@@ -212,8 +233,7 @@ def expansion_at_cusp(
     if prec < 1:
         raise ValueError("prec must be >= 1")
     order, terms = _cusp_terms(f, cusp, efgh)
-    coeffs = [_coefficient(terms, order, f.k, e) for e in range(prec)]
-    series = QSeries(1, 0, coeffs, prec)
+    series = QSeries(0, _coefficients(terms, order, f.k, prec))
     return CuspExpansion(cusp, f.k, order, series, tuple(terms))
 
 
@@ -240,8 +260,8 @@ def order_at_cusp(
     if prec is None:
         prec = _default_order_prec(f)
     order, terms = _cusp_terms(f, cusp, efgh)
-    for e in range(prec):
-        if not _coefficient(terms, order, f.k, e).is_zero():
+    for e, coeff in enumerate(_coefficients(terms, order, f.k, prec)):
+        if not coeff.is_zero():
             return e
     raise SeriesDomainError("precision-exhausted", f"no nonzero coefficient below {prec}")
 

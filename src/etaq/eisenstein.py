@@ -40,16 +40,34 @@ __all__ = [
 ]
 
 
-def eisenstein_series(k: int, prec: int, scale: int = 1) -> QSeries:
+def eisenstein_series(k: int, prec: int) -> QSeries:
     """E_k to precision prec (in q units): -B_k/2k + sum sigma_{k-1}(n) q^n."""
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be even >= 2, got {k}")
     if prec < 1:
         raise ValueError("prec must be >= 1")
+    return _combination(k, {1: Fraction(1)}, prec)
+
+
+def _combination(k: int, coeffs: dict[int, Fraction], prec: int) -> QSeries:
+    """sum_t coeffs[t] E_k(tz) below q^prec as integer numerators.
+
+    With const = -B_k/2k and L the lcm of the coefficient denominators,
+    the numerators over L * den(const) are sum_t (L r_t) num(const) at
+    q^0 and den(const) * sum_{t | j} (L r_t) sigma_{k-1}(j/t) at q^j.
+    """
+    const = Fraction(-bernoulli(k), 2 * k)
+    lden = 1
+    for r in coeffs.values():
+        lden = lcm(lden, r.denominator)
     table = sigma_range(k - 1, prec - 1)
-    coeffs: list = [Fraction(-bernoulli(k), 2 * k)]
-    coeffs += [Fraction(table[n]) for n in range(1, prec)]
-    return QSeries(1, 0, coeffs, prec).to_scale(scale)
+    vec = [0] * prec
+    for t, r in coeffs.items():
+        w = int(r * lden)
+        vec[0] += w * const.numerator
+        w *= const.denominator
+        vec[t::t] = [c + w * s for c, s in zip(vec[t::t], table[1:])]
+    return QSeries(0, vec, lden * const.denominator)
 
 
 def eisenstein_coefficient(k: int, j: int, t: int = 1) -> Fraction:
@@ -110,13 +128,9 @@ class EisensteinElement:
     def __hash__(self):
         return hash((self.k, self.level, tuple(self.coeffs.items())))
 
-    def expansion(self, prec: int, scale: int = 1) -> QSeries:
+    def expansion(self, prec: int) -> QSeries:
         """q-expansion at infinity to precision prec in q units."""
-        out = QSeries.constant(0, 1, prec)
-        for t, r in self.coeffs.items():
-            nterms = -(-prec // t)
-            out = out + eisenstein_series(self.k, nterms).substitute_power(t).truncate(prec) * r
-        return out.to_scale(scale)
+        return _combination(self.k, self.coeffs, prec)
 
     def classify(self) -> MembershipTag:
         """Membership for prime-power level: primitive-new vs inherited."""
@@ -241,9 +255,10 @@ def match_eta(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
     if g.offset() % 24:
         raise AssertionError("integral-exponent expansion expected for modular quotient")
     exp = g.expansion(24 * rows + 1)
+    lead = g.offset() // 24
 
     a = [[eisenstein_coefficient(k, j, t) for t in divs] for j in range(rows + 1)]
-    b = [Fraction(exp.coeff_q(j)) for j in range(rows + 1)]
+    b = [exp.coeff(j - lead) for j in range(rows + 1)]
     if k == 2:
         a.append([Fraction(1, t) for t in divs])
         b.append(Fraction(0))
@@ -370,11 +385,8 @@ def _theta_power_remainder(k: int, prec: int) -> Fraction:
         4: Fraction(2**kk) / denom,
     }
     scale = Fraction(-kk) / bernoulli(kk)  # -2k/B_2k with kk = 2k
-    rhs = QSeries.constant(0, 1, prec)
-    for t, c in combo.items():
-        rhs = rhs + _e(kk, t, prec) * (scale * c)
-    diff = lhs - rhs.to_scale(24)
-    return Fraction(diff.coeff_q(0))
+    rhs = EisensteinElement(kk, 4, {t: scale * c for t, c in combo.items()}).expansion(prec)
+    return (lhs - rhs).coeff(0)
 
 
 def _quotient_series(exps: dict[int, int], level: int, prec_q: int) -> QSeries:
@@ -387,7 +399,7 @@ def _check_equal(name: str, lhs: QSeries, rhs: QSeries, weight: int, level: int,
     if v is None:
         return IdentityCheck(name, weight, level, bound, "ok")
     c = diff.coeff(v)
-    mismatch = f"q^({v}/{diff.scale}) coefficient differs by {c}"
+    mismatch = f"q^({diff.offset + 24 * v}/24) coefficient differs by {c}"
     return IdentityCheck(name, weight, level, bound, "mismatch", first_mismatch=mismatch)
 
 
@@ -416,12 +428,12 @@ def verify_identities(prec: int | None = None) -> list[IdentityCheck]:
 
     bound = prec if prec is not None else max(50, 2 * sturm_bound(2, 4))
     lhs = _quotient_series(JACOBI_QUOTIENT, 4, bound)
-    rhs = EisensteinElement(2, 4, JACOBI_ELEMENT).expansion(bound + 1, scale=24)
+    rhs = EisensteinElement(2, 4, JACOBI_ELEMENT).expansion(bound + 1)
     out.append(_check_equal("jacobi-four-squares", lhs, rhs, 2, 4, bound))
 
     bound = prec if prec is not None else max(50, 2 * sturm_bound(2, 12))
     lhs = _quotient_series(WILLIAMS_QUOTIENT, 12, bound)
-    rhs = EisensteinElement(2, 12, WILLIAMS_ELEMENT).expansion(bound + 1, scale=24)
+    rhs = EisensteinElement(2, 12, WILLIAMS_ELEMENT).expansion(bound + 1)
     out.append(_check_equal("williams-table-no24", lhs, rhs, 2, 12, bound))
 
     bound = prec if prec is not None else max(50, 2 * sturm_bound(2, 4))

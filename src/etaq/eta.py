@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -101,7 +101,7 @@ class EtaQuotient:
     # -- expansion ---------------------------------------------------------
 
     def expansion(self, prec: int) -> QSeries:
-        """Exact q-expansion below exponent prec (in 1/24 units, scale 24).
+        """Exact q-expansion through every exponent below prec/24.
 
         q^(-offset/24) * f is F = prod_t prod_m (1 - q^(tm))^(r_t) =
         sum c_n q^n, whose logarithmic derivative D(F)/F (D = q d/dq) is
@@ -109,13 +109,13 @@ class EtaQuotient:
         coefficients of log_derivative() times those of sum sigma(m) q^(tm).
         Comparing coefficients in D(F) = F * (D(F)/F) gives the recurrence
         n c_n = sum_{k=1}^{n} b_k c_(n-k); the c_n are integers, so every
-        division by n is exact.
+        division by n is exact.  They are returned as they come, on the
+        ceil((prec - offset)/24) q-steps the bound covers.
         """
         off = self.offset()
         if prec <= off:
             raise SeriesDomainError("precision-exhausted", f"prec {prec} <= offset {off}")
-        rel = prec - off
-        n = -(-rel // 24)
+        n = -(-(prec - off) // 24)
         sig = sigma_range(1, n)
         b = [0] * n
         for t, lt in self.log_derivative().coeffs.items():
@@ -128,11 +128,7 @@ class EtaQuotient:
             c[j], rem = divmod(s, j)
             if rem:
                 raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
-        vec = [Fraction(0)] * rel
-        for j, cj in enumerate(c):
-            if cj:
-                vec[24 * j] = Fraction(cj)
-        return QSeries(24, off, vec, prec)
+        return QSeries(off, c)
 
     # -- orders at cusps ----------------------------------------------------
 
@@ -171,14 +167,15 @@ class EtaQuotient:
         su = sum(t * r for t, r in self.exponents.items())
         sv = sum((n // t) * r for t, r in self.exponents.items())
         w2 = sum(self.exponents.values())
-        prod = Fraction(1)
-        for t, r in self.exponents.items():
-            prod *= Fraction(t) ** r
+        # prod_t t^(r_t) is a rational square exactly when prod_t t^|r_t|
+        # is an integer square, i.e. when the product of the t with odd
+        # r_t is
+        odd = prod(t for t, r in self.exponents.items() if r % 2)
         conditions = (
             ("sum t*r_t = 0 mod 24", su % 24 == 0),
             ("sum (N/t)*r_t = 0 mod 24", sv % 24 == 0),
             ("even integer weight", w2 % 4 == 0),
-            ("trivial character", _is_rational_square(prod)),
+            ("trivial character", isqrt(odd) ** 2 == odd),
         )
         return ModularityReport(Fraction(w2, 2), conditions, self.order_map())
 
@@ -228,19 +225,6 @@ class EtaQuotient:
 
     def __repr__(self):
         return f"EtaQuotient(level={self.level}, {self.render()})"
-
-
-def _is_rational_square(x: Fraction) -> bool:
-    if x <= 0:
-        return False
-    return _is_square(x.numerator) and _is_square(x.denominator)
-
-
-def _is_square(n: int) -> bool:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r * r == n
 
 
 _ETA_TERM = re.compile(r"^eta\((\d+)\)(?:\^(-?\d+))?$")

@@ -494,7 +494,7 @@ def _certify_second_derivative(
     ef = f.expansion(prec)
     lhs = ef.ramanujan_d().ramanujan_d()
     combo = EisensteinElement(4, 4, {1: s[0], 2: s[1], 4: s[2]})
-    rhs = ef * combo.expansion(-(-certify_rel // 24) + 1, scale=24)
+    rhs = ef * combo.expansion(-(-certify_rel // 24) + 1)
     if not (lhs - rhs).is_zero_to_prec():
         raise AssertionError(f"second-derivative ratio certification failed for r = {r}")
     rhs2 = ef * target.expansion(target.offset() + certify_rel) * scalar

@@ -1,217 +1,195 @@
 """Truncated formal q-series with exact coefficients.
 
-A ``QSeries`` stores coefficients of q^(e/scale) for integer exponents
-e in ``offset <= e < prec``; everything at or beyond q^(prec/scale) is
-unknown, never assumed zero.  The scale is 24 for eta work (exponents
-live in (1/24)Z) and 1 for expansions in an integral local variable at
-a cusp.  Coefficients are either ``fractions.Fraction`` or
-``CycNumber`` (all of one cyclotomic order); the rational domain embeds
-into any cyclotomic one on demand.
+A ``QSeries`` is
+
+    q^(offset/24) * (sum_{n < prec} coeffs[n] * q^n) / den  +  O(q^(offset/24 + prec))
+
+* ``offset`` is an integer shift in 1/24 units: sum t*r_t for an eta
+  quotient, 0 for an Eisenstein combination;
+* ``coeffs`` are dense numerators on whole q-steps: Python ints, or, at
+  a cusp, ``CycNumber``s of one cyclotomic order ``cyc_order`` (offset 0
+  in the local variable q_{c,N});
+* ``den`` is one positive denominator, in lowest terms against the
+  numerators; it is 1 for cyclotomic series, whose coefficients carry
+  their own denominators;
+* ``prec`` = len(coeffs) counts the known q-steps.  Everything from the
+  O-term on is unknown, never assumed zero.
+
+D = q d/dq multiplies c_n by (24n + offset) and den by 24.  A sum aligns
+two offsets that agree mod 24 (series on different lattices are
+refused).  A product of rational series is one ``kernels.conv_trunc``
+call on the numerators; cyclotomic products multiply ``CycNumber``s
+term by term.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
-terms beyond the inputs' knowledge.  Multiplication routes integer
-coefficient arrays through ``etaq.kernels``.
+terms beyond the inputs' knowledge.  Stored leading zeros of a factor
+are exact, so a product knows the steps they determine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
-from .arith import lcm
 from .cyclotomic import CycNumber
 from .kernels import conv_trunc
 
-__all__ = ["QSeries", "SeriesDomainError", "eta_series"]
+__all__ = ["QSeries", "SeriesDomainError"]
 
-Coeff = Union[Fraction, CycNumber]
+Coeff = Union[int, CycNumber]
 Scalar = Union[int, Fraction, CycNumber]
-
-# Rescaling two series to a common exponent lattice is refused beyond
-# this bound; it would signal wildly incompatible scales, not math.
-_MAX_SCALE = 2_000_000
 
 
 class SeriesDomainError(ArithmeticError):
-    """Raised for division-by-nonunit, precision-exhausted, scale-mismatch."""
+    """Raised for division-by-nonunit, precision-exhausted, lattice-mismatch."""
 
     def __init__(self, kind: str, message: str = ""):
         self.kind = kind
         super().__init__(f"{kind}: {message}" if message else kind)
 
 
-def _as_coeff(v: Scalar) -> Coeff:
-    # Fractions are immutable, so an existing one is shared, not copied
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, CycNumber):
-        return v
-    raise TypeError(f"unsupported coefficient type {type(v).__name__}")
-
-
 def _stored_nonzero(c: Coeff) -> bool:
     # cheap representation-level test; used only to skip work, never to
     # decide vanishing (valuation uses the exact test)
-    if isinstance(c, Fraction):
-        return c != 0
-    return bool(c.terms)
+    return bool(c.terms) if isinstance(c, CycNumber) else c != 0
 
 
 class QSeries:
-    """Immutable truncated series sum c_e q^(e/scale) + O(q^(prec/scale))."""
+    """Immutable q^(offset/24) * sum c_n q^n / den + O(q^(offset/24 + prec))."""
 
-    __slots__ = ("scale", "offset", "coeffs", "prec", "cyc_order")
+    __slots__ = ("offset", "coeffs", "den", "cyc_order")
 
-    def __init__(self, scale: int, offset: int, coeffs: Iterable[Scalar], prec: int | None = None):
-        if scale < 1:
-            raise ValueError("scale must be >= 1")
-        vec = [_as_coeff(c) for c in coeffs]
-        if prec is None:
-            prec = offset + len(vec)
-        if prec <= offset:
+    def __init__(self, offset: int, coeffs: Iterable[Coeff], den: int = 1):
+        vec = tuple(coeffs)
+        if not vec:
             raise SeriesDomainError("precision-exhausted", "series with no known window")
-        if len(vec) < prec - offset:
-            vec += [Fraction(0)] * (prec - offset - len(vec))
-        elif len(vec) > prec - offset:
-            vec = vec[: prec - offset]
-        # tighten the offset past exactly-stored leading zeros (keep one slot)
-        lead = 0
-        while lead < len(vec) - 1 and not _stored_nonzero(vec[lead]):
-            lead += 1
-        if lead:
-            vec = vec[lead:]
-            offset += lead
+        if den < 1:
+            raise ValueError("denominator must be >= 1")
         order = None
-        for c in vec:
-            if isinstance(c, CycNumber):
-                order = c.order if order is None else lcm(order, c.order)
-        if order is not None:
-            vec = [
-                c.lift(order) if isinstance(c, CycNumber) else CycNumber.from_rational(c, order)
-                for c in vec
-            ]
-        self.scale = scale
+        if isinstance(vec[0], CycNumber):
+            order = vec[0].order
+            if den != 1 or any(c.order != order for c in vec):
+                raise ValueError("cyclotomic coefficients need one order and denominator 1")
+        elif den != 1:
+            g = gcd(den, *vec)
+            if g != 1:
+                den //= g
+                vec = tuple(c // g for c in vec)
         self.offset = offset
-        self.coeffs = tuple(vec)
-        self.prec = prec
+        self.coeffs = vec
+        self.den = den
         self.cyc_order = order
 
-    # -- constructors -------------------------------------------------
+    @property
+    def prec(self) -> int:
+        return len(self.coeffs)
 
-    @classmethod
-    def constant(cls, value: Scalar, scale: int = 1, prec: int = 1) -> "QSeries":
-        return cls(scale, 0, [value], max(prec, 1))
+    def _zero(self) -> Coeff:
+        return 0 if self.cyc_order is None else CycNumber.zero(self.cyc_order)
 
-    @classmethod
-    def one(cls, scale: int = 1, prec: int = 1) -> "QSeries":
-        return cls.constant(1, scale, prec)
+    def _cyc_coeffs(self, order: int) -> list[CycNumber]:
+        """The coefficient values as CycNumbers of the given order."""
+        if self.cyc_order is not None:
+            return [c.lift(order) for c in self.coeffs]
+        return [CycNumber._normal(order, {0: c}, self.den) for c in self.coeffs]
 
-    @classmethod
-    def monomial(cls, value: Scalar, exponent: int, scale: int = 1, prec: int | None = None) -> "QSeries":
-        return cls(scale, exponent, [value], prec)
-
-    # -- scale handling ------------------------------------------------
-
-    def to_scale(self, new_scale: int) -> "QSeries":
-        """Same series on a finer exponent lattice; new_scale % scale == 0."""
-        if new_scale == self.scale:
-            return self
-        if new_scale % self.scale:
-            raise SeriesDomainError("scale-mismatch", f"{self.scale} does not divide {new_scale}")
-        stride = new_scale // self.scale
-        vec: list[Coeff] = [Fraction(0)] * (len(self.coeffs) * stride)
+    def _lead(self) -> int:
+        """Stored leading zeros: exactly known, at most prec - 1 of them."""
         for i, c in enumerate(self.coeffs):
-            vec[i * stride] = c
-        return QSeries(new_scale, self.offset * stride, vec, self.prec * stride)
-
-    def _common_scale(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
-        s = lcm(self.scale, other.scale)
-        if s > _MAX_SCALE:
-            raise SeriesDomainError("scale-mismatch", f"common scale {s} exceeds bound")
-        return self.to_scale(s), other.to_scale(s)
+            if _stored_nonzero(c):
+                return i
+        return len(self.coeffs) - 1
 
     def substitute_power(self, t: int) -> "QSeries":
-        """q -> q^t on the same scale (exponents multiplied by t)."""
+        """q -> q^t: the offset and every exponent are multiplied by t."""
         if t < 1:
             raise ValueError("substitution power must be >= 1")
         if t == 1:
             return self
-        vec: list[Coeff] = [Fraction(0)] * ((len(self.coeffs) - 1) * t + 1)
-        for i, c in enumerate(self.coeffs):
-            vec[i * t] = c
-        return QSeries(self.scale, self.offset * t, vec, self.prec * t)
+        vec = [self._zero()] * (self.prec * t)
+        vec[::t] = self.coeffs
+        return QSeries(self.offset * t, vec, self.den)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            other = QSeries.constant(other, self.scale, self.prec)
         if not isinstance(other, QSeries):
             return NotImplemented
-        x, y = self._common_scale(other)
-        prec = min(x.prec, y.prec)
+        x, y = self, other
+        if (x.offset - y.offset) % 24:
+            raise SeriesDomainError(
+                "lattice-mismatch", f"offsets {x.offset} and {y.offset} differ mod 24"
+            )
         offset = min(x.offset, y.offset)
-        if prec <= offset:
-            raise SeriesDomainError("precision-exhausted", "operands share no known window")
-        vec: list[Coeff] = [Fraction(0)] * (prec - offset)
-        for i, c in enumerate(x.coeffs):
-            e = x.offset + i
-            if e < prec:
-                vec[e - offset] = vec[e - offset] + c
-        for i, c in enumerate(y.coeffs):
-            e = y.offset + i
-            if e < prec:
-                vec[e - offset] = vec[e - offset] + c
-        return QSeries(x.scale, offset, vec, prec)
-
-    __radd__ = __add__
+        sx, sy = (x.offset - offset) // 24, (y.offset - offset) // 24
+        n = min(sx + x.prec, sy + y.prec)
+        if x.cyc_order is None and y.cyc_order is None:
+            den = lcm(x.den, y.den)
+            xs, ys, zero = _scaled(x.coeffs, den // x.den), _scaled(y.coeffs, den // y.den), 0
+        else:
+            order = lcm(x.cyc_order or 1, y.cyc_order or 1)
+            xs, ys, den = x._cyc_coeffs(order), y._cyc_coeffs(order), 1
+            zero = CycNumber.zero(order)
+        # each operand placed on the window [offset, offset + 24n)
+        xs = [zero] * min(sx, n) + list(xs[: max(n - sx, 0)])
+        ys = [zero] * min(sy, n) + list(ys[: max(n - sy, 0)])
+        return QSeries(offset, [a + b for a, b in zip(xs, ys)], den)
 
     def __neg__(self):
-        return QSeries(self.scale, self.offset, [-c for c in self.coeffs], self.prec)
+        return QSeries(self.offset, [-c for c in self.coeffs], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            other = QSeries.constant(other, self.scale, self.prec)
         if not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scalar_mul(self, v: Scalar) -> "QSeries":
-        c = _as_coeff(v)
-        return QSeries(self.scale, self.offset, [c * x for x in self.coeffs], self.prec)
+        if isinstance(v, CycNumber):
+            order = lcm(v.order, self.cyc_order or 1)
+            return QSeries(self.offset, [v * c for c in self._cyc_coeffs(order)])
+        v = Fraction(v)
+        if self.cyc_order is not None:
+            return QSeries(self.offset, [c * v for c in self.coeffs])
+        num = v.numerator
+        return QSeries(self.offset, [c * num for c in self.coeffs], self.den * v.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
             return self.scalar_mul(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        x, y = self._common_scale(other)
+        x, y = self, other
         offset = x.offset + y.offset
-        prec = min(x.prec + y.offset, y.prec + x.offset)
-        nout = prec - offset  # == min(len(x.coeffs), len(y.coeffs))
-        vec = _mul_coeff_lists(list(x.coeffs), list(y.coeffs), nout)
-        return QSeries(x.scale, offset, vec, prec)
+        n = min(x.prec + y._lead(), y.prec + x._lead())
+        if x.cyc_order is None and y.cyc_order is None:
+            vec = conv_trunc(x.coeffs, y.coeffs, n)
+            vec += [0] * (n - len(vec))
+            return QSeries(offset, vec, x.den * y.den)
+        order = lcm(x.cyc_order or 1, y.cyc_order or 1)
+        xs, ys = x._cyc_coeffs(order), y._cyc_coeffs(order)
+        out = [CycNumber.zero(order)] * n
+        for i, xc in enumerate(xs[:n]):
+            if xc.terms:
+                for j in range(min(len(ys), n - i)):
+                    yc = ys[j]
+                    if yc.terms:
+                        out[i + j] = out[i + j] + xc * yc
+        return QSeries(offset, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, v: Scalar):
-        c = _as_coeff(v)
-        if isinstance(c, Fraction):
-            if c == 0:
-                raise ZeroDivisionError("division of series by zero scalar")
-            return self.scalar_mul(Fraction(1) / c)
-        return self.scalar_mul(c.inverse())
+        if isinstance(v, CycNumber):
+            return self.scalar_mul(v.inverse())
+        if v == 0:
+            raise ZeroDivisionError("division of series by zero scalar")
+        return self.scalar_mul(1 / Fraction(v))
 
     def __pow__(self, e: int) -> "QSeries":
         if e == 0:
-            return QSeries.one(self.scale, max(self.prec - self.offset, 1))
+            return QSeries(0, [1] + [0] * (self.prec - 1))
         if e < 0:
             return self.inverse() ** (-e)
         out, base, k = None, self, e
@@ -228,63 +206,59 @@ class QSeries:
         v = self.valuation()
         if v is None:
             raise SeriesDomainError("division-by-nonunit", "inverse of zero-to-precision series")
-        lead_idx = v - self.offset
-        rel = len(self.coeffs) - lead_idx
-        cs = list(self.coeffs[lead_idx:])
-        c0 = cs[0]
-        if isinstance(c0, Fraction):
-            inv0: Coeff = Fraction(1) / c0
-        else:
-            inv0 = c0.inverse()
-        norm = [inv0 * c for c in cs]
-        inv_norm = _inv_unit_coeffs(norm, rel)
-        vec = [inv0 * c for c in inv_norm]
-        return QSeries(self.scale, -v, vec, -v + rel)
+        cs = [self.coeff(n) for n in range(v, self.prec)]
+        inv0 = 1 / cs[0] if self.cyc_order is None else cs[0].inverse()
+        out = [inv0]
+        for n in range(1, len(cs)):
+            out.append(-inv0 * sum(cs[k] * out[n - k] for k in range(1, n + 1)))
+        offset = -(self.offset + 24 * v)
+        if self.cyc_order is not None:
+            return QSeries(offset, out)
+        den = lcm(*(b.denominator for b in out))
+        return QSeries(offset, [b.numerator * (den // b.denominator) for b in out], den)
 
     # -- calculus and inspection ----------------------------------------
 
     def ramanujan_d(self) -> "QSeries":
-        """D = q d/dq: the coefficient of q^(e/scale) is scaled by e/scale."""
-        vec = [c * Fraction(self.offset + i, self.scale) for i, c in enumerate(self.coeffs)]
-        return QSeries(self.scale, self.offset, vec, self.prec)
+        """D = q d/dq: c_n gains the factor (24n + offset)/24."""
+        a = self.offset
+        if self.cyc_order is not None:
+            return QSeries(a, [c * Fraction(a + 24 * n, 24) for n, c in enumerate(self.coeffs)])
+        return QSeries(a, [c * (a + 24 * n) for n, c in enumerate(self.coeffs)], 24 * self.den)
 
     def valuation(self) -> int | None:
-        """Least exponent (1/scale units) with exactly nonzero coefficient.
+        """Least step n with exactly nonzero coefficient (of q^(offset/24 + n)).
 
         Returns None when the series is zero to its known precision.
         CycNumber coefficients are decided by the exact cyclotomic test.
         """
-        for i, c in enumerate(self.coeffs):
-            nonzero = (c != 0) if isinstance(c, Fraction) else not c.is_zero()
-            if nonzero:
-                return self.offset + i
-        return None
+        if self.cyc_order is None:
+            return next((n for n, c in enumerate(self.coeffs) if c), None)
+        return next((n for n, c in enumerate(self.coeffs) if c.terms and not c.is_zero()), None)
 
     def is_zero_to_prec(self) -> bool:
         return self.valuation() is None
 
-    def leading(self) -> tuple[int, Coeff]:
+    def leading(self) -> tuple[int, Union[Fraction, CycNumber]]:
         v = self.valuation()
         if v is None:
             raise SeriesDomainError("precision-exhausted", "no nonzero coefficient below prec")
-        return v, self.coeffs[v - self.offset]
+        return v, self.coeff(v)
 
-    def coeff(self, exponent: int) -> Coeff:
-        """Coefficient of q^(exponent/scale); exponent must be known."""
-        if exponent >= self.prec:
-            raise SeriesDomainError("precision-exhausted", f"exponent {exponent} >= prec {self.prec}")
-        if exponent < self.offset:
-            return Fraction(0)
-        return self.coeffs[exponent - self.offset]
-
-    def coeff_q(self, n: int) -> Coeff:
-        """Coefficient of q^n (integral exponent at any scale)."""
-        return self.coeff(n * self.scale)
+    def coeff(self, n: int) -> Union[Fraction, CycNumber]:
+        """Coefficient of q^(offset/24 + n); step n must be known."""
+        if n >= self.prec:
+            raise SeriesDomainError("precision-exhausted", f"step {n} >= prec {self.prec}")
+        if n < 0:
+            return self._zero() if self.cyc_order is not None else Fraction(0)
+        c = self.coeffs[n]
+        return c if self.cyc_order is not None else Fraction(c, self.den)
 
     def truncate(self, prec: int) -> "QSeries":
+        """The first prec steps."""
         if prec >= self.prec:
             return self
-        return QSeries(self.scale, self.offset, self.coeffs[: prec - self.offset], prec)
+        return QSeries(self.offset, self.coeffs[:prec], self.den)
 
     def agrees_with(self, other: "QSeries") -> bool:
         """Exact coefficient agreement over the shared known window."""
@@ -294,109 +268,48 @@ class QSeries:
 
     def render_text(self, var: str = "q") -> str:
         parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
+        for n, c in enumerate(self.coeffs):
             if not _stored_nonzero(c):
                 continue
-            e = self.offset + i
-            cs = str(c) if isinstance(c, Fraction) else f"({c.render()})"
-            parts.append(cs if e == 0 else f"{cs}*{_power(var, e, self.scale)}")
+            if self.cyc_order is not None:
+                cs = f"({c.render()})"
+            else:
+                cs = str(c) if self.den == 1 else str(Fraction(c, self.den))
+            e = self.offset + 24 * n
+            parts.append(cs if e == 0 else f"{cs}*{_power(var, e)}")
         body = " + ".join(parts) if parts else "0"
-        return f"{body} + O({_power(var, self.prec, self.scale)})"
+        return f"{body} + O({_power(var, self.offset + 24 * self.prec)})"
 
-    def to_json_triples(self) -> list[list[int]]:
-        """Nonzero rational coefficients as [numerator, denominator, exponent]."""
+    def to_json_triples(self, scale: int = 24) -> list[list[int]]:
+        """Nonzero rational coefficients as [numerator, denominator,
+        exponent], the exponent in 1/scale units (scale 1 needs offset = 0
+        mod 24)."""
         if self.cyc_order is not None:
             raise TypeError("JSON triples are defined for rational series only")
+        if (self.offset * scale) % 24:
+            raise ValueError(f"offset {self.offset}/24 is not a multiple of 1/{scale}")
         out = []
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                out.append([c.numerator, c.denominator, self.offset + i])
+        for n, c in enumerate(self.coeffs):
+            if c:
+                g = gcd(c, self.den)
+                out.append([c // g, self.den // g, (self.offset + 24 * n) * scale // 24])
         return out
 
     def __repr__(self):
         shown = self.render_text()
         if len(shown) > 120:
             shown = shown[:117] + "..."
-        return f"QSeries(scale={self.scale}, {shown})"
+        return f"QSeries({shown})"
 
 
-def _power(var: str, e: int, scale: int) -> str:
-    """var^(e/scale) with the exponent in lowest terms."""
-    g = gcd(abs(e), scale)
-    num, den = e // g, scale // g
+def _scaled(cs: tuple, factor: int):
+    return cs if factor == 1 else [c * factor for c in cs]
+
+
+def _power(var: str, e: int) -> str:
+    """var^(e/24) with the exponent in lowest terms."""
+    g = gcd(abs(e), 24)
+    num, den = e // g, 24 // g
     if den > 1:
         return f"{var}^({num}/{den})"
     return var if num == 1 else f"{var}^{num}"
-
-
-def _rationals_to_ints(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        den = den * (d // gcd(den, d))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _mul_coeff_lists(xs: list[Coeff], ys: list[Coeff], nout: int) -> list[Coeff]:
-    if nout <= 0:
-        raise SeriesDomainError("precision-exhausted", "empty product window")
-    if not isinstance(xs[0], CycNumber) and not isinstance(ys[0], CycNumber):
-        xi, dx = _rationals_to_ints(xs)
-        yi, dy = _rationals_to_ints(ys)
-        den = dx * dy
-        return [Fraction(z, den) for z in conv_trunc(xi, yi, nout)]
-    order = 1
-    for c in xs + ys:
-        if isinstance(c, CycNumber):
-            order = lcm(order, c.order)
-    zero = CycNumber.zero(order)
-    out: list[Coeff] = [zero] * nout
-    for i, xc in enumerate(xs):
-        if i >= nout:
-            break
-        if _stored_nonzero(xc):
-            for j in range(min(len(ys), nout - i)):
-                yc = ys[j]
-                if _stored_nonzero(yc):
-                    out[i + j] = out[i + j] + xc * yc
-    return out
-
-
-def _inv_unit_coeffs(cs: list[Coeff], rel: int) -> list[Coeff]:
-    """Inverse of a coefficient list with cs[0] == 1, to rel terms (Newton)."""
-    b: list[Coeff] = [Fraction(1)]
-    cur = 1
-    while cur < rel:
-        cur = min(2 * cur, rel)
-        ab = _mul_coeff_lists(cs[:cur], b + [Fraction(0)] * (cur - len(b)), cur)
-        e: list[Coeff] = [-(v) for v in ab]
-        e[0] = e[0] + 2
-        b = _mul_coeff_lists(b + [Fraction(0)] * (cur - len(b)), e, cur)
-    return b
-
-
-def eta_series(prec: int, scale: int = 24) -> QSeries:
-    """q^(1/24) * prod (1 - q^n), truncated below exponent prec/scale.
-
-    Sparse generation via the pentagonal number theorem: the exponents
-    present are (1 + 12k(3k-1))/24 for integer k, with sign (-1)^k.  The
-    naive product is kept as an independent oracle in the test suite.
-    """
-    if scale % 24:
-        raise ValueError("eta series needs a scale divisible by 24")
-    if prec <= scale // 24:
-        raise ValueError("prec must exceed the leading exponent")
-    step = scale // 24
-    vec: list[Scalar] = [0] * (prec - step)
-    k = 0
-    while True:
-        hit = False
-        for kk in (k, -k) if k else (0,):
-            e = (1 + 12 * kk * (3 * kk - 1)) * step
-            if e < prec:
-                vec[e - step] = 1 if kk % 2 == 0 else -1
-                hit = True
-        if not hit:
-            break
-        k += 1
-    return QSeries(scale, step, vec, prec)

@@ -151,6 +151,19 @@ def test_search_golden(capsys, case):
     assert out == case["stdout"]
 
 
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+@pytest.mark.parametrize("case", json.loads(CLI_GOLDEN.read_text()), ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden(capsys, case):
+    """Byte-stable output of expand (six eta quotients at 30 and one at
+    200 q-exponents, three Eisenstein combinations), eta-order, dual-pairs
+    and every verify suite, in text and JSON, with their exit codes."""
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["code"]
+    assert out == case["stdout"]
+
+
 def test_search_level9(capsys):
     code, out, _ = run_cli(capsys, "search", "--weight", "2", "--level", "9", "--json")
     assert code == 0
@@ -200,6 +213,32 @@ def test_certificate_failure_is_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "dual-pairs")
     assert code == 3 and out == ""
     assert err.startswith("internal error: antiderivative certification failed for g = eta(")
+
+
+def test_precision_exhaustion_is_internal_error(capsys, monkeypatch):
+    # a series check that runs out of known precision inside a
+    # certification is the program's failure, not the user's
+    from etaq.series import QSeries, SeriesDomainError
+
+    def exhausted(self):
+        raise SeriesDomainError("precision-exhausted", "operands share no known window")
+
+    monkeypatch.setattr(QSeries, "is_zero_to_prec", exhausted)
+    for argv in (["second-derivative"], ["dual-pairs", "--json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "internal error: precision-exhausted: operands share no known window\n"
+
+
+def test_other_arithmetic_errors_stay_usage_errors(capsys, monkeypatch):
+    from etaq.series import QSeries
+
+    def fails(self):
+        raise ArithmeticError("no such thing")
+
+    monkeypatch.setattr(QSeries, "is_zero_to_prec", fails)
+    code, out, err = run_cli(capsys, "second-derivative")
+    assert code == 2 and out == "" and err == "error: no such thing\n"
 
 
 def test_verify_identities(capsys):

@@ -14,9 +14,13 @@ from math import gcd
 
 import pytest
 
-from etaq.arith import SL2Matrix, efgh_complete, sl2_complete
+from hypothesis import given, settings, strategies as st
+
+from etaq.arith import SL2Matrix, bernoulli, divisors, efgh_complete, sigma, sl2_complete
 from etaq.cusps import (
     Cusp,
+    _coefficients,
+    _cusp_terms,
     check_order_bound,
     cusp_count,
     cusp_reps,
@@ -25,10 +29,56 @@ from etaq.cusps import (
     order_at_cusp,
     order_sum_bound,
 )
+from etaq.cyclotomic import CycNumber
 from etaq.eisenstein import EisensteinElement, match_eta, random_p_element
 from etaq.eta import EtaQuotient
 from etaq.linalg import rref
 from etaq.series import SeriesDomainError
+
+
+def coefficient_reference(terms, order: int, k: int, e: int) -> CycNumber:
+    """The former cusps._coefficient: one Fraction per term, sigma by
+    factorisation, turned into integers by the CycNumber constructor."""
+    acc: dict[int, Fraction] = {}
+    const = Fraction(-bernoulli(k), 2 * k)
+    for td in terms:
+        if e % td.step:
+            continue
+        n = e // td.step
+        val = td.r * td.prefactor * (const if n == 0 else sigma(k - 1, n))
+        j = (n * td.omega_exp) % order
+        acc[j] = acc.get(j, Fraction(0)) + val
+    return CycNumber(order, acc)
+
+
+def cusp_coefficient(terms, order: int, k: int, e: int) -> CycNumber:
+    """Coefficient of q_{c,N}^e, from the integer generator."""
+    return list(_coefficients(terms, order, k, e + 1))[e]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_integer_coefficients_match_fraction_reference(data):
+    # every cusp of prime-power and composite levels, rational weights
+    # with large numerators and denominators, zero terms included: the
+    # integer generator must produce the same stored representation
+    n = data.draw(st.sampled_from([1, 4, 8, 9, 12, 16, 25, 27, 32, 36, 49, 125]))
+    k = data.draw(st.sampled_from([2, 4, 6, 8, 12]))
+    support = data.draw(st.lists(st.sampled_from(divisors(n)), min_size=1, unique=True))
+    coeffs = {
+        t: Fraction(data.draw(st.integers(-10**9, 10**9)), data.draw(st.integers(1, 10**6)))
+        for t in support
+    }
+    element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
+    element.k, element.level, element.coeffs = k, n, coeffs
+    cusp = data.draw(st.sampled_from(cusp_reps(n)))
+    order, terms = _cusp_terms(element, cusp, efgh_complete)
+    prec = data.draw(st.integers(1, 40))
+    got = list(_coefficients(terms, order, k, prec))
+    assert len(got) == prec
+    for e, c in enumerate(got):
+        want = coefficient_reference(terms, order, k, e)
+        assert (c.order, c.terms, c.den) == (want.order, want.terms, want.den), (e, cusp)
 
 
 def nullspace(a) -> list[list[Fraction]]:
@@ -124,7 +174,11 @@ def test_expansion_exponent_lattice_integral():
         el = EisensteinElement(4, n, {t: 1 for t in (1, n)})
         for cusp in cusp_reps(n):
             exp = expansion_at_cusp(el, cusp, 8)
-            assert exp.series.scale == 1  # integral exponents by construction
+            # whole steps of q_{c,N} by construction: no shift, one
+            # cyclotomic order, and the values themselves as coefficients
+            series = exp.series
+            assert (series.offset, series.den, series.prec) == (0, 1, 8)
+            assert series.cyc_order == exp.cyc_order
 
 
 def test_orders_jacobi_element():
@@ -258,9 +312,7 @@ def test_level4_triple_vanishing_at_half_cusp_forces_zero():
     # at level 4, forcing the first three coefficients at cusp 1/2 to
     # vanish admits only the zero element (for any even weight), which
     # is why the denominator-2 cusp carries the cap 2 instead of 1
-    from etaq.arith import efgh_complete
-    from etaq.cusps import _coefficient, _cusp_terms
-    from fractions import Fraction
+    from etaq.cusps import _cusp_terms
 
     for k in (2, 4, 6, 8):
         cusp = Cusp(1, 2, 4)
@@ -271,7 +323,7 @@ def test_level4_triple_vanishing_at_half_cusp_forces_zero():
                 basis = EisensteinElement.__new__(EisensteinElement)
                 basis.k, basis.level, basis.coeffs = k, 4, {t: Fraction(1)}
                 order, terms = _cusp_terms(basis, cusp, efgh_complete)
-                val = _coefficient(terms, order, k, e)
+                val = cusp_coefficient(terms, order, k, e)
                 for ci, cv in enumerate(val.reduced()):
                     coords.setdefault(ci, [Fraction(0)] * 3)[idx] = cv
             rows.extend(coords.values())
@@ -284,7 +336,7 @@ def test_forced_double_vanishing_kills_new_elements():
     # if two leading coefficients at a cusp a/p^i are forced to vanish,
     # every solution loses r_1 or r_{p^m}: solve the exact linear
     # conditions and inspect the nullspace
-    from etaq.cusps import _coefficient, _cusp_terms
+    from etaq.cusps import _cusp_terms
 
     rng = random.Random(4)
     cases = [(2, 2, 3), (4, 3, 2), (2, 2, 4), (4, 2, 3), (6, 5, 2), (4, 7, 1)]
@@ -304,7 +356,7 @@ def test_forced_double_vanishing_kills_new_elements():
                         basis = EisensteinElement.__new__(EisensteinElement)
                         basis.k, basis.level, basis.coeffs = 2, n, {t: Fraction(1)}
                     order, terms = _cusp_terms(basis, cusp, efgh_complete)
-                    val = _coefficient(terms, order, k, e)
+                    val = cusp_coefficient(terms, order, k, e)
                     for ci, cv in enumerate(val.reduced()):
                         coords.setdefault(ci, [Fraction(0)] * len(divs))[idx] = cv
                 rows.extend(coords.values())

@@ -4,15 +4,16 @@ logarithmic derivative."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etaq.arith import divisors
 from etaq.eisenstein import EisensteinElement
-from etaq.eta import EtaQuotient, parse_eta
-from etaq.series import QSeries, SeriesDomainError, eta_series
+from etaq.eta import EtaQuotient, ModularityReport, parse_eta
+from etaq.series import SeriesDomainError
+from qseries_reference import QSeries as OldQSeries, assert_matches_reference, eta_series as old_eta_series
 
 JACOBI = EtaQuotient(4, {1: -8, 2: 20, 4: -8})
 
@@ -42,26 +43,26 @@ def test_level_divisor_validation():
 def test_expansion_jacobi():
     ex = JACOBI.expansion(24 * 8 + 1)
     # four-squares representation counts
-    assert [ex.coeff_q(n) for n in range(8)] == [1, 8, 24, 32, 24, 48, 96, 64]
+    assert [ex.coeff(n) for n in range(8)] == [1, 8, 24, 32, 24, 48, 96, 64]
 
 
 def test_expansion_offsets():
     f = EtaQuotient(4, {2: -4, 4: 8})
     ex = f.expansion(24 * 5)
-    assert ex.valuation() == 24  # leading term q
+    assert (ex.offset, ex.valuation(), ex.prec) == (24, 0, 4)  # q + ... + O(q^5)
     assert EtaQuotient(1, {}).expansion(5).coeff(0) == 1
     with pytest.raises(SeriesDomainError):
         f.expansion(10)
 
 
-def product_expansion(f: EtaQuotient, prec: int) -> QSeries:
+def product_expansion(f: EtaQuotient, prec: int) -> OldQSeries:
     """Reference: the product of pentagonal series eta(tz)^r_t on the
-    scale-24 lattice, with Newton inverses for negative exponents."""
+    former scale-24 lattice, with Newton inverses for negative exponents."""
     rel = prec - f.offset()
-    out = QSeries.one(24, rel)
+    out = OldQSeries.one(24, rel)
     for t, r in f.exponents.items():
         nterms = -(-rel // t)  # eta(tz) advances in steps of t
-        out = out * eta_series(1 + nterms, 24).substitute_power(t) ** r
+        out = out * old_eta_series(1 + nterms, 24).substitute_power(t) ** r
     return out.truncate(prec)
 
 
@@ -73,18 +74,20 @@ def test_expansion_matches_product_reference():
             cases.append(EtaQuotient(n, {t: rng.randint(-12, 12) for t in divisors(n)}))
     assert any(f.offset() < 0 for f in cases) and any(not f.exponents for f in cases)
     for i, f in enumerate(cases):
-        # mostly precisions off the q-exponent grid, some on it
-        prec = f.offset() + 24 * rng.randint(0, 12) + (rng.randint(1, 23) if i % 4 else 24)
-        got, want = f.expansion(prec), product_expansion(f, prec)
-        assert (got.scale, got.offset, got.prec) == (want.scale, want.offset, want.prec), f
-        assert got.coeffs == want.coeffs, f
+        # mostly precisions off the q-exponent grid, some on it: the
+        # expansion covers every q-step below the requested bound
+        steps = rng.randint(1, 13)
+        prec = f.offset() + 24 * steps - (rng.randint(0, 23) if i % 4 else 0)
+        got = f.expansion(prec)
+        assert (got.offset, got.prec) == (f.offset(), steps), f
+        assert_matches_reference(got, product_expansion(f, f.offset() + 24 * steps))
 
 
 def test_expansion_matches_eisenstein_combination():
     # eta(2)^16/eta(1)^8 = E4(z) - E4(2z)
     f = EtaQuotient(2, {1: -8, 2: 16})
     lhs = f.expansion(24 * 12 + 1)
-    rhs = EisensteinElement(4, 2, {1: 1, 2: -1}).expansion(13, scale=24)
+    rhs = EisensteinElement(4, 2, {1: 1, 2: -1}).expansion(13)
     assert lhs.agrees_with(rhs)
 
 
@@ -153,7 +156,7 @@ def test_infinity_cusp_order_matches_valuation():
         if not f.exponents:
             continue
         ex = f.expansion(f.offset() + 48)
-        assert ex.valuation() == f.offset()
+        assert ex.offset + 24 * ex.valuation() == f.offset()
         assert Fraction(f.offset(), 24) == f.order_at_denominator(n)
 
 
@@ -192,6 +195,44 @@ def test_character_condition():
     # product 2^1 is not a rational square (conditions are independent)
     rep = EtaQuotient(8, {2: 1}).is_modular_on_gamma0()
     assert not dict(rep.conditions)["trivial character"]
+
+
+def modularity_reference(f: EtaQuotient) -> ModularityReport:
+    """The former is_modular_on_gamma0: prod_t t^(r_t) from Fraction
+    powers, tested for a rational square."""
+    n = f.level
+    su = sum(t * r for t, r in f.exponents.items())
+    sv = sum((n // t) * r for t, r in f.exponents.items())
+    w2 = sum(f.exponents.values())
+    prod = Fraction(1)
+    for t, r in f.exponents.items():
+        prod *= Fraction(t) ** r
+    square = prod > 0 and all(isqrt(v) ** 2 == v for v in (prod.numerator, prod.denominator))
+    conditions = (
+        ("sum t*r_t = 0 mod 24", su % 24 == 0),
+        ("sum (N/t)*r_t = 0 mod 24", sv % 24 == 0),
+        ("even integer weight", w2 % 4 == 0),
+        ("trivial character", square),
+    )
+    return ModularityReport(Fraction(w2, 2), conditions, f.order_map())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_modularity_matches_fraction_reference(data):
+    # squarefree and squarefull levels: the odd-exponent product must
+    # decide the character exactly as prod t^(r_t) did, including
+    # cancellations such as eta(2) eta(3) / eta(6)
+    n = data.draw(st.sampled_from([1, 4, 6, 12, 16, 18, 30, 36, 60, 72, 125, 210]))
+    support = data.draw(st.lists(st.sampled_from(divisors(n)), unique=True))
+    f = EtaQuotient(n, {t: data.draw(st.integers(-40, 40)) for t in support})
+    assert f.is_modular_on_gamma0() == modularity_reference(f)
+
+
+def test_character_cancellation():
+    # 2 * 3 / 6 = 1 is a square although neither 2 * 3 nor 6 is
+    rep = EtaQuotient(6, {2: 1, 3: 1, 6: -1}).is_modular_on_gamma0()
+    assert dict(rep.conditions)["trivial character"]
 
 
 def test_rescale_power_primitive():
@@ -246,7 +287,7 @@ def test_log_derivative_series_identity():
         prec_q = 12
         ef = f.expansion(f.offset() + 24 * prec_q)
         lhs = ef.ramanujan_d()
-        rhs = ef * el.expansion(prec_q + 1, scale=24)
+        rhs = ef * el.expansion(prec_q + 1)
         assert lhs.agrees_with(rhs)
 
 

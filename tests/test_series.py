@@ -1,14 +1,21 @@
-"""QSeries ring semantics, the Ramanujan operator, and the eta series
-against its naive-product oracle (plain integer lists, no QSeries)."""
+"""QSeries ring semantics, the Ramanujan operator, the pentagonal eta
+series against its naive-product oracle (plain integer lists), and the
+differential test against the former scale-24 QSeries."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etaq.arith import bernoulli, divisors, sigma_range
+from etaq.cusps import cusp_reps, expansion_at_cusp
 from etaq.cyclotomic import CycNumber
-from etaq.series import QSeries, SeriesDomainError, eta_series
+from etaq.eisenstein import EisensteinElement, eisenstein_series
+from etaq.eta import EtaQuotient
+from etaq.series import QSeries, SeriesDomainError
+from qseries_reference import QSeries as OldQSeries, assert_matches_reference, to_reference
 
 
 def naive_euler_product(nterms: int) -> list[int]:
@@ -22,83 +29,145 @@ def naive_euler_product(nterms: int) -> list[int]:
     return coeffs
 
 
-def rand_series(rng, scale=1, maxlen=8) -> QSeries:
-    offset = rng.randint(-4, 4)
+def eta_series(nterms: int) -> QSeries:
+    """q^(1/24) * prod (1 - q^n) on its first nterms q-steps.
+
+    Sparse generation via the pentagonal number theorem: the steps
+    present are k(3k-1)/2 for integer k, with sign (-1)^k.
+    """
+    vec = [0] * nterms
+    k = 0
+    while k * (3 * k - 1) // 2 < nterms:
+        for kk in (k, -k) if k else (0,):
+            n = kk * (3 * kk - 1) // 2
+            if n < nterms:
+                vec[n] = -1 if kk % 2 else 1
+        k += 1
+    return QSeries(1, vec)
+
+
+def series(offset: int, values) -> QSeries:
+    """The series with the given rational coefficient values."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return QSeries(offset, [int(v * den) for v in values], den)
+
+
+def rand_series(rng, residue: int = 0, maxlen: int = 8) -> QSeries:
+    """Random rational series on q^(residue/24) Z[[q]]."""
+    offset = residue + 24 * rng.randint(-4, 4)
     length = rng.randint(1, maxlen)
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
-    return QSeries(scale, offset, coeffs)
+    return series(offset, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)])
+
+
+def is_one(x: QSeries) -> bool:
+    """x = 1 + O(q^m) with m > 0 (leading stored zeros allowed)."""
+    exps = [x.offset + 24 * n for n in range(x.prec)]
+    return 0 in exps and all(x.coeff(n) == (e == 0) for n, e in enumerate(exps))
 
 
 def test_basic_products():
-    one_plus_q = QSeries(1, 0, [1, 1], 5)
-    one_minus_q = QSeries(1, 0, [1, -1], 5)
+    one_plus_q = QSeries(0, [1, 1, 0, 0, 0])
+    one_minus_q = QSeries(0, [1, -1, 0, 0, 0])
     prod = one_plus_q * one_minus_q
-    assert [prod.coeff(i) for i in range(prod.offset, prod.prec)] == [1, 0, -1, 0, 0]
+    assert [prod.coeff(i) for i in range(prod.prec)] == [1, 0, -1, 0, 0]
 
     # q^(1/24) * q^(1/24) = q^(2/24)
-    a = QSeries.monomial(1, 1, scale=24, prec=30)
+    a = QSeries(1, [1] + [0] * 29)
     sq = a * a
-    assert sq.offset == 2 and sq.coeff(2) == 1
+    assert sq.offset == 2 and sq.coeff(0) == 1
 
 
 def test_geometric_inverse():
-    one_minus_q = QSeries(1, 0, [1, -1], 12)
+    one_minus_q = QSeries(0, [1, -1] + [0] * 10)
     inv = one_minus_q.inverse()
-    assert [inv.coeff(i) for i in range(0, inv.prec)] == [1] * inv.prec
+    assert [inv.coeff(i) for i in range(inv.prec)] == [1] * 12
+
+
+def test_inverse_of_nonunit_numerators():
+    # leading numerators that are not units of Z, negative ones, and a
+    # denominator: the reciprocal leaves the integers but stays exact
+    for x in (series(0, [2, 3, 1, 0, 5, 0, 0]), series(48, [Fraction(-3, 5), 1, Fraction(7, 2), 0, 1])):
+        inv = x.inverse()
+        assert inv.offset == -x.offset and inv.prec == x.prec
+        assert is_one(x * inv)
+    lead_zeros = series(0, [0, 0, -2, 1, 0, 3])
+    inv = lead_zeros.inverse()
+    assert inv.offset == -48 and inv.prec == 4
+    assert is_one(lead_zeros * inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_inverse_random(seed):
+    rng = random.Random(seed)
+    x = rand_series(rng, rng.randint(0, 23))
+    if x.is_zero_to_prec():
+        return
+    assert is_one(x * x.inverse())
 
 
 def test_pow_zero_and_negative():
-    x = QSeries(1, 0, [1, 2, 3], 10)
+    x = QSeries(0, [1, 2, 3] + [0] * 7)
     assert (x**0).coeff(0) == 1
     xinv = x**-1
     assert (x * xinv).coeff(0) == 1
     assert (x * xinv).coeff(1) == 0
-    prod = x**3 * x**-3
-    assert prod.coeff(0) == 1 and all(prod.coeff(i) == 0 for i in range(1, prod.prec))
+    assert is_one(x**3 * x**-3)
 
 
 @pytest.mark.parametrize("e", [2, 4])
 def test_eta_power_times_inverse_power_is_one(e):
-    es = eta_series(24 * 30)
-    prod = es**e * es**-e
-    assert prod.offset == 0 and prod.coeff(0) == 1
-    assert all(prod.coeff(i) == 0 for i in range(1, prod.prec))
+    es = eta_series(30)
+    assert is_one(es**e * es**-e)
 
 
 def test_negative_pow_requires_unit():
-    zero_lead = QSeries(1, 0, [0, 0], 2)
+    zero_lead = QSeries(0, [0, 0])
     with pytest.raises(SeriesDomainError):
         zero_lead.inverse()
 
 
-def test_scale_rescaling_and_mismatch():
-    x = QSeries(2, 0, [1, 5], 4)
-    y = QSeries(3, 0, [1, 7], 6)
+def test_offsets_add_and_lattice_mismatch():
+    # q^(1/2) (1 + 5q) * q^(1/3) (1 + 7q) = q^(5/6) (1 + 12q + 35q^2):
+    # products live on the sum of the two shifts
+    x = QSeries(12, [1, 5, 0])
+    y = QSeries(8, [1, 7, 0])
     z = x * y
-    assert z.scale == 6
-    assert z.coeff(0) == 1 and z.coeff(3) == 5 and z.coeff(2) == 7
-    huge = QSeries(1_999_999, 0, [1], 2)
-    with pytest.raises(SeriesDomainError):
-        _ = huge * QSeries(2, 0, [1], 2)
+    assert z.offset == 20 and z.prec == 3
+    assert [z.coeff(i) for i in range(3)] == [1, 12, 35]
+    assert z.render_text() == "1*q^(5/6) + 12*q^(11/6) + 35*q^(17/6) + O(q^(23/6))"
+    # a sum needs one lattice: shifts that differ mod 24 are refused
+    with pytest.raises(SeriesDomainError, match="lattice-mismatch"):
+        _ = x + y
+    assert (x + QSeries(36, [1, 1])).offset == 12
 
 
 def test_precision_propagation_pessimistic():
-    x = QSeries(1, 0, [1, 1], 3)  # known through q^2
-    y = QSeries(1, 2, [1], 9)  # q^2, known through q^8
+    x = QSeries(0, [1, 1, 0])  # known through q^2
+    y = QSeries(48, [1] + [0] * 6)  # q^2, known through q^8
     p = x * y
-    assert p.offset == 2 and p.prec == 5  # min(3 + 2, 9 + 0)
+    assert p.offset == 48 and p.prec == 3  # known through q^(2 + 3 - 1)
     s = x + y
-    assert s.prec == 3
+    assert s.offset == 0 and s.prec == 3
     # coefficients below an offset are exact zeros, so a sum with a
     # late-starting series is still fully known on the early window
-    early = QSeries(1, 0, [1], 1) + QSeries(1, 5, [1], 6)
+    early = QSeries(0, [1]) + QSeries(120, [1])
     assert early.prec == 1 and early.coeff(0) == 1
+    # stored leading zeros are exact too: x2 = q^2 + q^3 + O(q^6) times
+    # y2 = 1 + 2q + 3q^2 + O(q^3) is known through q^4, not only q^2
+    x2, y2 = QSeries(0, [0, 0, 1, 1, 0, 0]), QSeries(0, [1, 2, 3])
+    p2 = x2 * y2
+    assert p2.prec == 5 and [p2.coeff(i) for i in range(5)] == [0, 0, 1, 3, 5]
+    assert (y2 * x2).prec == 5
 
 
 def test_ring_axioms_random():
     rng = random.Random(31)
     for _ in range(60):
-        a, b, c = (rand_series(rng) for _ in range(3))
+        r = rng.randint(0, 23)
+        a = rand_series(rng)
+        b, c = rand_series(rng, r), rand_series(rng, r)
         lhs = (a * b) * c
         rhs = a * (b * c)
         assert lhs.agrees_with(rhs)
@@ -106,68 +175,70 @@ def test_ring_axioms_random():
         rhs = a * b + a * c
         assert lhs.agrees_with(rhs)
         assert (a * b).agrees_with(b * a)
+        assert (b - b).is_zero_to_prec()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.data())
 def test_pow_additivity(ea, eb, data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    x = rand_series(rng)
+    x = rand_series(rng, rng.randint(0, 23))
     if x.coeffs[0] == 0:
-        x = x + QSeries.monomial(1, x.offset, x.scale, x.prec)
+        x = QSeries(x.offset, (x.den,) + x.coeffs[1:], x.den)
     lhs = x ** (ea + eb)
     rhs = (x**ea) * (x**eb)
     assert lhs.agrees_with(rhs)
 
 
 def test_derivation_rule():
+    # random shifts in 1/24 units: D scales q^(a/24 + n) by a/24 + n
     rng = random.Random(17)
     for _ in range(60):
-        scale = rng.choice([1, 24])
-        x, y = rand_series(rng, scale), rand_series(rng, scale)
+        x = rand_series(rng, rng.randint(0, 23))
+        y = rand_series(rng, rng.randint(0, 23))
         lhs = (x * y).ramanujan_d()
         rhs = x.ramanujan_d() * y + x * y.ramanujan_d()
         assert lhs.agrees_with(rhs)
 
 
 def test_d_examples():
-    one = QSeries.one(1, 5)
+    one = QSeries(0, [1, 0, 0, 0, 0])
     assert one.ramanujan_d().is_zero_to_prec()
-    m = QSeries.monomial(1, 1, scale=24, prec=10)
+    m = QSeries(1, [1] + [0] * 9)
     d = m.ramanujan_d()
-    assert d.coeff(1) == Fraction(1, 24)
+    assert d.coeff(0) == Fraction(1, 24) and d.den == 24
+    assert d.ramanujan_d().coeff(0) == Fraction(1, 576)
 
 
 def test_eta_series_against_naive_product():
     prec_q = 500
-    pentagonal = eta_series(24 * prec_q + 1)
+    pentagonal = eta_series(prec_q + 1)
     oracle = naive_euler_product(prec_q)
-    assert pentagonal.offset == 1
-    for e in range(1, pentagonal.prec):
-        expected = oracle[(e - 1) // 24] if (e - 1) % 24 == 0 else 0
-        assert pentagonal.coeff(e) == expected
+    assert pentagonal.offset == 1 and pentagonal.prec == prec_q + 1
+    assert [pentagonal.coeff(n) for n in range(prec_q + 1)] == oracle
 
 
 def test_eta_series_examples():
-    es = eta_series(24 * 21)
+    es = eta_series(21)
     # q^(1/24) (1 - q - q^2 + q^5 + q^7 - q^12 - q^15 + ...)
-    got = {(e - 1) // 24: int(es.coeff(e)) for e in range(1, es.prec) if es.coeff(e)}
+    got = {n: int(es.coeff(n)) for n in range(es.prec) if es.coeff(n)}
     assert got == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
-    assert es.coeff(24 * 3 + 1) == 0
+    assert es.coeff(3) == 0
 
 
 def test_valuation_and_zero_to_prec():
-    assert QSeries(1, 0, [1, 8, 24], 3).valuation() == 0
-    assert QSeries(1, 2, [1, 1], 4).valuation() == 2
-    assert QSeries(1, 0, [0, 0, 0], 3).valuation() is None
-    hidden_zero = QSeries(1, 0, [CycNumber(4, [1, 1, 1, 1])], 1)
+    assert QSeries(0, [1, 8, 24]).valuation() == 0
+    assert QSeries(0, [0, 0, 1, 1]).valuation() == 2
+    assert QSeries(0, [0, 0, 0]).valuation() is None
+    hidden_zero = QSeries(0, [CycNumber(4, [1, 1, 1, 1])])
     assert hidden_zero.valuation() is None  # exact cyclotomic zero
 
 
 def test_cyclotomic_series_mul():
     z = CycNumber.root_of_unity(4)
-    x = QSeries(1, 0, [z, 1], 4)
-    y = QSeries(1, 0, [1, z], 4)
+    one, zero = CycNumber.from_rational(1, 4), CycNumber.zero(4)
+    x = QSeries(0, [z, one, zero, zero])
+    y = QSeries(0, [one, z, zero, zero])
     p = x * y
     assert p.coeff(0) == z
     assert p.coeff(1) == (z * z + 1)  # zeta_4^2 + 1 = 0
@@ -177,31 +248,188 @@ def test_cyclotomic_series_mul():
 
 def test_mixed_rational_cyclotomic():
     z = CycNumber.root_of_unity(3)
-    x = QSeries(1, 0, [Fraction(1, 2), Fraction(1)], 4)
-    y = QSeries(1, 0, [z], 4)
+    x = series(0, [Fraction(1, 2), 1, 0, 0])
+    y = QSeries(0, [z] + [CycNumber.zero(3)] * 3)
     p = x * y
-    assert p.cyc_order == 3
+    assert p.cyc_order == 3 and p.den == 1
     assert p.coeff(0) == z * Fraction(1, 2)
+    s = x + y
+    assert s.cyc_order == 3 and s.coeff(0) == z + Fraction(1, 2) and s.coeff(1) == 1
+
+
+def test_division_by_scalars():
+    z = CycNumber.root_of_unity(5, 2)
+    x = QSeries(0, [CycNumber(5, [1, 2]), CycNumber.zero(5), z])
+    y = x / z
+    assert all((y * z).coeff(i) == x.coeff(i) for i in range(3))
+    r = series(0, [1, Fraction(2, 3)]) / Fraction(4, 7)
+    assert [r.coeff(0), r.coeff(1)] == [Fraction(7, 4), Fraction(7, 6)]
+    with pytest.raises(ZeroDivisionError):
+        _ = r / 0
 
 
 def test_substitute_power():
-    x = QSeries(1, 1, [1, 2], 8)
+    x = QSeries(24, [1, 2] + [0] * 5)  # q + 2q^2 + O(q^8)
     s = x.substitute_power(3)
-    assert s.offset == 3 and s.coeff(3) == 1 and s.coeff(6) == 2 and s.prec == 24
+    assert s.offset == 72 and s.coeff(0) == 1 and s.coeff(3) == 2 and s.prec == 21
 
 
 def test_render_and_json():
-    x = QSeries(24, 0, [Fraction(-1, 24), 0] + [0] * 22 + [1], 30)
-    text = x.render_text()
-    assert "-1/24" in text and "q" in text and "O(" in text
-    triples = x.to_json_triples()
-    assert [-1, 24, 0] in triples and [1, 1, 24] in triples
+    x = series(0, [Fraction(-1, 24), 1])
+    assert x.render_text() == "-1/24 + 1*q + O(q^2)"
+    assert x.to_json_triples() == [[-1, 24, 0], [1, 1, 24]]
+    assert x.to_json_triples(1) == [[-1, 24, 0], [1, 1, 1]]
+    with pytest.raises(ValueError):
+        QSeries(1, [1]).to_json_triples(1)
+
+
+def test_constructor_normal_form():
+    x = QSeries(0, [6, -4, 0], 8)
+    assert (x.coeffs, x.den) == ((3, -2, 0), 4)
+    with pytest.raises(SeriesDomainError):
+        QSeries(0, [])
 
 
 def test_truncate_and_coeff_bounds():
-    x = QSeries(1, 0, [1, 2, 3, 4], 4)
+    x = QSeries(0, [1, 2, 3, 4])
     t = x.truncate(2)
     assert t.prec == 2
     with pytest.raises(SeriesDomainError):
         t.coeff(3)
     assert x.coeff(-5) == 0
+
+
+# ---------------------------------------------------------------------------
+# differential test against the former scale-24 QSeries
+# ---------------------------------------------------------------------------
+
+
+def old_eisenstein_expansion(element: EisensteinElement, prec: int) -> OldQSeries:
+    """The former EisensteinElement.expansion: Fraction slots, one
+    substituted E_k(tz) per term, summed at scale 1."""
+    k = element.k
+    out = OldQSeries.constant(0, 1, prec)
+    for t, r in element.coeffs.items():
+        nterms = -(-prec // t)
+        table = sigma_range(k - 1, nterms - 1)
+        ek = OldQSeries(1, 0, [Fraction(-bernoulli(k), 2 * k)] + table[1:nterms], nterms)
+        out = out + ek.substitute_power(t).truncate(prec) * r
+    return out
+
+
+def random_element(rng) -> EisensteinElement:
+    level = rng.choice([1, 2, 4, 6, 9, 12, 16, 25])
+    k = rng.choice([4, 6, 8]) if level == 1 else rng.choice([2, 4, 6])
+    divs = divisors(level)
+    while True:
+        coeffs = {t: Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for t in divs if rng.random() < 0.7}
+        if k == 2:
+            # keep the balance sum r_t/t = 0 by fixing r_1
+            coeffs = {t: r for t, r in coeffs.items() if t > 1}
+            coeffs[1] = -sum(r / t for t, r in coeffs.items())
+        if coeffs:
+            return EisensteinElement(k, level, coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_eisenstein_expansions_match_reference(seed):
+    rng = random.Random(seed)
+    element = random_element(rng)
+    prec = rng.randint(1, 40)
+    new = element.expansion(prec)
+    assert_matches_reference(new, old_eisenstein_expansion(element, prec))
+    t = rng.randint(1, 5)
+    k = rng.choice([2, 4, 6, 10])
+    table = sigma_range(k - 1, prec - 1)
+    e_old = OldQSeries(1, 0, [Fraction(-bernoulli(k), 2 * k)] + table[1:prec], prec)
+    assert_matches_reference(eisenstein_series(k, prec).substitute_power(t), e_old.substitute_power(t))
+    old = old_eisenstein_expansion(element, prec)
+    assert_matches_reference(new.substitute_power(t), old.substitute_power(t))
+
+
+def random_operand(rng, residue: int) -> QSeries:
+    """An eta expansion, an Eisenstein combination or a random series,
+    on q^(residue/24) Z[[q]] (residue 0 for Eisenstein combinations)."""
+    kind = rng.choice(["eta", "eta", "eisenstein", "random"])
+    if kind == "eisenstein" and residue == 0:
+        return random_element(rng).expansion(rng.randint(1, 30))
+    if kind == "random":
+        return rand_series(rng, residue, maxlen=20)
+    level = rng.choice([1, 2, 4, 6, 8, 9, 12])
+    exps = {t: rng.randint(-6, 6) for t in divisors(level)}
+    shift = (residue - EtaQuotient(level, exps).offset()) % 24
+    exps[1] += shift - 24 if shift > 12 else shift  # offset = residue mod 24
+    f = EtaQuotient(level, exps)
+    return f.expansion(f.offset() + rng.randint(1, 30 * 24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_operation_chains_match_reference(seed):
+    # sums, differences, products, scalar multiples, D and D^2, each
+    # applied to the same operands in both layouts; every intermediate
+    # result must agree in coefficients, valuation, precision, text and
+    # JSON triples
+    rng = random.Random(seed)
+    residue = rng.choice([0, 0, 1, 8, 12, 23])
+    pool_new, pool_old = [], []
+    for _ in range(3):
+        x = random_operand(rng, residue if rng.random() < 0.8 else rng.randint(0, 23))
+        pool_new.append(x)
+        pool_old.append(to_reference(x))
+        assert_matches_reference(x, pool_old[-1])
+    for _ in range(6):
+        i, j = rng.randrange(len(pool_new)), rng.randrange(len(pool_new))
+        x, y, xo, yo = pool_new[i], pool_new[j], pool_old[i], pool_old[j]
+        op = rng.choice(["add", "sub", "mul", "mul", "d", "d2", "scalar"])
+        if op in ("add", "sub") and (x.offset - y.offset) % 24:
+            with pytest.raises(SeriesDomainError):
+                _ = x + y
+            continue
+        if op == "add":
+            new, old = x + y, xo + yo
+        elif op == "sub":
+            new, old = x - y, xo - yo
+        elif op == "mul":
+            new, old = x * y, xo * yo
+        elif op == "d":
+            new, old = x.ramanujan_d(), xo.ramanujan_d()
+        elif op == "d2":
+            new, old = x.ramanujan_d().ramanujan_d(), xo.ramanujan_d().ramanujan_d()
+        else:
+            c = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            new, old = x * c, xo * c
+        if op == "mul" and (x.is_zero_to_prec() or y.is_zero_to_prec()):
+            # the former layout trimmed a factor that is zero to precision
+            # up to its last 1/24 slot, and so claimed an O-term off the
+            # q-step lattice; both products are zero as far as known
+            assert new.is_zero_to_prec() and old.is_zero_to_prec()
+            continue
+        assert_matches_reference(new, old)
+        pool_new.append(new)
+        pool_old.append(old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cusp_series_chains_match_reference(seed):
+    # cyclotomic series at a cusp, including elements that vanish there
+    # (stored leading zeros): products, sums and D against the reference
+    rng = random.Random(seed)
+    level = rng.choice([4, 8, 9, 16, 25, 27])
+    cusp = rng.choice(cusp_reps(level))
+    prec = rng.randint(1, 12)
+    xs = []
+    for _ in range(2):
+        k = rng.choice([4, 6])
+        coeffs = {t: rng.randint(-3, 3) for t in divisors(level)}
+        if rng.random() < 0.5:
+            coeffs = {t: 1 for t in divisors(level) if t > 1}
+        element = EisensteinElement(k, level, coeffs)
+        xs.append(expansion_at_cusp(element, cusp, prec).series)
+    x, y = xs
+    xo, yo = (OldQSeries(1, 0, list(s.coeffs), s.prec) for s in xs)
+    for new, old in ((x * y, xo * yo), (x + y, xo + yo), (x.ramanujan_d(), xo.ramanujan_d()),
+                     (x * Fraction(3, 7), xo * Fraction(3, 7)), (x * x * y, xo * xo * yo)):
+        assert_matches_reference(new, old, var="w")
