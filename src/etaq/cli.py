@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 from .arith import prime_power
 from .cusps import Cusp, check_order_bound, expansion_at_cusp
@@ -352,6 +353,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built once per process: parse_args keeps no state between calls, and
+# argparse looks up sys.stdout and sys.stderr only when it prints.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etaq",

@@ -9,9 +9,11 @@ constraint is enforced at construction so every element handed to the
 cusp-expansion machinery transforms like a true modular form.
 
 Also here: the Sturm equality bound, certified matching of eta
-quotients against Eisenstein combinations (undetermined coefficients
-plus agreement through twice the bound), and a suite of classical
-product-to-sum and convolution identities verified exactly.
+quotients against Eisenstein combinations, and a suite of classical
+product-to-sum and convolution identities verified exactly.  Matching
+reads the coefficients r_t off the rows q^t, t | N, which form a
+unitriangular system, then checks every row through twice the Sturm
+bound (and the weight-2 balance); every comparison is between integers.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from fractions import Fraction
 
 from .arith import bernoulli, divisors, factorize, lcm, prime_power, sigma_range
 from .eta import EtaQuotient
-from .linalg import solve_unique
-from .series import QSeries, SeriesDomainError
+from .series import QSeries
 
 __all__ = [
     "eisenstein_series",
-    "eisenstein_coefficient",
     "EisensteinElement",
     "MembershipTag",
     "sturm_bound",
@@ -68,17 +68,6 @@ def _combination(k: int, coeffs: dict[int, Fraction], prec: int) -> QSeries:
         w *= const.denominator
         vec[t::t] = [c + w * s for c, s in zip(vec[t::t], table[1:])]
     return QSeries(0, vec, lden * const.denominator)
-
-
-def eisenstein_coefficient(k: int, j: int, t: int = 1) -> Fraction:
-    """Coefficient of q^j in E_k(tz)."""
-    if j == 0:
-        return Fraction(-bernoulli(k), 2 * k)
-    if j % t:
-        return Fraction(0)
-    n = j // t
-    total = sum(d ** (k - 1) for d in divisors(n))
-    return Fraction(total)
 
 
 class MembershipTag(Enum):
@@ -233,46 +222,48 @@ def match_certification_rows(k: int, n: int, margin: int = 2) -> int:
 def match_eta(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
     """Certified Eisenstein combination equal to g, or None.
 
-    Solves the linear system equating q-expansion coefficients of g
-    with sum r_t E_k(tz) over t | level through twice the Sturm bound
-    (adding the weight-2 balance row when k = 2).  Consistency of the
-    full system is the certificate: both sides are modular of weight k
-    on Gamma0(level), so agreement through the Sturm bound proves
-    equality.  Preconditions: g passes the modularity criteria with
-    even integer weight >= 2.
+    The unknowns are the r_t of sum_{t | level} r_t E_k(tz).  The rows
+    j = t for t | level, which match_certification_rows always includes,
+    determine them: column t' meets row t only when t' | t, with entry
+    sigma_{k-1}(t/t'), and sigma_{k-1}(1) = 1, so forward substitution on
+    the numerators of g's expansion gives every r_t as an integer over
+    its denominator.  Every row 0..rows (and the balance sum r_t/t = 0
+    when k = 2) is then checked by integer comparisons; any failure
+    returns None.  Both sides are modular of weight k on Gamma0(level),
+    so agreement through twice the Sturm bound proves equality.
+    Preconditions: g passes the modularity criteria with even integer
+    weight >= 2.
     """
-    report = g.is_modular_on_gamma0()
-    if not report.is_modular:
-        raise ValueError(f"quotient fails modularity criteria: {report.failed()}")
-    if report.weight < 2 or report.weight.denominator != 1 or report.weight % 2:
-        raise ValueError(f"matching needs even integer weight >= 2, got {report.weight}")
-    k = int(report.weight)
+    if not g.is_modular():
+        failed = g.is_modular_on_gamma0().failed()
+        raise ValueError(f"quotient fails modularity criteria: {failed}")
+    weight = g.weight()
+    if weight < 2 or weight.denominator != 1 or weight % 2:
+        raise ValueError(f"matching needs even integer weight >= 2, got {weight}")
+    k = int(weight)
     n = g.level
-    divs = divisors(n)
     rows = match_certification_rows(k, n, margin)
     # the expansion lives on q^(offset/24) * Z[[q]], so it is integral
     # exactly when the offset is
     if g.offset() % 24:
         raise AssertionError("integral-exponent expansion expected for modular quotient")
     exp = g.expansion(24 * rows + 1)
-    lead = g.offset() // 24
-
-    a = [[eisenstein_coefficient(k, j, t) for t in divs] for j in range(rows + 1)]
-    b = [exp.coeff(j - lead) for j in range(rows + 1)]
-    if k == 2:
-        a.append([Fraction(1, t) for t in divs])
-        b.append(Fraction(0))
-    try:
-        sol = solve_unique(a, b)
-    except ValueError as exc:
-        raise SeriesDomainError("precision-exhausted", str(exc)) from exc
-    if sol is None:
+    # b[j] = exp.den * [q^j] g for j = 0..rows; holomorphy at infinity
+    # makes the offset nonnegative
+    b = [0] * (g.offset() // 24) + list(exp.coeffs)
+    sig = sigma_range(k - 1, rows)
+    x: dict[int, int] = {}  # exp.den * r_t
+    for t in divisors(n):
+        x[t] = b[t] - sum(sig[t // s] * xs for s, xs in x.items() if t % s == 0)
+    lhs = [0] * (rows + 1)
+    for t, xt in x.items():
+        lhs[t::t] = [c + xt * s for c, s in zip(lhs[t::t], sig[1:])]
+    const = Fraction(-bernoulli(k), 2 * k)
+    if lhs[1:] != b[1:] or const.numerator * sum(x.values()) != const.denominator * b[0]:
         return None
-    coeffs = {t: r for t, r in zip(divs, sol)}
-    try:
-        return EisensteinElement(k, n, coeffs)
-    except ValueError:
+    if k == 2 and sum(xt * (n // t) for t, xt in x.items()):
         return None
+    return EisensteinElement(k, n, {t: Fraction(xt, exp.den) for t, xt in x.items()})
 
 
 # ---------------------------------------------------------------------------

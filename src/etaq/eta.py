@@ -142,8 +142,11 @@ class EtaQuotient:
         n = self.level
         if c < 1 or n % c:
             raise ValueError(f"cusp denominator {c} must divide level {n}")
-        acc = sum(gcd(c, t) ** 2 * r * (n // t) for t, r in self.exponents.items())
-        return Fraction(acc, 24 * gcd(c * c, n))
+        return Fraction(self._order_numerator(c), 24 * gcd(c * c, n))
+
+    def _order_numerator(self, c: int) -> int:
+        n = self.level
+        return sum(gcd(c, t) ** 2 * r * (n // t) for t, r in self.exponents.items())
 
     def order_map(self) -> dict[int, Fraction]:
         return {c: self.order_at_denominator(c) for c in divisors(self.level)}
@@ -161,8 +164,8 @@ class EtaQuotient:
 
     # -- modularity ----------------------------------------------------------
 
-    def is_modular_on_gamma0(self) -> ModularityReport:
-        """Holomorphic-modular-form criteria on Gamma0(level), trivial character."""
+    def _conditions(self) -> tuple[tuple[str, bool], ...]:
+        """The criteria besides holomorphy at the cusps, in integers."""
         n = self.level
         su = sum(t * r for t, r in self.exponents.items())
         sv = sum((n // t) * r for t, r in self.exponents.items())
@@ -171,13 +174,23 @@ class EtaQuotient:
         # is an integer square, i.e. when the product of the t with odd
         # r_t is
         odd = prod(t for t, r in self.exponents.items() if r % 2)
-        conditions = (
+        return (
             ("sum t*r_t = 0 mod 24", su % 24 == 0),
             ("sum (N/t)*r_t = 0 mod 24", sv % 24 == 0),
             ("even integer weight", w2 % 4 == 0),
             ("trivial character", isqrt(odd) ** 2 == odd),
         )
-        return ModularityReport(Fraction(w2, 2), conditions, self.order_map())
+
+    def is_modular(self) -> bool:
+        """is_modular_on_gamma0().is_modular with no Fraction: each cusp
+        order has the sign of its integer numerator."""
+        return all(ok for _, ok in self._conditions()) and all(
+            self._order_numerator(c) >= 0 for c in divisors(self.level)
+        )
+
+    def is_modular_on_gamma0(self) -> ModularityReport:
+        """Holomorphic-modular-form criteria on Gamma0(level), trivial character."""
+        return ModularityReport(self.weight(), self._conditions(), self.order_map())
 
     # -- transformations ------------------------------------------------------
 

@@ -1,6 +1,7 @@
-"""Dense exact linear algebra over Fraction, for the small systems here
-(undetermined-coefficient matching, cusp-order inversion).
-Matrices are lists of row lists; nothing is ever bigger than ~10x10.
+"""Dense exact linear algebra over Fraction.  Nothing in etaq calls it:
+matching and the search run in integers.  The tests use it as a
+reference, and the benchmark's tracer wraps solve_unique and mat_inverse
+by name.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations

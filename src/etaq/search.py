@@ -184,10 +184,10 @@ def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     scanned = 0
     for r in _integral_exponents(k, p, m):
         scanned += 1
-        quotient = EtaQuotient(n, {p**j: rj for j, rj in enumerate(r)})
-        if quotient.weight() != k:
+        if sum(r) != 2 * k:  # the weight is sum_t r_t / 2
             continue
-        if not quotient.is_modular_on_gamma0().is_modular:
+        quotient = EtaQuotient(n, {p**j: rj for j, rj in enumerate(r)})
+        if not quotient.is_modular():
             continue
         element = match_eta(quotient)
         if element is None:

@@ -1,11 +1,15 @@
 """CLI behavior: flag grammar, exit codes, determinism of rendered output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from etaq.cli import main
+import etaq
+from etaq.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -293,3 +297,27 @@ def test_deterministic_seeded_verify(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+def test_one_parser_per_process_keeps_no_state(capsys, monkeypatch):
+    """The cached parser serves a usage error, a maingen run on the
+    default --levels and --weights, then a search, twice over, and each
+    call prints byte for byte what a fresh process prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at this width
+    src = str(Path(etaq.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    runs = [
+        ["verify", "--samples", "0"],
+        ["verify", "--suite", "maingen", "--samples", "1"],
+        ["search", "--weight", "2", "--level", "9"],
+    ]
+    fresh = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "etaq", *argv], capture_output=True,
+                              text=True, env=env, check=False)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    # twice, so that state one call leaves behind would show in the next
+    for argv, expect in zip(runs + runs, fresh + fresh):
+        assert run_cli(capsys, *argv) == expect, argv
+    assert build_parser() is build_parser()

@@ -2,15 +2,18 @@
 matching, and the identity suite.  Expected series coefficients are
 recomputed here from first principles (divisor sums by enumeration)."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from etaq.arith import bernoulli, divisors, lcm
 from etaq.eisenstein import (
     EisensteinElement,
     MembershipTag,
-    eisenstein_coefficient,
     eisenstein_series,
+    match_certification_rows,
     match_eta,
     parse_element,
     random_p_element,
@@ -18,8 +21,8 @@ from etaq.eisenstein import (
     verify_identities,
 )
 from etaq.eta import EtaQuotient
-
-import random
+from etaq.linalg import solve_unique
+from etaq.series import SeriesDomainError
 
 
 def sigma_oracle(power, n):
@@ -159,6 +162,107 @@ def test_parse_element():
     # the element itself refuses t = 0 before reducing the level mod t
     with pytest.raises(ValueError, match=r"t in E4\(t\) must be at least 1"):
         EisensteinElement(4, 4, {0: 1})
+
+
+def eisenstein_coefficient(k: int, j: int, t: int = 1) -> Fraction:
+    """Coefficient of q^j in E_k(tz)."""
+    if j == 0:
+        return Fraction(-bernoulli(k), 2 * k)
+    if j % t:
+        return Fraction(0)
+    n = j // t
+    total = sum(d ** (k - 1) for d in divisors(n))
+    return Fraction(total)
+
+
+def match_eta_reference(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
+    """The former match_eta: the whole system of Eisenstein coefficients
+    through the certification rows, solved by Fraction row reduction."""
+    report = g.is_modular_on_gamma0()
+    if not report.is_modular:
+        raise ValueError(f"quotient fails modularity criteria: {report.failed()}")
+    if report.weight < 2 or report.weight.denominator != 1 or report.weight % 2:
+        raise ValueError(f"matching needs even integer weight >= 2, got {report.weight}")
+    k = int(report.weight)
+    n = g.level
+    divs = divisors(n)
+    rows = match_certification_rows(k, n, margin)
+    if g.offset() % 24:
+        raise AssertionError("integral-exponent expansion expected for modular quotient")
+    exp = g.expansion(24 * rows + 1)
+    lead = g.offset() // 24
+
+    a = [[eisenstein_coefficient(k, j, t) for t in divs] for j in range(rows + 1)]
+    b = [exp.coeff(j - lead) for j in range(rows + 1)]
+    if k == 2:
+        a.append([Fraction(1, t) for t in divs])
+        b.append(Fraction(0))
+    try:
+        sol = solve_unique(a, b)
+    except ValueError as exc:
+        raise SeriesDomainError("precision-exhausted", str(exc)) from exc
+    if sol is None:
+        return None
+    coeffs = {t: r for t, r in zip(divs, sol)}
+    try:
+        return EisensteinElement(k, n, coeffs)
+    except ValueError:
+        return None
+
+
+def match_outcome(match, g: EtaQuotient, margin: int = 2):
+    """The element or None that match returns, or the type it raises."""
+    try:
+        return match(g, margin)
+    except Exception as exc:  # the type raised is the outcome
+        return type(exc)
+
+
+# Holomorphic modular eta quotients; their rescalings and products are
+# modular again, so the draws below reach the matching itself.
+MODULAR = [
+    EtaQuotient(1, {1: 24}),
+    EtaQuotient(2, {1: -8, 2: 16}),
+    EtaQuotient(2, {1: 16, 2: -8}),
+    EtaQuotient(3, {1: 6, 3: 6}),
+    EtaQuotient(4, {1: -8, 2: 20, 4: -8}),
+    EtaQuotient(4, {1: 8, 2: -4}),
+    EtaQuotient(4, {2: -4, 4: 8}),
+    EtaQuotient(5, {1: 4, 5: 4}),
+    EtaQuotient(6, {1: 2, 2: 2, 3: 2, 6: 2}),
+    EtaQuotient(8, {1: 4, 2: -2, 4: -2, 8: 4}),
+    EtaQuotient(9, {1: -3, 3: 10, 9: -3}),
+    EtaQuotient(11, {1: 2, 11: 2}),
+    EtaQuotient(12, {1: -2, 2: 2, 3: -2, 4: 4, 6: 6, 12: -4}),
+    EtaQuotient(14, {1: 1, 2: 1, 7: 1, 14: 1}),
+    EtaQuotient(16, {1: 2, 2: -5, 4: 10, 8: -5, 16: 2}),
+]
+
+
+@st.composite
+def quotients_up_to_level_144(draw):
+    if draw(st.booleans()):
+        # arbitrary exponents: mostly refused by the modularity criteria
+        n = draw(st.one_of(st.sampled_from([6, 12, 36]), st.integers(1, 144)))
+        support = draw(st.lists(st.sampled_from(divisors(n)), unique=True, max_size=6))
+        return EtaQuotient(n, {t: draw(st.integers(-24, 24)) for t in support})
+    f = draw(st.sampled_from(MODULAR))
+    f = f.rescale(draw(st.integers(1, 144 // f.level)))
+    g = draw(st.sampled_from(MODULAR))
+    if g.weight() + f.weight() <= 8 and lcm(f.level, g.level) <= 144:
+        f = f * g
+    n = f.level * draw(st.integers(1, 144 // f.level))
+    return EtaQuotient(n, f.exponents)
+
+
+def test_match_eta_quotient_draws_are_modular():
+    assert all(f.is_modular_on_gamma0().is_modular for f in MODULAR)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotients_up_to_level_144(), st.integers(0, 4))
+def test_match_eta_matches_fraction_reference(g, margin):
+    assert match_outcome(match_eta, g, margin) == match_outcome(match_eta_reference, g, margin)
 
 
 def test_eisenstein_coefficient_helper():

@@ -225,14 +225,22 @@ def test_modularity_matches_fraction_reference(data):
     # cancellations such as eta(2) eta(3) / eta(6)
     n = data.draw(st.sampled_from([1, 4, 6, 12, 16, 18, 30, 36, 60, 72, 125, 210]))
     support = data.draw(st.lists(st.sampled_from(divisors(n)), unique=True))
-    f = EtaQuotient(n, {t: data.draw(st.integers(-40, 40)) for t in support})
-    assert f.is_modular_on_gamma0() == modularity_reference(f)
+    # exponents in 24Z pass the four criteria, so holomorphy decides
+    unit = data.draw(st.sampled_from([1, 24]))
+    f = EtaQuotient(n, {t: unit * data.draw(st.integers(-40, 40)) for t in support})
+    expect = modularity_reference(f)
+    assert f.is_modular_on_gamma0() == expect
+    # the bool the search and match_eta read
+    assert f.is_modular() == expect.is_modular
 
 
 def test_character_cancellation():
     # 2 * 3 / 6 = 1 is a square although neither 2 * 3 nor 6 is
-    rep = EtaQuotient(6, {2: 1, 3: 1, 6: -1}).is_modular_on_gamma0()
+    f = EtaQuotient(6, {2: 1, 3: 1, 6: -1})
+    rep = f.is_modular_on_gamma0()
     assert dict(rep.conditions)["trivial character"]
+    assert rep == modularity_reference(f)
+    assert f.is_modular() == rep.is_modular
 
 
 def test_rescale_power_primitive():

@@ -29,6 +29,7 @@ from etaq.search import (
     second_derivative_ratio,
     verify_classification_lists,
 )
+from test_eisenstein import match_eta_reference, match_outcome
 
 
 def _freeze(exps):
@@ -169,6 +170,14 @@ def test_lattice_walk_matches_grid_walk(cell):
     assert res.candidates_scanned == len(candidates)
     got = [(sp.eta.key(), sp.element.to_json(), sp.eta_primitive) for sp in res.pairs]
     assert got == grid_walk_pairs(k, p, m, candidates)
+
+
+@pytest.mark.parametrize("cell", PUBLISHED_CELLS + UNPUBLISHED_CELLS, ids=str)
+def test_match_eta_matches_fraction_reference_on_lattice(cell):
+    k, p, m = cell
+    for r in _integral_exponents(k, p, m):
+        g = EtaQuotient(p**m, {p**j: rj for j, rj in enumerate(r)})
+        assert match_outcome(match_eta, g) == match_outcome(match_eta_reference, g), r
 
 
 def test_weight2_level4_search():
