@@ -30,6 +30,7 @@ from .eta import EtaQuotient, parse_eta
 from .search import (
     classify_second_derivatives_level4,
     dual_pairs_prime_power,
+    enumerate_eta_in_e,
     verify_classification_lists,
 )
 from .series import SeriesDomainError
@@ -75,7 +76,7 @@ _prec_arg = _count_arg("q-exponent")
 
 
 def _level_arg(text: str) -> int:
-    """--level value of search: a positive integer."""
+    """--level value: a positive integer."""
     try:
         value = int(text)
     except ValueError:
@@ -186,15 +187,16 @@ def cmd_eta_order(args) -> int:
 
 def _parse_cusp(text: str, level: int) -> Cusp:
     try:
-        a_str, c_str = text.split("/")
-        return Cusp(int(a_str), int(c_str), level)
+        a, c = (int(x) for x in text.split("/"))
+    except ValueError:
+        raise UsageError(f"bad cusp {text!r}: expected a/c with integers a and c") from None
+    try:
+        return Cusp(a, c, level)
     except ValueError as exc:
         raise UsageError(f"bad cusp {text!r}: {exc}") from exc
 
 
 def cmd_cusp_expand(args) -> int:
-    if not args.level:
-        raise UsageError("cusp-expand needs --level")
     element = _parse_element_arg(args.element, args.level)
     cusp = _parse_cusp(args.cusp, args.level)
     expansion = expansion_at_cusp(element, cusp, args.prec)
@@ -222,8 +224,6 @@ def cmd_search(args) -> int:
     p, m = pp
     if m == 0:
         p = 2
-    from .search import enumerate_eta_in_e
-
     result = enumerate_eta_in_e(args.weight, p, m)
     if args.json:
         payload = result.to_json()
@@ -371,20 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="q-expansion of an eta quotient or Eisenstein element")
     p.add_argument("--eta", help="eta quotient, e.g. 'eta(2)^20*eta(1)^-8*eta(4)^-8'")
     p.add_argument("--element", help="Eisenstein combination, e.g. '8*E2(1)-32*E2(4)'")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_level_arg, default=None)
     p.add_argument("--prec", type=_prec_arg, default=10, help="number of q-exponents")
     common(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("eta-order", help="cusp orders and modularity of an eta quotient")
     p.add_argument("--eta", required=True)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_level_arg, default=None)
     common(p)
     p.set_defaults(func=cmd_eta_order)
 
     p = sub.add_parser("cusp-expand", help="expansion of an Eisenstein element at a cusp")
     p.add_argument("--element", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_level_arg, required=True)
     p.add_argument("--cusp", required=True, help="cusp a/c with c | level")
     p.add_argument("--prec", type=_prec_arg, default=10, help="number of local-variable exponents")
     common(p)

@@ -30,7 +30,6 @@ from typing import Callable, Iterator
 
 from .arith import (
     SL2Matrix,
-    bernoulli,
     divisors,
     efgh_complete,
     lcm,
@@ -40,7 +39,7 @@ from .arith import (
     totient,
 )
 from .cyclotomic import CycNumber
-from .eisenstein import EisensteinElement, MembershipTag, sturm_bound
+from .eisenstein import EisensteinElement, MembershipTag, _constant, sturm_bound
 from .series import QSeries, SeriesDomainError
 
 __all__ = [
@@ -204,7 +203,7 @@ def _coefficients(terms: list[_TermData], order: int, k: int, prec: int) -> Iter
     are the integers (L P_t) num(const) and (L P_t) den(const) sigma(n),
     read from one sigma table.
     """
-    const = Fraction(-bernoulli(k), 2 * k)
+    const = _constant(k)
     lden = 1
     for td in terms:
         lden = lcm(lden, (td.r * td.prefactor).denominator)

@@ -22,6 +22,7 @@ from math import gcd
 from typing import Union
 
 from .arith import factorize, lcm, prime_power, totient
+from .kernels import conv_trunc
 
 __all__ = ["CycNumber", "cyclotomic_polynomial"]
 
@@ -31,15 +32,6 @@ _ZERO = Fraction(0)
 
 _phi_cache: dict[int, tuple[int, ...]] = {}
 _phi_lock = threading.Lock()
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
@@ -62,8 +54,8 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Coefficients of Phi_order, constant term first.
 
     Prime powers p^s use the closed form sum_{0<=u<p} x^(u*p^(s-1));
-    other orders use Phi_L = prod_{d | L} (x^(L/d) - 1)^mu(d) by exact
-    polynomial multiplication and division.
+    other orders use Phi_L = prod_{d | L} (x^(L/d) - 1)^mu(d), multiplied
+    by the series kernel ``conv_trunc`` and divided exactly.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -85,9 +77,9 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
             for d in _squarefree_divisors(order):
                 binom = [-1] + [0] * (order // d - 1) + [1]  # x^(L/d) - 1
                 if _mobius(d) == 1:
-                    num = _poly_mul(num, binom)
+                    num = conv_trunc(num, binom, len(num) + len(binom) - 1)
                 else:
-                    den = _poly_mul(den, binom)
+                    den = conv_trunc(den, binom, len(den) + len(binom) - 1)
             poly = _poly_divexact(num, den)
         result = tuple(poly)
         _phi_cache[order] = result

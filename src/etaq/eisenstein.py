@@ -8,23 +8,32 @@ non-holomorphic term of the completed E_2 under the slash action.  The
 constraint is enforced at construction so every element handed to the
 cusp-expansion machinery transforms like a true modular form.
 
+One builder, ``_numerators``, turns integer weights w_t into the integer
+numerators of sum_t w_t E_k(tz); expansions, matching and the identity
+suite all read coefficients from it, and ``_constant`` is the one place
+-B_k/2k is computed.
+
 Also here: the Sturm equality bound, certified matching of eta
 quotients against Eisenstein combinations, and a suite of classical
 product-to-sum and convolution identities verified exactly.  Matching
 reads the coefficients r_t off the rows q^t, t | N, which form a
 unitriangular system, then checks every row through twice the Sturm
 bound (and the weight-2 balance); every comparison is between integers.
+The identities are data: three tables (E_2 convolutions, eta quotients
+equal to Eisenstein combinations, eta-quotient derivatives) read by one
+loop.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
-from .arith import bernoulli, divisors, factorize, lcm, prime_power, sigma_range
+from .arith import bernoulli, divisors, factorize, prime_power, sigma_range
 from .eta import EtaQuotient
 from .series import QSeries
 
@@ -46,28 +55,36 @@ def eisenstein_series(k: int, prec: int) -> QSeries:
         raise ValueError(f"Eisenstein weight must be even >= 2, got {k}")
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    return _combination(k, {1: Fraction(1)}, prec)
+    return _combination(k, {1: 1}, prec)
 
 
-def _combination(k: int, coeffs: dict[int, Fraction], prec: int) -> QSeries:
-    """sum_t coeffs[t] E_k(tz) below q^prec as integer numerators.
+def _constant(k: int) -> Fraction:
+    """The constant term -B_k/2k of E_k."""
+    return Fraction(-bernoulli(k), 2 * k)
 
-    With const = -B_k/2k and L the lcm of the coefficient denominators,
-    the numerators over L * den(const) are sum_t (L r_t) num(const) at
-    q^0 and den(const) * sum_{t | j} (L r_t) sigma_{k-1}(j/t) at q^j.
+
+def _numerators(k: int, weights: dict[int, int], prec: int) -> list[int]:
+    """den(c) * sum_t w_t [q^j] E_k(tz) for j < prec, with c = -B_k/2k.
+
+    That is sum_t w_t num(c) at j = 0 and den(c) * sum_{t | j} w_t
+    sigma_{k-1}(j/t) at j >= 1, read from one sigma table.
     """
-    const = Fraction(-bernoulli(k), 2 * k)
-    lden = 1
-    for r in coeffs.values():
-        lden = lcm(lden, r.denominator)
+    c = _constant(k)
     table = sigma_range(k - 1, prec - 1)
     vec = [0] * prec
-    for t, r in coeffs.items():
-        w = int(r * lden)
-        vec[0] += w * const.numerator
-        w *= const.denominator
-        vec[t::t] = [c + w * s for c, s in zip(vec[t::t], table[1:])]
-    return QSeries(0, vec, lden * const.denominator)
+    for t, w in weights.items():
+        vec[0] += w * c.numerator
+        w *= c.denominator
+        vec[t::t] = [v + w * s for v, s in zip(vec[t::t], table[1:])]
+    return vec
+
+
+def _combination(k: int, coeffs: dict[int, Fraction | int], prec: int) -> QSeries:
+    """sum_t coeffs[t] E_k(tz) below q^prec, over L * den(-B_k/2k) with
+    L the lcm of the coefficient denominators."""
+    lden = lcm(*(r.denominator for r in coeffs.values()))
+    vec = _numerators(k, {t: int(r * lden) for t, r in coeffs.items()}, prec)
+    return QSeries(0, vec, lden * _constant(k).denominator)
 
 
 class MembershipTag(Enum):
@@ -133,10 +150,6 @@ class EisensteinElement:
         if self.coeffs.get(self.level, Fraction(0)) == 0:
             return MembershipTag.IN_O_LOWER_LEVEL
         return MembershipTag.IN_P
-
-    def scalar_mul(self, c) -> "EisensteinElement":
-        c = Fraction(c)
-        return EisensteinElement(self.k, self.level, {t: c * r for t, r in self.coeffs.items()})
 
     def render(self) -> str:
         if not self.coeffs:
@@ -251,15 +264,12 @@ def match_eta(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
     # b[j] = exp.den * [q^j] g for j = 0..rows; holomorphy at infinity
     # makes the offset nonnegative
     b = [0] * (g.offset() // 24) + list(exp.coeffs)
-    sig = sigma_range(k - 1, rows)
+    sig = sigma_range(k - 1, n)
     x: dict[int, int] = {}  # exp.den * r_t
     for t in divisors(n):
         x[t] = b[t] - sum(sig[t // s] * xs for s, xs in x.items() if t % s == 0)
-    lhs = [0] * (rows + 1)
-    for t, xt in x.items():
-        lhs[t::t] = [c + xt * s for c, s in zip(lhs[t::t], sig[1:])]
-    const = Fraction(-bernoulli(k), 2 * k)
-    if lhs[1:] != b[1:] or const.numerator * sum(x.values()) != const.denominator * b[0]:
+    cden = _constant(k).denominator
+    if _numerators(k, x, rows + 1) != [cden * bj for bj in b]:
         return None
     if k == 2 and sum(xt * (n // t) for t, xt in x.items()):
         return None
@@ -282,79 +292,45 @@ class IdentityCheck:
     note: str | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "weight": self.weight,
-            "level": self.level,
-            "bound": self.bound,
-            "status": self.status,
-        }
-        if self.first_mismatch is not None:
-            out["first_mismatch"] = self.first_mismatch
-        if self.note is not None:
-            out["note"] = self.note
-        return out
+        # field order is the text rendering's line order
+        return {key: v for key, v in asdict(self).items() if v is not None}
 
 
-def _e(k: int, t: int, prec: int) -> QSeries:
-    return eisenstein_series(k, -(-prec // t)).substitute_power(t).truncate(prec)
+# E_2(az) E_2(bz) = sum_d c_d E_4(dz) + sum_d e_d D(E_2(dz)), at level b:
+# Besge and its rescalings, and Huard-Ou-Spearman-Williams.
+# name -> (a, b, {d: c_d}, {d: e_d})
+CONVOLUTIONS = {
+    "besge-e2-square": (1, 1, {1: Fraction(5, 12)}, {1: Fraction(-1, 2)}),
+    "besge-e2-square-z2": (2, 2, {2: Fraction(5, 12)}, {2: Fraction(-1, 4)}),
+    "besge-e2-square-z4": (4, 4, {4: Fraction(5, 12)}, {4: Fraction(-1, 8)}),
+    "huard-williams-e2-e2z2": (
+        1, 2, {1: Fraction(1, 12), 2: Fraction(1, 3)}, {1: Fraction(-1, 8), 2: Fraction(-1, 4)}
+    ),
+    "huard-williams-e2-e2z2-z2": (
+        2, 4, {2: Fraction(1, 12), 4: Fraction(1, 3)}, {2: Fraction(-1, 16), 4: Fraction(-1, 8)}
+    ),
+    "huard-williams-e2-e2z4": (
+        1, 4, {1: Fraction(1, 48), 2: Fraction(1, 16), 4: Fraction(1, 3)},
+        {1: Fraction(-1, 16), 4: Fraction(-1, 4)},
+    ),
+}
 
+# prod_t eta(tz)^r_t = sum_t coeffs[t] E_k(tz): name -> (level, r, coeffs)
+ETA_EISENSTEIN = {
+    "jacobi-four-squares": (4, {1: -8, 2: 20, 4: -8}, {1: 8, 4: -32}),
+    "williams-table-no24": (
+        12, {1: -2, 2: 2, 3: -2, 4: 4, 6: 6, 12: -4}, {1: 2, 2: -3, 4: 4, 6: 9, 12: -36}
+    ),
+}
 
-def _d(x: QSeries) -> QSeries:
-    return x.ramanujan_d()
+# D(f) = c * g for eta quotients f and g: name -> (level, f, g, c)
+ETA_DERIVATIVES = {
+    "eta-derivative-level4": (4, {1: -8, 4: 8}, {1: -16, 2: 20}, 1),
+    "eta-derivative-level12": (
+        12, {1: -4, 2: 3, 4: -2, 6: -3, 12: 6}, {1: -6, 2: 5, 3: -2, 4: 2, 6: 3, 12: 2}, 2
+    ),
+}
 
-
-def _convolution_sides(name: str, prec: int) -> tuple[QSeries, QSeries, int, int]:
-    """The classical E_2-product convolution identities and rescalings."""
-    e2 = _e(2, 1, prec)
-    e2_2 = _e(2, 2, prec)
-    e2_4 = _e(2, 4, prec)
-    e4 = _e(4, 1, prec)
-    e4_2 = _e(4, 2, prec)
-    e4_4 = _e(4, 4, prec)
-    half = Fraction(1, 2)
-    if name == "besge-e2-square":
-        return e2 * e2, e4 * Fraction(5, 12) - _d(e2) * half, 4, 1
-    if name == "besge-e2-square-z2":
-        return e2_2 * e2_2, e4_2 * Fraction(5, 12) - _d(e2_2) * Fraction(1, 4), 4, 2
-    if name == "besge-e2-square-z4":
-        return e2_4 * e2_4, e4_4 * Fraction(5, 12) - _d(e2_4) * Fraction(1, 8), 4, 4
-    if name == "huard-williams-e2-e2z2":
-        rhs = (
-            e4 * Fraction(1, 12)
-            + e4_2 * Fraction(1, 3)
-            - _d(e2) * Fraction(1, 8)
-            - _d(e2_2) * Fraction(1, 4)
-        )
-        return e2 * e2_2, rhs, 4, 2
-    if name == "huard-williams-e2-e2z2-z2":
-        rhs = (
-            e4_2 * Fraction(1, 12)
-            + e4_4 * Fraction(1, 3)
-            - _d(e2_2) * Fraction(1, 16)
-            - _d(e2_4) * Fraction(1, 8)
-        )
-        return e2_2 * e2_4, rhs, 4, 4
-    if name == "huard-williams-e2-e2z4":
-        rhs = (
-            e4 * Fraction(1, 48)
-            + e4_2 * Fraction(1, 16)
-            + e4_4 * Fraction(1, 3)
-            - _d(e2) * Fraction(1, 16)
-            - _d(e2_4) * Fraction(1, 4)
-        )
-        return e2 * e2_4, rhs, 4, 4
-    raise KeyError(name)
-
-
-JACOBI_QUOTIENT = {1: -8, 2: 20, 4: -8}
-JACOBI_ELEMENT = {1: 8, 4: -32}
-WILLIAMS_QUOTIENT = {1: -2, 2: 2, 3: -2, 4: 4, 6: 6, 12: -4}
-WILLIAMS_ELEMENT = {1: 2, 2: -3, 4: 4, 6: 9, 12: -36}
-DERIV4_INPUT = {1: -8, 4: 8}
-DERIV4_OUTPUT = {1: -16, 2: 20}
-DERIV12_INPUT = {1: -4, 2: 3, 4: -2, 6: -3, 12: 6}
-DERIV12_OUTPUT = {1: -6, 2: 5, 3: -2, 4: 2, 6: 3, 12: 2}
 THETA_QUOTIENT = {1: -2, 2: 5, 4: -2}
 
 
@@ -380,11 +356,9 @@ def _theta_power_remainder(k: int, prec: int) -> Fraction:
     return (lhs - rhs).coeff(0)
 
 
-def _quotient_series(exps: dict[int, int], level: int, prec_q: int) -> QSeries:
-    return EtaQuotient(level, exps).expansion(24 * prec_q + 1)
-
-
-def _check_equal(name: str, lhs: QSeries, rhs: QSeries, weight: int, level: int, bound: int) -> IdentityCheck:
+def _check_equal(
+    name: str, weight: int, level: int, bound: int, lhs: QSeries, rhs: QSeries
+) -> IdentityCheck:
     diff = lhs - rhs
     v = diff.valuation()
     if v is None:
@@ -394,51 +368,42 @@ def _check_equal(name: str, lhs: QSeries, rhs: QSeries, weight: int, level: int,
     return IdentityCheck(name, weight, level, bound, "mismatch", first_mismatch=mismatch)
 
 
+def _identity_bound(prec: int | None, weight: int, level: int) -> int:
+    return prec if prec is not None else max(50, 2 * sturm_bound(weight, level))
+
+
+def _identity_sides(prec: int | None):
+    """(name, weight, level, bound, lhs, rhs) for every table identity,
+    both sides known through q^bound."""
+    for name, (a, b, c, e) in CONVOLUTIONS.items():
+        n = _identity_bound(prec, 4, b)
+        lhs = _combination(2, {a: 1}, n + 1) * _combination(2, {b: 1}, n + 1)
+        rhs = _combination(4, c, n + 1) + _combination(2, e, n + 1).ramanujan_d()
+        yield name, 4, b, n, lhs, rhs
+    for name, (level, r, coeffs) in ETA_EISENSTEIN.items():
+        g = EtaQuotient(level, r)
+        k = int(g.weight())
+        n = _identity_bound(prec, k, level)
+        yield name, k, level, n, g.expansion(24 * n + 1), _combination(k, coeffs, n + 1)
+    for name, (level, f, g, c) in ETA_DERIVATIVES.items():
+        f, g = EtaQuotient(level, f), EtaQuotient(level, g)
+        k = int(g.weight())
+        n = _identity_bound(prec, k, level)
+        lhs = f.expansion(24 * n + 1).ramanujan_d()
+        yield name, k, level, n, lhs, g.expansion(24 * n + 1) * c
+
+
 def verify_identities(prec: int | None = None) -> list[IdentityCheck]:
     """Exact verification of the product-to-sum and differential identities.
 
-    Each identity is checked coefficient-by-coefficient through
+    Each table identity is checked coefficient-by-coefficient through
     max(50, 2*sturm_bound(weight, level)) q-exponents (or ``prec`` if
     given).  The theta-power checks are expected to leave a remainder
     and report its constant term instead of an equality.
     """
-    out: list[IdentityCheck] = []
-
-    conv_names = [
-        ("besge-e2-square", 4, 1),
-        ("besge-e2-square-z2", 4, 2),
-        ("besge-e2-square-z4", 4, 4),
-        ("huard-williams-e2-e2z2", 4, 2),
-        ("huard-williams-e2-e2z2-z2", 4, 4),
-        ("huard-williams-e2-e2z4", 4, 4),
-    ]
-    for name, w, lvl in conv_names:
-        bound = prec if prec is not None else max(50, 2 * sturm_bound(w, lvl))
-        lhs, rhs, _, _ = _convolution_sides(name, bound + 1)
-        out.append(_check_equal(name, lhs, rhs, w, lvl, bound))
-
-    bound = prec if prec is not None else max(50, 2 * sturm_bound(2, 4))
-    lhs = _quotient_series(JACOBI_QUOTIENT, 4, bound)
-    rhs = EisensteinElement(2, 4, JACOBI_ELEMENT).expansion(bound + 1)
-    out.append(_check_equal("jacobi-four-squares", lhs, rhs, 2, 4, bound))
-
-    bound = prec if prec is not None else max(50, 2 * sturm_bound(2, 12))
-    lhs = _quotient_series(WILLIAMS_QUOTIENT, 12, bound)
-    rhs = EisensteinElement(2, 12, WILLIAMS_ELEMENT).expansion(bound + 1)
-    out.append(_check_equal("williams-table-no24", lhs, rhs, 2, 12, bound))
-
-    bound = prec if prec is not None else max(50, 2 * sturm_bound(2, 4))
-    lhs = _d(_quotient_series(DERIV4_INPUT, 4, bound))
-    rhs = _quotient_series(DERIV4_OUTPUT, 4, bound)
-    out.append(_check_equal("eta-derivative-level4", lhs, rhs, 2, 4, bound))
-
-    bound = prec if prec is not None else max(50, 2 * sturm_bound(2, 12))
-    lhs = _d(_quotient_series(DERIV12_INPUT, 12, bound))
-    rhs = _quotient_series(DERIV12_OUTPUT, 12, bound) * 2
-    out.append(_check_equal("eta-derivative-level12", lhs, rhs, 2, 12, bound))
-
+    out = [_check_equal(*sides) for sides in _identity_sides(prec)]
     for k in (1, 2):
-        bound = prec if prec is not None else max(50, 2 * sturm_bound(2 * k, 4))
+        bound = _identity_bound(prec, 2 * k, 4)
         const = _theta_power_remainder(k, bound)
         status = "remainder" if const == Fraction(1, 2) else "mismatch"
         out.append(
@@ -451,7 +416,6 @@ def verify_identities(prec: int | None = None) -> list[IdentityCheck]:
                 note=f"non-modular remainder; constant-term discrepancy {const}",
             )
         )
-
     return sorted(out, key=lambda c: c.identity)
 
 

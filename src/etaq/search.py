@@ -422,6 +422,15 @@ def dual_pairs_prime_power(certify_rel: int = 480) -> list[DualPair]:
 # ---------------------------------------------------------------------------
 
 
+def _ratio12(r1: int, r2: int, r4: int) -> tuple[int, int, int]:
+    """12 * second_derivative_ratio((r1, r2, r4)), in integers."""
+    return (
+        r1 * (5 * r1 + 4 * r2 + 2 * r4),
+        20 * r2 * r2 + 16 * r1 * r2 + 6 * r1 * r4 + 16 * r2 * r4,
+        16 * r4 * (5 * r4 + 2 * r1 + 4 * r2),
+    )
+
+
 def second_derivative_ratio(r: tuple[int, int, int]) -> tuple[Fraction, Fraction, Fraction]:
     """(s_1, s_2, s_4) with D^2(f)/f = sum s_d E_4(dz) for
     f = eta(z)^r1 eta(2z)^r2 eta(4z)^r4, valid when r1+r2+r4 = -2.
@@ -430,18 +439,9 @@ def second_derivative_ratio(r: tuple[int, int, int]) -> tuple[Fraction, Fraction
     through the convolution identities of the verify_identities suite;
     the weight constraint makes every D(E_2(dz)) term cancel.
     """
-    r1, r2, r4 = r
-    if r1 + r2 + r4 != -2:
+    if sum(r) != -2:
         raise ValueError("exponents must satisfy r1 + r2 + r4 = -2")
-    s1 = Fraction(5, 12) * r1 * r1 + Fraction(1, 3) * r1 * r2 + Fraction(1, 6) * r1 * r4
-    s2 = (
-        Fraction(5, 3) * r2 * r2
-        + Fraction(4, 3) * r1 * r2
-        + Fraction(1, 2) * r1 * r4
-        + Fraction(4, 3) * r2 * r4
-    )
-    s4 = Fraction(20, 3) * r4 * r4 + Fraction(8, 3) * r1 * r4 + Fraction(16, 3) * r2 * r4
-    return (s1, s2, s4)
+    return tuple(Fraction(x, 12) for x in _ratio12(*r))
 
 
 @dataclass(frozen=True)
@@ -529,10 +529,7 @@ def classify_second_derivatives_level4(
             r4 = -2 - r1 - r2
             if abs(r4) > bound:
                 continue
-            # 12 * second_derivative_ratio((r1, r2, r4)), in integers
-            s1 = r1 * (5 * r1 + 4 * r2 + 2 * r4)
-            s2 = 20 * r2 * r2 + 16 * r1 * r2 + 6 * r1 * r4 + 16 * r2 * r4
-            s4 = 16 * r4 * (5 * r4 + 2 * r1 + 4 * r2)
+            s1, s2, s4 = _ratio12(r1, r2, r4)
             if not (s1 or s2 or s4):
                 continue
             # (s1, s2, s4) != 0 is a nonzero multiple of the (nonzero)

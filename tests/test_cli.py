@@ -98,6 +98,32 @@ def test_cusp_expand_bad_cusp(capsys):
     assert code == 2
 
 
+def test_cusp_expand_bad_cusp_names_the_format(capsys):
+    for text in ("1/2/3", "x/2", "12"):
+        code, out, err = run_cli(
+            capsys, "cusp-expand", "--element", "E4(1)", "--level", "4", "--cusp", text
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: bad cusp {text!r}: expected a/c with integers a and c\n"
+    code, _, err = run_cli(
+        capsys, "cusp-expand", "--element", "E4(1)", "--level", "4", "--cusp", "1/3"
+    )
+    assert code == 2
+    assert err == "error: bad cusp '1/3': denominator 3 must be a positive divisor of 4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--element", "E4(1)"],
+    ["eta-order", "--eta", "eta(1)^24"],
+    ["cusp-expand", "--element", "E4(1)", "--cusp", "1/2"],
+])
+def test_level_must_be_positive_everywhere(capsys, argv):
+    for level in ("0", "-4"):
+        code, out, err = run_cli(capsys, *argv, "--level", level)
+        assert code == 2 and out == ""
+        assert f"argument --level: a level must be at least 1, got {level}" in err
+
+
 def test_malformed_eta_names_token(capsys):
     code, _, err = run_cli(capsys, "expand", "--eta", "eta(2)^^3")
     assert code == 2

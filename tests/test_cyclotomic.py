@@ -5,6 +5,7 @@ cyclotomic polynomial values."""
 import cmath
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -18,6 +19,30 @@ def to_complex(x: CycNumber) -> complex:
     """Float evaluation: the oracle for the exact arithmetic below."""
     z = cmath.exp(2j * cmath.pi / x.order)
     return sum(float(c) * z**j for j, c in enumerate(x.coeffs) if c)
+
+
+@cache
+def phi_reference(order: int) -> tuple[int, ...]:
+    """Phi_L = (x^L - 1) / prod_{d | L, d < L} Phi_d, by exact long division."""
+    poly = [-1] + [0] * (order - 1) + [1]
+    for d in range(1, order):
+        if order % d == 0:
+            div = phi_reference(d)
+            quot = [0] * (len(poly) - len(div) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = poly[i + len(div) - 1] // div[-1]
+                for j, c in enumerate(div):
+                    poly[i + j] -= quot[i] * c
+            assert not any(poly), (order, d)
+            poly = quot
+    return tuple(poly)
+
+
+@pytest.mark.parametrize("order", [n for n in range(2, 61) if len(factorize(n)) > 1])
+def test_cyclotomic_polynomial_matches_division_reference(order):
+    poly = cyclotomic_polynomial(order)
+    assert poly == phi_reference(order)
+    assert len(poly) - 1 == totient(order)
 
 
 def test_cyclotomic_polynomial_small_values():

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etaq import eisenstein
 from etaq.arith import bernoulli, divisors, lcm
+from etaq.cli import main
 from etaq.eisenstein import (
     EisensteinElement,
     MembershipTag,
@@ -22,7 +24,7 @@ from etaq.eisenstein import (
 )
 from etaq.eta import EtaQuotient
 from etaq.linalg import solve_unique
-from etaq.series import SeriesDomainError
+from etaq.series import QSeries, SeriesDomainError
 
 
 def sigma_oracle(power, n):
@@ -295,6 +297,148 @@ def test_identity_suite_all_verify():
         check = by_name[name]
         assert check.status == "remainder"
         assert "1/2" in (check.note or "")
+
+
+# The identity suite as it was spelled out before it became three
+# tables: each side built from E_k(z) by q -> q^t, scalar multiples and
+# sums, and the eta quotients named one constant at a time.
+
+
+def _e(k: int, t: int, prec: int) -> QSeries:
+    return eisenstein_series(k, -(-prec // t)).substitute_power(t).truncate(prec)
+
+
+def _d(x: QSeries) -> QSeries:
+    return x.ramanujan_d()
+
+
+def _convolution_sides(name: str, prec: int) -> tuple[QSeries, QSeries, int, int]:
+    e2 = _e(2, 1, prec)
+    e2_2 = _e(2, 2, prec)
+    e2_4 = _e(2, 4, prec)
+    e4 = _e(4, 1, prec)
+    e4_2 = _e(4, 2, prec)
+    e4_4 = _e(4, 4, prec)
+    half = Fraction(1, 2)
+    if name == "besge-e2-square":
+        return e2 * e2, e4 * Fraction(5, 12) - _d(e2) * half, 4, 1
+    if name == "besge-e2-square-z2":
+        return e2_2 * e2_2, e4_2 * Fraction(5, 12) - _d(e2_2) * Fraction(1, 4), 4, 2
+    if name == "besge-e2-square-z4":
+        return e2_4 * e2_4, e4_4 * Fraction(5, 12) - _d(e2_4) * Fraction(1, 8), 4, 4
+    if name == "huard-williams-e2-e2z2":
+        rhs = (
+            e4 * Fraction(1, 12)
+            + e4_2 * Fraction(1, 3)
+            - _d(e2) * Fraction(1, 8)
+            - _d(e2_2) * Fraction(1, 4)
+        )
+        return e2 * e2_2, rhs, 4, 2
+    if name == "huard-williams-e2-e2z2-z2":
+        rhs = (
+            e4_2 * Fraction(1, 12)
+            + e4_4 * Fraction(1, 3)
+            - _d(e2_2) * Fraction(1, 16)
+            - _d(e2_4) * Fraction(1, 8)
+        )
+        return e2_2 * e2_4, rhs, 4, 4
+    if name == "huard-williams-e2-e2z4":
+        rhs = (
+            e4 * Fraction(1, 48)
+            + e4_2 * Fraction(1, 16)
+            + e4_4 * Fraction(1, 3)
+            - _d(e2) * Fraction(1, 16)
+            - _d(e2_4) * Fraction(1, 4)
+        )
+        return e2 * e2_4, rhs, 4, 4
+    raise KeyError(name)
+
+
+JACOBI_QUOTIENT = {1: -8, 2: 20, 4: -8}
+JACOBI_ELEMENT = {1: 8, 4: -32}
+WILLIAMS_QUOTIENT = {1: -2, 2: 2, 3: -2, 4: 4, 6: 6, 12: -4}
+WILLIAMS_ELEMENT = {1: 2, 2: -3, 4: 4, 6: 9, 12: -36}
+DERIV4_INPUT = {1: -8, 4: 8}
+DERIV4_OUTPUT = {1: -16, 2: 20}
+DERIV12_INPUT = {1: -4, 2: 3, 4: -2, 6: -3, 12: 6}
+DERIV12_OUTPUT = {1: -6, 2: 5, 3: -2, 4: 2, 6: 3, 12: 2}
+
+
+def _quotient_series(exps: dict[int, int], level: int, prec_q: int) -> QSeries:
+    return EtaQuotient(level, exps).expansion(24 * prec_q + 1)
+
+
+def identity_sides_reference(prec):
+    """{name: (weight, level, bound, lhs, rhs)} as the hand-written suite
+    built them."""
+    out = {}
+
+    def bound(w, lvl):
+        return prec if prec is not None else max(50, 2 * sturm_bound(w, lvl))
+
+    for name, w, lvl in [
+        ("besge-e2-square", 4, 1),
+        ("besge-e2-square-z2", 4, 2),
+        ("besge-e2-square-z4", 4, 4),
+        ("huard-williams-e2-e2z2", 4, 2),
+        ("huard-williams-e2-e2z2-z2", 4, 4),
+        ("huard-williams-e2-e2z4", 4, 4),
+    ]:
+        n = bound(w, lvl)
+        lhs, rhs, _, _ = _convolution_sides(name, n + 1)
+        out[name] = (w, lvl, n, lhs, rhs)
+    n = bound(2, 4)
+    out["jacobi-four-squares"] = (
+        2, 4, n, _quotient_series(JACOBI_QUOTIENT, 4, n),
+        EisensteinElement(2, 4, JACOBI_ELEMENT).expansion(n + 1),
+    )
+    n = bound(2, 12)
+    out["williams-table-no24"] = (
+        2, 12, n, _quotient_series(WILLIAMS_QUOTIENT, 12, n),
+        EisensteinElement(2, 12, WILLIAMS_ELEMENT).expansion(n + 1),
+    )
+    n = bound(2, 4)
+    out["eta-derivative-level4"] = (
+        2, 4, n, _d(_quotient_series(DERIV4_INPUT, 4, n)), _quotient_series(DERIV4_OUTPUT, 4, n)
+    )
+    n = bound(2, 12)
+    out["eta-derivative-level12"] = (
+        2, 12, n, _d(_quotient_series(DERIV12_INPUT, 12, n)),
+        _quotient_series(DERIV12_OUTPUT, 12, n) * 2,
+    )
+    return out
+
+
+def layout(x: QSeries):
+    return x.offset, x.coeffs, x.den, x.prec
+
+
+@pytest.mark.parametrize("prec", [12, 60, None])
+def test_identity_tables_match_hand_written_suite(prec):
+    reference = identity_sides_reference(prec)
+    sides = {name: rest for name, *rest in eisenstein._identity_sides(prec)}
+    assert sides.keys() == reference.keys()
+    for name, (w, lvl, n, lhs, rhs) in sides.items():
+        rw, rlvl, rn, rlhs, rrhs = reference[name]
+        assert (w, lvl, n) == (rw, rlvl, rn), name
+        assert layout(lhs) == layout(rlhs), name
+        assert layout(rhs) == layout(rrhs), name
+
+
+def test_identity_table_error_is_reported(monkeypatch, capsys):
+    # D(E_2) has no constant term, so a wrong D coefficient first shows
+    # at q^1: (-1/2 - (-1/3)) * sigma_1(1) = -1/6
+    a, b, c, _ = eisenstein.CONVOLUTIONS["besge-e2-square"]
+    monkeypatch.setitem(
+        eisenstein.CONVOLUTIONS, "besge-e2-square", (a, b, c, {1: Fraction(-1, 3)})
+    )
+    check = next(x for x in verify_identities() if x.identity == "besge-e2-square")
+    assert check.status == "mismatch"
+    assert check.first_mismatch == "q^(24/24) coefficient differs by -1/6"
+    assert main(["verify", "--suite", "identities"]) == 1
+    out = capsys.readouterr().out
+    assert "first_mismatch: q^(24/24) coefficient differs by -1/6" in out
+    assert "identities_ok: False" in out
 
 
 def test_identity_suite_custom_precision():

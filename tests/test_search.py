@@ -292,6 +292,27 @@ def test_second_derivative_ratio_examples():
         second_derivative_ratio((1, 1, 1))
 
 
+def second_derivative_ratio_reference(r):
+    """The former Fraction-coefficient formula."""
+    r1, r2, r4 = r
+    s1 = Fraction(5, 12) * r1 * r1 + Fraction(1, 3) * r1 * r2 + Fraction(1, 6) * r1 * r4
+    s2 = (
+        Fraction(5, 3) * r2 * r2
+        + Fraction(4, 3) * r1 * r2
+        + Fraction(1, 2) * r1 * r4
+        + Fraction(4, 3) * r2 * r4
+    )
+    s4 = Fraction(20, 3) * r4 * r4 + Fraction(8, 3) * r1 * r4 + Fraction(16, 3) * r2 * r4
+    return (s1, s2, s4)
+
+
+def test_second_derivative_ratio_matches_fraction_formula():
+    for r1 in range(-15, 16):
+        for r2 in range(-15, 16):
+            r = (r1, r2, -2 - r1 - r2)
+            assert second_derivative_ratio(r) == second_derivative_ratio_reference(r)
+
+
 def test_second_derivative_ratio_against_series():
     # direct-series oracle: D^2(f)/f expanded and compared exactly for
     # 200 random constrained triples with |r_i| <= 10, 60 q-exponents
