@@ -20,13 +20,8 @@ from functools import cache
 
 from .arith import prime_power
 from .cusps import Cusp, check_order_bound, expansion_at_cusp
-from .eisenstein import (
-    EisensteinElement,
-    parse_element,
-    random_p_element,
-    verify_identities,
-)
-from .eta import EtaQuotient, parse_eta
+from .eisenstein import parse_element, random_p_element, verify_identities
+from .eta import parse_eta
 from .search import (
     classify_second_derivatives_level4,
     dual_pairs_prime_power,
@@ -41,20 +36,6 @@ DEFAULT_WEIGHTS = "2,4,6"
 
 class UsageError(Exception):
     pass
-
-
-def _parse_eta_arg(text: str, level: int | None) -> EtaQuotient:
-    try:
-        return parse_eta(text, level)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_element_arg(text: str, level: int | None) -> EisensteinElement:
-    try:
-        return parse_element(text, level)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _count_arg(unit: str):
@@ -75,19 +56,29 @@ def _count_arg(unit: str):
 _prec_arg = _count_arg("q-exponent")
 
 
-def _level_arg(text: str) -> int:
-    """--level value: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a level, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"a level must be at least 1, got {value}")
-    return value
+def _int_arg(noun: str, valid, rule: str):
+    """argparse type for one integer that ``valid`` accepts; ``rule``
+    describes the accepted values in the error message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a {noun}, got {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"a {noun} must be {rule}, got {value}")
+        return value
+
+    return parse
 
 
-def _list_arg(noun: str, minimum: int):
-    """argparse type for a nonempty comma-separated list of integers."""
+_level_arg = _int_arg("level", lambda n: n >= 1, "at least 1")
+_weight_arg = _int_arg("weight", lambda k: k >= 2 and k % 2 == 0, "even and at least 2")
+
+
+def _list_arg(noun: str, minimum: int, valid=lambda v: True, rule: str = ""):
+    """argparse type for a nonempty comma-separated list of integers, each
+    at least ``minimum`` and accepted by ``valid`` (described by ``rule``)."""
 
     def parse(text: str) -> list[int]:
         try:
@@ -100,6 +91,9 @@ def _list_arg(noun: str, minimum: int):
         if min(values) < minimum:
             raise argparse.ArgumentTypeError(
                 f"every {noun} must be at least {minimum}, got {min(values)}")
+        bad = [v for v in values if not valid(v)]
+        if bad:
+            raise argparse.ArgumentTypeError(f"every {noun} must be {rule}, got {bad[0]}")
         return values
 
     return parse
@@ -140,7 +134,7 @@ def _emit_text(payload, indent: str = "") -> None:
 def cmd_expand(args) -> int:
     prec = args.prec
     if args.eta:
-        quotient = _parse_eta_arg(args.eta, args.level)
+        quotient = parse_eta(args.eta, args.level)
         series = quotient.expansion(24 * prec + quotient.offset())
         payload = {
             "input": quotient.render(),
@@ -150,7 +144,7 @@ def cmd_expand(args) -> int:
             "scale": 24,
         }
     elif args.element:
-        element = _parse_element_arg(args.element, args.level)
+        element = parse_element(args.element, args.level)
         series = element.expansion(prec)
         payload = {
             "input": element.render(),
@@ -168,7 +162,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_eta_order(args) -> int:
-    quotient = _parse_eta_arg(args.eta, args.level)
+    quotient = parse_eta(args.eta, args.level)
     report = quotient.is_modular_on_gamma0()
     payload = {
         "input": quotient.render(),
@@ -197,7 +191,7 @@ def _parse_cusp(text: str, level: int) -> Cusp:
 
 
 def cmd_cusp_expand(args) -> int:
-    element = _parse_element_arg(args.element, args.level)
+    element = parse_element(args.element, args.level)
     cusp = _parse_cusp(args.cusp, args.level)
     expansion = expansion_at_cusp(element, cusp, args.prec)
     order = expansion.series.valuation()
@@ -290,10 +284,7 @@ def _suite_order_bounds(args) -> tuple[dict, bool]:
     checked = 0
     for k in args.weights:
         for n in args.levels:
-            pp = prime_power(n)
-            if pp is None:
-                raise UsageError(f"order-bound levels must be prime powers, got {n}")
-            p, m = pp
+            p, m = prime_power(n)
             rng = random.Random(f"{args.seed}:{k}:{n}")
             for _ in range(args.samples):
                 element = random_p_element(rng, k, p, m)
@@ -391,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cusp_expand)
 
     p = sub.add_parser("search", help="eta quotients in the weight-k Eisenstein span")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_weight_arg, required=True, help="even, at least 2")
     p.add_argument("--level", type=_level_arg, required=True, help="prime power")
     common(p)
     p.set_defaults(func=cmd_search)
@@ -415,8 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count_arg("sample"), default=100,
                    help="random elements per weight and level (maingen suite)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=_list_arg("level", 1), default=DEFAULT_LEVELS)
-    p.add_argument("--weights", type=_list_arg("weight", 2), default=DEFAULT_WEIGHTS)
+    p.add_argument("--levels", default=DEFAULT_LEVELS, type=_list_arg(
+        "level", 1, lambda n: prime_power(n) is not None, "a prime power"))
+    p.add_argument("--weights", default=DEFAULT_WEIGHTS, type=_list_arg(
+        "weight", 2, lambda k: k % 2 == 0, "even"))
     common(p)
     p.set_defaults(func=cmd_verify)
 

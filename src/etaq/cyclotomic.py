@@ -11,6 +11,11 @@ cyclotomic polynomial Phi_L.  Phi_L is monic with integer coefficients,
 so that division is done exactly in Z.  This is the entire mechanism by
 which vanishing of cusp-expansion coefficients is certified; no
 coefficient ever leaves exact arithmetic.
+
+The layer has one algebra: the sparse product and the one reduction
+mod Phi_L.  Phi_L itself is built from the Moebius product over 1 - x^d
+by in-place integer updates, and an inverse is the product of the
+element's other Galois conjugates over its norm, a rational number.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from collections.abc import Iterable, Mapping
 from math import gcd
 from typing import Union
 
-from .arith import factorize, lcm, prime_power, totient
-from .kernels import conv_trunc
+from .arith import divisors, factorize, lcm, totient
 
 __all__ = ["CycNumber", "cyclotomic_polynomial"]
 
@@ -34,64 +38,36 @@ _phi_cache: dict[int, tuple[int, ...]] = {}
 _phi_lock = threading.Lock()
 
 
-def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division of integer polynomials (b monic up to sign)."""
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    out = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        q, r = divmod(a[i], lb)
-        assert r == 0, "non-exact polynomial division"
-        out[i - db] = q
-        if q:
-            for j in range(db + 1):
-                a[i - db + j] -= q * b[j]
-    assert all(x == 0 for x in a), "non-exact polynomial division"
-    return out
-
-
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Coefficients of Phi_order, constant term first.
 
-    Prime powers p^s use the closed form sum_{0<=u<p} x^(u*p^(s-1));
-    other orders use Phi_L = prod_{d | L} (x^(L/d) - 1)^mu(d), multiplied
-    by the series kernel ``conv_trunc`` and divided exactly.
+    For L > 1, Phi_L = prod_{d | L} (1 - x^d)^mu(L/d) as a power series,
+    and it has degree phi(L), so the product truncated past x^phi(L) is
+    exact.  A factor 1 - x^d is a downward in-place difference
+    a_i -= a_(i-d); dividing by it is the upward stride-d prefix sum
+    a_i += a_(i-d).  Neither leaves the integers.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     with _phi_lock:
         if order in _phi_cache:
             return _phi_cache[order]
-        pp = prime_power(order)
         if order == 1:
             poly = [-1, 1]
-        elif pp is not None:
-            p, s = pp
-            step = p ** (s - 1)
-            poly = [0] * ((p - 1) * step + 1)
-            for u in range(p):
-                poly[u * step] = 1
         else:
-            num: list[int] = [1]
-            den: list[int] = [1]
-            for d in _squarefree_divisors(order):
-                binom = [-1] + [0] * (order // d - 1) + [1]  # x^(L/d) - 1
-                if _mobius(d) == 1:
-                    num = conv_trunc(num, binom, len(num) + len(binom) - 1)
-                else:
-                    den = conv_trunc(den, binom, len(den) + len(binom) - 1)
-            poly = _poly_divexact(num, den)
+            deg = totient(order)
+            poly = [1] + [0] * deg
+            for d in divisors(order):
+                mu = _mobius(order // d)
+                if mu == 1:
+                    for i in range(deg, d - 1, -1):
+                        poly[i] -= poly[i - d]
+                elif mu == -1:
+                    for i in range(d, deg + 1):
+                        poly[i] += poly[i - d]
         result = tuple(poly)
         _phi_cache[order] = result
         return result
-
-
-def _squarefree_divisors(n: int) -> list[int]:
-    primes = list(factorize(n))
-    out = [1]
-    for p in primes:
-        out += [d * p for d in out]
-    return out
 
 
 def _mobius(n: int) -> int:
@@ -328,23 +304,25 @@ class CycNumber:
         return Fraction(red[0], self.den)
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via extended Euclid against Phi_order."""
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.reduced())
-        if all(c == 0 for c in a):
+        """Multiplicative inverse through the Galois norm, reduced mod Phi_order.
+
+        With sigma_a: zeta -> zeta^a for a in (Z/L)^*, the product P of
+        sigma_a(x) over a != 1 makes x * P = N(x) rational, so
+        x^-1 = P / N(x).  Each partial product is reduced mod Phi_order,
+        so the result has degree < phi(order).
+        """
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended gcd in Q[x]: s*a + t*phi = g (g constant since Phi_L
-        # is irreducible and a is nonzero mod Phi_L)
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _poly_mul_frac(q, s1))
-        g = _trim(r0)
-        assert len(g) == 1, "cyclotomic polynomial must be irreducible over Q"
-        # invariant of the loop: s0 * a == r0 (mod phi), so s0/g inverts a
-        cand = CycNumber(self.order, [c / g[0] for c in s0])
+        L = self.order
+        cand = CycNumber.from_rational(1, L)
+        for a in range(2, L):
+            if gcd(a, L) == 1:
+                conj = CycNumber._normal(L, {a * j % L: n for j, n in self.terms.items()}, self.den)
+                cand = cand * conj
+                red = cand._reduced_numerators()
+                cand = CycNumber._normal(L, {j: n for j, n in enumerate(red) if n}, cand.den)
+        norm = (self * cand).rational_value()
+        cand = cand * (1 / norm)
         if not (cand * self - 1).is_zero():
             raise AssertionError("cyclotomic inversion failed")
         return cand
@@ -371,39 +349,3 @@ class CycNumber:
     def __repr__(self):
         return f"CycNumber({self.order}, {self.render()!r})"
 
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    n = len(p)
-    while n > 1 and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
-
-def _qpoly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a, b = _trim(list(a)), _trim(list(b))
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i] / b[-1]
-        q[i - (len(b) - 1)] = c
-        if c:
-            for j in range(len(b)):
-                a[i - (len(b) - 1) + j] -= c * b[j]
-    return q, _trim(a)
-
-
-def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import lcm, totient, xgcd
+from .arith import lcm, xgcd
+from .cusps import denominator_multiplicity, per_cusp_cap
 from .eisenstein import (
     EisensteinElement,
     MembershipTag,
@@ -142,8 +143,8 @@ def _integral_exponents(k: int, p: int, m: int):
     respect the per-cusp caps and sum, with multiplicity, to the weight-k
     valence value."""
     n = p**m
-    mult = [totient(gcd(p**i, p ** (m - i))) for i in range(m + 1)]
-    caps = [24 * (2 if (n == 4 and i == 1) else 1) for i in range(m + 1)]
+    mult = [denominator_multiplicity(n, p**i) for i in range(m + 1)]
+    caps = [24 * per_cusp_cap(n, p**i) for i in range(m + 1)]
     target = 2 * k * (n + n // p) if m >= 1 else 2 * k
     suffix = [0] * (m + 2)
     for i in range(m, -1, -1):

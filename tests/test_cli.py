@@ -224,11 +224,27 @@ def test_search_level_must_be_positive(capsys):
     ("--levels", "4,x", "argument --levels: expected comma-separated levels, got '4,x'"),
     ("--weights", "", "argument --weights: must name at least one weight, got ''"),
     ("--weights", "2,0", "argument --weights: every weight must be at least 2, got 0"),
+    ("--levels", "6", "argument --levels: every level must be a prime power, got 6"),
+    ("--levels", "4,9,12", "argument --levels: every level must be a prime power, got 12"),
+    ("--weights", "3", "argument --weights: every weight must be even, got 3"),
+    ("--weights", "2,4,5", "argument --weights: every weight must be even, got 5"),
 ])
 def test_verify_rejects_empty_runs(capsys, flag, value, message):
     argv = ["verify", "--suite", "maingen", "--samples", "2", "--levels", "4",
             "--weights", "2", flag, value]
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("3", "argument --weight: a weight must be even and at least 2, got 3"),
+    ("0", "argument --weight: a weight must be even and at least 2, got 0"),
+    ("-2", "argument --weight: a weight must be even and at least 2, got -2"),
+    ("x", "argument --weight: expected a weight, got 'x'"),
+])
+def test_search_weight_must_be_even_and_positive(capsys, value, message):
+    code, out, err = run_cli(capsys, "search", "--weight", value, "--level", "4")
     assert code == 2 and out == ""
     assert message in err
 
