@@ -25,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterator
 
 from .arith import (
     SL2Matrix,
     divisors,
     efgh_complete,
-    lcm,
     prime_power,
     sigma_range,
     sl2_complete,
@@ -138,7 +137,7 @@ class _TermData:
     t: int
     r: Fraction
     step: int
-    prefactor: Fraction  # (gcd(t,c)/t)^k
+    prefactor: Fraction  # (gcd(t,c)/t)^k = 1/t'^k, t' = t/gcd(t,c)
     omega_exp: int  # omega_t = zeta_L^omega_exp
 
 
@@ -185,7 +184,7 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[in
             _, fv, _, _ = efgh(t, cusp.a, c)
             w = (-d * fv) % tprime  # omega_t = zeta_{t'}^(-d f)
             w *= order // tprime
-        terms.append(_TermData(t, r, step, Fraction(g0, t) ** k, w))
+        terms.append(_TermData(t, r, step, Fraction(1, tprime**k), w))
     return order, terms
 
 
@@ -204,10 +203,9 @@ def _coefficients(terms: list[_TermData], order: int, k: int, prec: int) -> Iter
     read from one sigma table.
     """
     const = _constant(k)
-    lden = 1
-    for td in terms:
-        lden = lcm(lden, (td.r * td.prefactor).denominator)
-    weights = [(td, int(td.r * td.prefactor * lden)) for td in terms]
+    ps = [td.r * td.prefactor for td in terms]
+    lden = lcm(*(p.denominator for p in ps))
+    weights = [(td, p.numerator * (lden // p.denominator)) for td, p in zip(terms, ps)]
     den = lden * const.denominator
     table = _sigma_table(k - 1, prec - 1)
     for e in range(prec):

@@ -12,7 +12,8 @@ so that division is done exactly in Z.  This is the entire mechanism by
 which vanishing of cusp-expansion coefficients is certified; no
 coefficient ever leaves exact arithmetic.
 
-The layer has one algebra: the sparse product and the one reduction
+The layer has one algebra: the sparse product ``_mul_into``, which the
+cusp series products in ``etaq.series`` share, and the one reduction
 mod Phi_L.  Phi_L itself is built from the Moebius product over 1 - x^d
 by in-place integer updates, and an inverse is the product of the
 element's other Galois conjugates over its norm, a rational number.
@@ -68,6 +69,23 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
         result = tuple(poly)
         _phi_cache[order] = result
         return result
+
+
+def _mul_into(out: dict[int, int], xs: Mapping[int, int], ys: Mapping[int, int], order: int) -> None:
+    """out += xs * ys on sparse integer numerators in Z[x]/(x^order - 1).
+
+    The one product kernel of the cyclotomic layer: CycNumber products
+    and cusp series products both accumulate through it, and normalise
+    the result once.
+    """
+    yt = ys.items()
+    get = out.get
+    for i, x in xs.items():
+        for j, y in yt:
+            k = i + j
+            if k >= order:
+                k -= order
+            out[k] = get(k, 0) + x * y
 
 
 def _mobius(n: int) -> int:
@@ -215,16 +233,9 @@ class CycNumber:
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._common(other)
-        L = a.order
         out: dict[int, int] = {}
-        bt = b.terms.items()
-        for i, x in a.terms.items():
-            for j, y in bt:
-                k = i + j
-                if k >= L:
-                    k -= L
-                out[k] = out.get(k, 0) + x * y
-        return CycNumber._normal(L, out, a.den * b.den)
+        _mul_into(out, a.terms, b.terms, a.order)
+        return CycNumber._normal(a.order, out, a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -18,8 +18,10 @@ A ``QSeries`` is
 D = q d/dq multiplies c_n by (24n + offset) and den by 24.  A sum aligns
 two offsets that agree mod 24 (series on different lattices are
 refused).  A product of rational series is one ``kernels.conv_trunc``
-call on the numerators; cyclotomic products multiply ``CycNumber``s
-term by term.
+call on the numerators.  A cyclotomic product puts each operand's steps
+over one common denominator, accumulates the integer products of each
+output step in Z[zeta_L] with ``cyclotomic._mul_into`` and normalises
+each output step once.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _mul_into
 from .kernels import conv_trunc
 
 __all__ = ["QSeries", "SeriesDomainError"]
@@ -67,12 +69,15 @@ class QSeries:
             raise SeriesDomainError("precision-exhausted", "series with no known window")
         if den < 1:
             raise ValueError("denominator must be >= 1")
-        order = None
-        if isinstance(vec[0], CycNumber):
-            order = vec[0].order
-            if den != 1 or any(c.order != order for c in vec):
-                raise ValueError("cyclotomic coefficients need one order and denominator 1")
-        elif den != 1:
+        # every coefficient a CycNumber of one order over den 1, or none is
+        order = vec[0].order if isinstance(vec[0], CycNumber) else None
+        if order is None:
+            mixed = CycNumber in map(type, vec)
+        else:
+            mixed = den != 1 or any(not isinstance(c, CycNumber) or c.order != order for c in vec)
+        if mixed:
+            raise ValueError("cyclotomic coefficients need one order and denominator 1")
+        if den != 1:
             g = gcd(den, *vec)
             if g != 1:
                 den //= g
@@ -95,22 +100,21 @@ class QSeries:
             return [c.lift(order) for c in self.coeffs]
         return [CycNumber._normal(order, {0: c}, self.den) for c in self.coeffs]
 
+    def _cyc_numerators(self, order: int) -> tuple[list[dict[int, int]], int]:
+        """Each step's numerators {j: n} of zeta_order^j over one common
+        denominator D, the lcm of the step denominators."""
+        if self.cyc_order is None:
+            return [{0: c} if c else {} for c in self.coeffs], self.den
+        step = order // self.cyc_order
+        den = lcm(*(c.den for c in self.coeffs))
+        return [{j * step: n * (den // c.den) for j, n in c.terms.items()} for c in self.coeffs], den
+
     def _lead(self) -> int:
         """Stored leading zeros: exactly known, at most prec - 1 of them."""
         for i, c in enumerate(self.coeffs):
             if _stored_nonzero(c):
                 return i
         return len(self.coeffs) - 1
-
-    def substitute_power(self, t: int) -> "QSeries":
-        """q -> q^t: the offset and every exponent are multiplied by t."""
-        if t < 1:
-            raise ValueError("substitution power must be >= 1")
-        if t == 1:
-            return self
-        vec = [self._zero()] * (self.prec * t)
-        vec[::t] = self.coeffs
-        return QSeries(self.offset * t, vec, self.den)
 
     # -- ring operations ----------------------------------------------
 
@@ -168,15 +172,15 @@ class QSeries:
             vec += [0] * (n - len(vec))
             return QSeries(offset, vec, x.den * y.den)
         order = lcm(x.cyc_order or 1, y.cyc_order or 1)
-        xs, ys = x._cyc_coeffs(order), y._cyc_coeffs(order)
-        out = [CycNumber.zero(order)] * n
+        (xs, dx), (ys, dy) = x._cyc_numerators(order), y._cyc_numerators(order)
+        acc: list[dict[int, int]] = [{} for _ in range(n)]
         for i, xc in enumerate(xs[:n]):
-            if xc.terms:
+            if xc:
                 for j in range(min(len(ys), n - i)):
-                    yc = ys[j]
-                    if yc.terms:
-                        out[i + j] = out[i + j] + xc * yc
-        return QSeries(offset, out)
+                    if ys[j]:
+                        _mul_into(acc[i + j], xc, ys[j], order)
+        den = dx * dy
+        return QSeries(offset, [CycNumber._normal(order, a, den) for a in acc])
 
     __rmul__ = __mul__
 

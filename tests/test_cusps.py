@@ -73,6 +73,7 @@ def test_integer_coefficients_match_fraction_reference(data):
     element.k, element.level, element.coeffs = k, n, coeffs
     cusp = data.draw(st.sampled_from(cusp_reps(n)))
     order, terms = _cusp_terms(element, cusp, efgh_complete)
+    assert all(td.prefactor == Fraction(gcd(td.t, cusp.c), td.t) ** k for td in terms)
     prec = data.draw(st.integers(1, 40))
     got = list(_coefficients(terms, order, k, prec))
     assert len(got) == prec

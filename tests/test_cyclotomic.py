@@ -6,12 +6,12 @@ import cmath
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etaq.arith import factorize, lcm, totient
+from etaq.arith import factorize, totient
 from etaq.cyclotomic import CycNumber, cyclotomic_polynomial
 
 
@@ -175,27 +175,45 @@ def test_hash_agrees_with_equality():
 
 # -- differential test against the dense layout -----------------------------
 #
-# DenseCyc is the layout CycNumber replaced: one Fraction per slot of
-# the group-ring basis, with schoolbook products and reduction mod
-# Phi_L over Q.  The sparse integer layout must give the same dense
-# coordinates, the same reduced form, zero test, rational value,
-# rendering and inverse.
+# DenseCyc is a dense layout: one integer numerator per slot of the
+# group-ring basis over one common denominator, with schoolbook
+# products and long division by Phi_L in Z.  It shares no code with
+# CycNumber.  The sparse layout must give the same dense coordinates,
+# the same reduced form, zero test, rational value and rendering, and an
+# inverse that the reference confirms.
 
 
 class DenseCyc:
-    """Element of Q(zeta_order) as sum c_j * zeta_order^j, 0 <= j < order."""
+    """Element of Q(zeta_order) as (1/den) * sum nums[j] * zeta_order^j,
+    0 <= j < order, with den > 0 and gcd(den, nums) = 1."""
 
     def __init__(self, order, coeffs):
-        vec = [Fraction(0)] * order
+        vals = [Fraction(0)] * order
         items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
         for j, c in items:
-            vec[j % order] += Fraction(c)
-        self.order = order
-        self.coeffs = tuple(vec)
+            vals[j % order] += Fraction(c)
+        den = lcm(*(v.denominator for v in vals))
+        self._set(order, [v.numerator * (den // v.denominator) for v in vals], den)
+
+    def _set(self, order, nums, den):
+        g = gcd(den, *nums)
+        self.order, self.nums, self.den = order, [n // g for n in nums], den // g
+
+    @classmethod
+    def _of(cls, order, nums, den):
+        x = cls.__new__(cls)
+        x._set(order, nums, den)
+        return x
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def lift(self, new_order):
         step = new_order // self.order
-        return DenseCyc(new_order, {j * step: c for j, c in enumerate(self.coeffs) if c})
+        nums = [0] * new_order
+        nums[::step] = self.nums
+        return DenseCyc._of(new_order, nums, self.den)
 
     def _common(self, other):
         if not isinstance(other, DenseCyc):
@@ -205,12 +223,14 @@ class DenseCyc:
 
     def __add__(self, other):
         a, b = self._common(other)
-        return DenseCyc(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return DenseCyc._of(a.order, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DenseCyc(self.order, [-c for c in self.coeffs])
+        return DenseCyc._of(self.order, [-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -220,53 +240,44 @@ class DenseCyc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return DenseCyc(self.order, [c * other for c in self.coeffs])
+            v = Fraction(other)
+            return DenseCyc._of(self.order, [n * v.numerator for n in self.nums], self.den * v.denominator)
         a, b = self._common(other)
         L = a.order
-        out = [Fraction(0)] * L
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
+        out = [0] * L
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(b.nums):
+                    if y:
                         k = i + j
-                        out[k - L if k >= L else k] += ai * bj
-        return DenseCyc(L, out)
+                        out[k - L if k >= L else k] += x * y
+        return DenseCyc._of(L, out, a.den * b.den)
 
     __rmul__ = __mul__
 
-    def reduced(self):
+    def _reduced_nums(self):
         phi = cyclotomic_polynomial(self.order)
         deg = len(phi) - 1
-        rem = list(self.coeffs)
+        support = [(j, p) for j, p in enumerate(phi) if p]
+        rem = list(self.nums)
         for i in range(len(rem) - 1, deg - 1, -1):
             q = rem[i]
             if q:
-                for j in range(len(phi)):
-                    rem[i - deg + j] -= q * phi[j]
-        return tuple(rem[:deg])
+                for j, p in support:
+                    rem[i - deg + j] -= q * p
+        return rem[:deg]
+
+    def reduced(self):
+        return tuple(Fraction(n, self.den) for n in self._reduced_nums())
 
     def is_zero(self):
-        return all(c == 0 for c in self.reduced())
+        return not any(self._reduced_nums())
 
     def rational_value(self):
-        red = self.reduced()
-        if all(c == 0 for c in red[1:]):
-            return red[0]
-        return None
-
-    def inverse(self):
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.reduced())
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        g = _trim(r0)
-        return DenseCyc(self.order, [c / g[0] for c in s0])
+        red = self._reduced_nums()
+        if any(red[1:]):
+            return None
+        return Fraction(red[0], self.den)
 
     def render(self):
         parts = []
@@ -286,44 +297,14 @@ class DenseCyc:
         return " ".join(parts) if parts else "0"
 
 
-def _trim(p):
-    n = len(p)
-    while n > 1 and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
-
-def _qpoly_divmod(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i] / b[-1]
-        q[i - (len(b) - 1)] = c
-        if c:
-            for j in range(len(b)):
-                a[i - (len(b) - 1) + j] -= c * b[j]
-    return q, _trim(a)
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _qpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 ORDERS = (1, 2, 12, 15, 27, 32, 49, 125)
+
+
+def _slot_rational(v: int) -> Fraction:
+    """v = 12q + r in [0, 972) as (-1)^q * ceil(q/2) / (r + 1): numerators
+    -40..40, denominators 1..12, and v = 0 (where shrinking goes) is 0."""
+    q, r = divmod(v, 12)
+    return Fraction((-1) ** q * ((q + 1) // 2), r + 1)
 
 
 @st.composite
@@ -334,8 +315,9 @@ def coefficient_data(draw, order):
     that zero and rational elements occur with nontrivial representatives."""
     dense = draw(st.booleans())
     if dense:
-        rat = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
-        data = dict(enumerate(draw(st.lists(rat, min_size=order, max_size=order))))
+        # one draw per slot rather than one per numerator and denominator
+        slots = draw(st.lists(st.integers(0, 81 * 12 - 1), min_size=order, max_size=order))
+        data = dict(enumerate(map(_slot_rational, slots)))
     else:
         rat = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6))
         data = {}
@@ -354,16 +336,19 @@ def coefficient_data(draw, order):
 def _assert_same(new, ref):
     assert isinstance(new, CycNumber)
     assert new.order == ref.order
-    assert new.coeffs == ref.coeffs
     # the stored form: nonzero integer numerators over a positive den
-    # that shares no factor with all of them
+    # that shares no factor with all of them, equal to the reference's
+    # dense numerators in lowest terms
     assert new.den >= 1
     assert all(0 <= j < new.order and isinstance(n, int) and n for j, n in new.terms.items())
     assert gcd(new.den, *new.terms.values()) == 1
-    assert len({id(c) for c in new.coeffs if not c}) <= 1
+    assert (new.den, [new.terms.get(j, 0) for j in range(new.order)]) == (ref.den, ref.nums)
 
 
 def _assert_same_value(new, ref):
+    coeffs = new.coeffs
+    assert coeffs == ref.coeffs
+    assert len({id(c) for c in coeffs if not c}) <= 1
     assert new.reduced() == ref.reduced()
     assert new.is_zero() == ref.is_zero()
     assert new.rational_value() == ref.rational_value()
@@ -405,6 +390,10 @@ def test_matches_dense_reference(data):
         with pytest.raises(ZeroDivisionError):
             a.inverse()
     elif totient(oa) <= 20:
-        # the reference's extended Euclid over Q takes seconds per
-        # element once phi(L) reaches 42 (L = 49); the norm inverse does not
-        _assert_same(a.inverse(), A.inverse())
+        # the inverse reduced mod Phi_L (degree < phi(L)) is unique, so the
+        # reference pins it by its degree and by A * inverse = 1
+        inv = a.inverse()
+        Inv = DenseCyc(oa, {j: Fraction(n, inv.den) for j, n in inv.terms.items()})
+        _assert_same(inv, Inv)
+        assert all(j < totient(oa) for j in inv.terms)
+        assert (A * Inv - 1).is_zero()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etaq.arith import bernoulli, divisors, sigma_range
-from etaq.cusps import cusp_reps, expansion_at_cusp
+from etaq.cusps import Cusp, cusp_reps, expansion_at_cusp
 from etaq.cyclotomic import CycNumber
 from etaq.eisenstein import EisensteinElement, eisenstein_series
 from etaq.eta import EtaQuotient
@@ -44,6 +44,17 @@ def eta_series(nterms: int) -> QSeries:
                 vec[n] = -1 if kk % 2 else 1
         k += 1
     return QSeries(1, vec)
+
+
+def substitute_power(x: QSeries, t: int) -> QSeries:
+    """q -> q^t: the offset and every exponent are multiplied by t.
+    Nothing in the library needs it; the tests build E_k(tz) and
+    rescaled eta expansions with it."""
+    if t < 1:
+        raise ValueError("substitution power must be >= 1")
+    vec = [x._zero()] * (x.prec * t)
+    vec[::t] = x.coeffs
+    return QSeries(x.offset * t, vec, x.den)
 
 
 def series(offset: int, values) -> QSeries:
@@ -270,7 +281,7 @@ def test_division_by_scalars():
 
 def test_substitute_power():
     x = QSeries(24, [1, 2] + [0] * 5)  # q + 2q^2 + O(q^8)
-    s = x.substitute_power(3)
+    s = substitute_power(x, 3)
     assert s.offset == 72 and s.coeff(0) == 1 and s.coeff(3) == 2 and s.prec == 21
 
 
@@ -288,6 +299,22 @@ def test_constructor_normal_form():
     assert (x.coeffs, x.den) == ((3, -2, 0), 4)
     with pytest.raises(SeriesDomainError):
         QSeries(0, [])
+
+
+@pytest.mark.parametrize(
+    "coeffs, den",
+    [
+        ([1, CycNumber.root_of_unity(4)], 1),
+        ([CycNumber.root_of_unity(4), 1], 1),
+        ([CycNumber.root_of_unity(4), CycNumber.root_of_unity(3)], 1),
+        ([CycNumber.root_of_unity(4)], 2),
+    ],
+)
+def test_constructor_rejects_mixed_coefficients(coeffs, den):
+    # a series is rational (ints over den) or cyclotomic (CycNumbers of
+    # one order over 1), never a mixture
+    with pytest.raises(ValueError, match="one order and denominator 1"):
+        QSeries(0, coeffs, den)
 
 
 def test_truncate_and_coeff_bounds():
@@ -343,9 +370,9 @@ def test_eisenstein_expansions_match_reference(seed):
     k = rng.choice([2, 4, 6, 10])
     table = sigma_range(k - 1, prec - 1)
     e_old = OldQSeries(1, 0, [Fraction(-bernoulli(k), 2 * k)] + table[1:prec], prec)
-    assert_matches_reference(eisenstein_series(k, prec).substitute_power(t), e_old.substitute_power(t))
+    assert_matches_reference(substitute_power(eisenstein_series(k, prec), t), e_old.substitute_power(t))
     old = old_eisenstein_expansion(element, prec)
-    assert_matches_reference(new.substitute_power(t), old.substitute_power(t))
+    assert_matches_reference(substitute_power(new, t), old.substitute_power(t))
 
 
 def random_operand(rng, residue: int) -> QSeries:
@@ -433,3 +460,101 @@ def test_cusp_series_chains_match_reference(seed):
     for new, old in ((x * y, xo * yo), (x + y, xo + yo), (x.ramanujan_d(), xo.ramanujan_d()),
                      (x * Fraction(3, 7), xo * Fraction(3, 7)), (x * x * y, xo * xo * yo)):
         assert_matches_reference(new, old, var="w")
+
+
+# ---------------------------------------------------------------------------
+# differential test of the cyclotomic product against the schoolbook loop
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_cyc_product(x: QSeries, y: QSeries) -> QSeries:
+    """The former cyclotomic branch of QSeries.__mul__: one CycNumber
+    product and one CycNumber sum, each normalised, per pair of terms."""
+    n = min(x.prec + y._lead(), y.prec + x._lead())
+    order = lcm(x.cyc_order or 1, y.cyc_order or 1)
+    xs, ys = x._cyc_coeffs(order), y._cyc_coeffs(order)
+    out = [CycNumber.zero(order)] * n
+    for i, xc in enumerate(xs[:n]):
+        if xc.terms:
+            for j in range(min(len(ys), n - i)):
+                yc = ys[j]
+                if yc.terms:
+                    out[i + j] = out[i + j] + xc * yc
+    return QSeries(x.offset + y.offset, out)
+
+
+def assert_same_representatives(new: QSeries, ref: QSeries):
+    assert (new.offset, new.prec, new.den, new.cyc_order) == (ref.offset, ref.prec, ref.den, ref.cyc_order)
+    for a, b in zip(new.coeffs, ref.coeffs):
+        assert (a.order, a.terms, a.den) == (b.order, b.terms, b.den)
+
+
+def random_cusp_series(rng, lead: int = 0) -> QSeries:
+    """A cusp expansion (some elements vanish there), or a hand-made
+    cyclotomic series with per-step denominators; lead stored zeros
+    are put in front."""
+    if rng.random() < 0.6:
+        level = rng.choice([4, 8, 9, 16, 25, 27, 32, 49])
+        cusp = rng.choice(cusp_reps(level))
+        k = rng.choice([4, 6, 8])
+        coeffs = {t: rng.randint(-3, 3) for t in divisors(level)}
+        if rng.random() < 0.3:
+            coeffs = {t: 1 for t in divisors(level) if t > 1}
+        vec = list(expansion_at_cusp(EisensteinElement(k, level, coeffs), cusp, rng.randint(1, 12)).series.coeffs)
+    else:
+        order = rng.choice([1, 2, 3, 4, 8, 9, 12, 25, 27])
+        vec = []
+        for _ in range(rng.randint(1, 10)):
+            terms = {rng.randint(0, 2 * order): Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                     for _ in range(rng.randint(0, 3))}
+            vec.append(CycNumber(order, terms))
+    zero = CycNumber.zero(vec[0].order)
+    return QSeries(0, [zero] * lead + vec)
+
+
+def random_rational_series(rng, lead: int = 0) -> QSeries:
+    """Rational coefficients over a common denominator, usually above 1."""
+    values = [0] * lead + [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(rng.randint(1, 10))]
+    return series(24 * rng.randint(-2, 2), values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cyclotomic_product_matches_schoolbook(seed):
+    # products of cusp series of different cyclotomic orders (one side is
+    # lifted), rational series with den > 1 times cyclotomic ones, and
+    # operands with stored leading zeros, whose _lead() sets the product's
+    # precision: the same offset, prec and (order, terms, den) at every step
+    rng = random.Random(seed)
+    leads = [rng.choice([0, 0, 1, 3]) for _ in range(2)]
+    x = random_cusp_series(rng, leads[0])
+    y = random_cusp_series(rng, leads[1]) if rng.random() < 0.6 else random_rational_series(rng, leads[1])
+    for a, b in ((x, y), (y, x)):
+        assert_same_representatives(a * b, schoolbook_cyc_product(a, b))
+
+
+def test_cyclotomic_product_cases():
+    # each case the hypothesis test draws, pinned once
+    level = 27
+    f = EisensteinElement(4, level, {1: 2, 3: -1, 27: 5})
+    by_order = {}
+    for cusp in cusp_reps(level):
+        s = expansion_at_cusp(f, cusp, 8).series
+        by_order.setdefault(s.cyc_order, s)
+    assert {27, 9, 1} <= set(by_order)
+    x, y = by_order[27], by_order[9]
+    assert_same_representatives(x * y, schoolbook_cyc_product(x, y))
+    assert (x * y).cyc_order == 27
+
+    r = series(24, [Fraction(1, 6), Fraction(-5, 4), 3])
+    assert r.den == 12
+    assert_same_representatives(r * x, schoolbook_cyc_product(r, x))
+    assert_same_representatives(x * r, schoolbook_cyc_product(x, r))
+
+    # E_4(z) - E_4(9z) vanishes at the cusp 1/9: a stored leading zero
+    z = expansion_at_cusp(EisensteinElement(4, 9, {1: 1, 9: -1}), Cusp(1, 9, 9), 6).series
+    assert z._lead() == 1
+    w = QSeries(0, [CycNumber.zero(4), CycNumber.zero(4), CycNumber(4, {1: Fraction(2, 3)}), CycNumber(4, {3: 5})])
+    prod = z * w
+    assert prod.prec == min(z.prec + w._lead(), w.prec + z._lead()) > min(z.prec, w.prec)
+    assert_same_representatives(prod, schoolbook_cyc_product(z, w))
