@@ -21,10 +21,11 @@ __all__ = [
     "sigma_range",
     "divisors",
     "totient",
+    "gamma0_index",
+    "denominator_multiplicity",
     "factorize",
     "prime_power",
     "xgcd",
-    "lcm",
     "SL2Matrix",
     "sl2_complete",
     "efgh_complete",
@@ -117,8 +118,19 @@ def totient(n: int) -> int:
     return out
 
 
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else 0
+def gamma0_index(n: int) -> int:
+    """mu = [SL2(Z) : Gamma0(n)] = n * prod_{p | n} (1 + 1/p)."""
+    mu = n
+    for p in factorize(n):
+        mu += mu // p
+    return mu
+
+
+def denominator_multiplicity(level: int, c: int) -> int:
+    """Number of inequivalent cusps of Gamma0(level) with denominator c."""
+    if level % c:
+        raise ValueError(f"{c} does not divide {level}")
+    return totient(gcd(c, level // c))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

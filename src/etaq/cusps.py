@@ -13,7 +13,13 @@ and omega_t a root of unity of order t/gcd(t,c) built from the chosen
 completions.  Coefficients therefore live in Q(zeta_L) with L the lcm
 of the t/gcd(t,c); vanishing is decided by the exact cyclotomic zero
 test, and the computed order of vanishing must be independent of every
-completion choice (only omega_t changes).
+completion choice (only omega_t changes).  Each term is held as the
+integers step_t, w_t (omega_t = zeta_L^w_t) and the numerator of
+r_t (gcd(t,c)/t)^k over one denominator shared by all terms.
+
+arith.denominator_multiplicity(N, c) counts the cusps with denominator
+c; their widths sum to arith.gamma0_index(N).  On elements matched to
+eta quotients, orders agree with the closed form EtaQuotient.order_map24.
 
 For weight 2 the non-holomorphic correction of E_2 under slashing
 cancels across the sum because elements satisfy sum_t r_t/t = 0; it is
@@ -30,12 +36,12 @@ from typing import Callable, Iterator
 
 from .arith import (
     SL2Matrix,
+    denominator_multiplicity,
     divisors,
     efgh_complete,
     prime_power,
     sigma_range,
     sl2_complete,
-    totient,
 )
 from .cyclotomic import CycNumber
 from .eisenstein import EisensteinElement, MembershipTag, _constant, sturm_bound
@@ -45,7 +51,6 @@ __all__ = [
     "Cusp",
     "cusp_reps",
     "cusp_count",
-    "denominator_multiplicity",
     "CuspExpansion",
     "expansion_at_cusp",
     "order_at_cusp",
@@ -55,6 +60,7 @@ __all__ = [
 ]
 
 EfghChooser = Callable[[int, int, int], tuple[int, int, int, int]]
+Term = tuple[int, int, int]  # (step_t, w_t, W_t), see _cusp_terms
 
 
 @dataclass(frozen=True)
@@ -96,13 +102,6 @@ class Cusp:
         return f"Cusp({self.label()} on Gamma0({self.level}))"
 
 
-def denominator_multiplicity(level: int, c: int) -> int:
-    """Number of inequivalent cusps of Gamma0(level) with denominator c."""
-    if level % c:
-        raise ValueError(f"{c} does not divide {level}")
-    return totient(gcd(c, level // c))
-
-
 def cusp_count(level: int) -> int:
     return sum(denominator_multiplicity(level, c) for c in divisors(level))
 
@@ -133,59 +132,40 @@ def cusp_reps(level: int) -> list[Cusp]:
 
 
 @dataclass(frozen=True)
-class _TermData:
-    t: int
-    r: Fraction
-    step: int
-    prefactor: Fraction  # (gcd(t,c)/t)^k = 1/t'^k, t' = t/gcd(t,c)
-    omega_exp: int  # omega_t = zeta_L^omega_exp
-
-
-@dataclass(frozen=True)
 class CuspExpansion:
     cusp: Cusp
     weight: int
     cyc_order: int
     series: QSeries  # offset 0, whole steps of the local variable q_{c,N}
-    terms: tuple[_TermData, ...]
-
-    def order(self) -> int:
-        v = self.series.valuation()
-        if v is None:
-            raise SeriesDomainError(
-                "precision-exhausted", f"no nonzero coefficient below {self.series.prec}"
-            )
-        return v
 
     def leading_coefficient(self) -> CycNumber:
         _, c = self.series.leading()
         return c  # type: ignore[return-value]
 
 
-def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[int, list[_TermData]]:
+def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[int, int, list[Term]]:
+    """(L, D, terms) with one term (step_t, w_t, W_t) per t: the exponent
+    step, omega_t = zeta_L^w_t, and P_t = r_t (gcd(t,c)/t)^k = W_t / D
+    over the one denominator D, the lcm of the P_t denominators."""
     if cusp.level != f.level:
         raise ValueError(f"cusp lives on Gamma0({cusp.level}) but element on Gamma0({f.level})")
     n, c, k = f.level, cusp.c, f.k
     d = cusp.completion.d
-    order = 1
-    for t in divisors(n):
-        order = lcm(order, t // gcd(t, c))
-    terms: list[_TermData] = []
+    order = lcm(*(t // gcd(t, c) for t in divisors(n)))
+    raw = []
     for t, r in f.coeffs.items():
         g0 = gcd(t, c)
         tprime = t // g0
-        num = g0 * g0 * n
-        den = t * gcd(c * c, n)
-        assert num % den == 0, "cusp exponent lattice must be integral for t, c | N"
-        step = num // den
+        step, rem = divmod(g0 * g0 * n, t * gcd(c * c, n))
+        assert not rem, "cusp exponent lattice must be integral for t, c | N"
         if tprime == 1:
             w = 0
         else:
             _, fv, _, _ = efgh(t, cusp.a, c)
-            w = (-d * fv) % tprime  # omega_t = zeta_{t'}^(-d f)
-            w *= order // tprime
-        terms.append(_TermData(t, r, step, Fraction(1, tprime**k), w))
-    return order, terms
+            w = (-d * fv) % tprime * (order // tprime)  # omega_t = zeta_{t'}^(-d f)
+        raw.append((step, w, Fraction(r, tprime**k)))
+    den = lcm(*(p.denominator for _, _, p in raw))
+    return order, den, [(step, w, p.numerator * (den // p.denominator)) for step, w, p in raw]
 
 
 # order_at_cusp usually stops within a step or two of a table sized for
@@ -193,31 +173,26 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[in
 _sigma_table = lru_cache(maxsize=64)(sigma_range)
 
 
-def _coefficients(terms: list[_TermData], order: int, k: int, prec: int) -> Iterator[CycNumber]:
+def _coefficients(order: int, den: int, terms: list[Term], k: int, prec: int) -> Iterator[CycNumber]:
     """Cusp coefficients of q_{c,N}^e for e = 0, 1, ..., prec - 1.
 
     Term t contributes P_t * const at n = 0 and P_t * sigma_{k-1}(n) at
-    n = e/step_t >= 1, with P_t = r_t (gcd(t,c)/t)^k and const = -B_k/2k.
-    Over den = L * den(const), L the lcm of the P_t denominators, those
-    are the integers (L P_t) num(const) and (L P_t) den(const) sigma(n),
+    n = e/step_t >= 1, with const = -B_k/2k.  Over den * den(const)
+    those are the integers W_t num(const) and W_t den(const) sigma(n),
     read from one sigma table.
     """
     const = _constant(k)
-    ps = [td.r * td.prefactor for td in terms]
-    lden = lcm(*(p.denominator for p in ps))
-    weights = [(td, p.numerator * (lden // p.denominator)) for td, p in zip(terms, ps)]
-    den = lden * const.denominator
     table = _sigma_table(k - 1, prec - 1)
     for e in range(prec):
         acc: dict[int, int] = {}
-        for td, w in weights:
-            if e % td.step:
+        for step, w, num in terms:
+            if e % step:
                 continue
-            n = e // td.step
-            val = w * const.numerator if n == 0 else w * const.denominator * table[n]
-            j = (n * td.omega_exp) % order
+            n = e // step
+            val = num * const.numerator if n == 0 else num * const.denominator * table[n]
+            j = n * w % order
             acc[j] = acc.get(j, 0) + val
-        yield CycNumber._normal(order, acc, den)
+        yield CycNumber._normal(order, acc, den * const.denominator)
 
 
 def expansion_at_cusp(
@@ -229,9 +204,8 @@ def expansion_at_cusp(
     """Expansion of (cz+d)^(-k) f(Mz) in q_{c,N} below exponent prec."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    order, terms = _cusp_terms(f, cusp, efgh)
-    series = QSeries(0, _coefficients(terms, order, f.k, prec))
-    return CuspExpansion(cusp, f.k, order, series, tuple(terms))
+    order, den, terms = _cusp_terms(f, cusp, efgh)
+    return CuspExpansion(cusp, f.k, order, QSeries(0, _coefficients(order, den, terms, f.k, prec)))
 
 
 def _default_order_prec(f: EisensteinElement) -> int:
@@ -256,8 +230,8 @@ def order_at_cusp(
         raise ValueError("order of the zero element is undefined")
     if prec is None:
         prec = _default_order_prec(f)
-    order, terms = _cusp_terms(f, cusp, efgh)
-    for e, coeff in enumerate(_coefficients(terms, order, f.k, prec)):
+    order, den, terms = _cusp_terms(f, cusp, efgh)
+    for e, coeff in enumerate(_coefficients(order, den, terms, f.k, prec)):
         if not coeff.is_zero():
             return e
     raise SeriesDomainError("precision-exhausted", f"no nonzero coefficient below {prec}")

@@ -24,10 +24,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from collections.abc import Iterable, Mapping
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
-from .arith import divisors, factorize, lcm, totient
+from .arith import divisors, factorize, totient
 
 __all__ = ["CycNumber", "cyclotomic_polynomial"]
 

@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .arith import bernoulli, divisors, factorize, prime_power, sigma_range
+from .arith import bernoulli, divisors, gamma0_index, prime_power, sigma_range
 from .eta import EtaQuotient
 from .series import QSeries
 
@@ -220,16 +220,13 @@ def sturm_bound(k: int, n: int) -> int:
     """floor(k * mu / 12) with mu = [SL2(Z) : Gamma0(n)]; coefficient
     agreement of two weight-k forms on Gamma0(n) through this index
     proves equality."""
-    mu = n
-    for p in factorize(n):
-        mu += mu // p
-    return (k * mu) // 12
+    return (k * gamma0_index(n)) // 12
 
 
 def match_certification_rows(k: int, n: int, margin: int = 2) -> int:
     """Last q-exponent match_eta compares: at least twice the Sturm
-    bound, and enough rows to pin every divisor coefficient."""
-    return max(2 * sturm_bound(k, n) + margin, n + 1, len(divisors(n)) + 1)
+    bound, and the rows q^t for every t | n."""
+    return max(2 * sturm_bound(k, n) + margin, n + 1)
 
 
 def match_eta(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:

@@ -9,7 +9,9 @@ quotients and their rescalings live inside a bigger level's space.
 Orders of vanishing at cusps depend only on the cusp denominator c and
 are reported in the width-normalized local variable (period N/gcd(c^2,N)),
 the normalization under which the orders of a weight-k holomorphic
-quotient of prime-power level p^m sum to (k/12)(p^m + p^(m-1)).
+quotient of prime-power level p^m, counted with denominator multiplicity,
+sum to (k/12) mu with mu = gamma0_index(p^m) = p^m + p^(m-1).  order_map24
+is the one place those orders are computed.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .arith import divisors, lcm, prime_power, sigma_range, totient
+from .arith import denominator_multiplicity, divisors, prime_power, sigma_range
 from .series import QSeries, SeriesDomainError
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
@@ -132,35 +134,32 @@ class EtaQuotient:
 
     # -- orders at cusps ----------------------------------------------------
 
+    def order_map24(self) -> dict[int, int]:
+        """24 times the width-normalized order at each cusp a/c, by c | N:
+        sum_t r_t gcd(c, t)^2 (N/t) / gcd(c^2, N), every term an integer."""
+        n = self.level
+        return {
+            c: sum(r * (gcd(c, t) ** 2 * (n // t) // gcd(c * c, n))
+                   for t, r in self.exponents.items())
+            for c in divisors(n)
+        }
+
     def order_at_denominator(self, c: int) -> Fraction:
-        """Order of vanishing at any cusp a/c, width-normalized.
-
-        v = (N / (24 gcd(c^2, N))) * sum_t gcd(c, t)^2 r_t / t; for eta
-        quotients the numerator a never enters.  Every N/t is an integer,
-        so v is the integer sum_t gcd(c, t)^2 r_t (N/t) over 24 gcd(c^2, N).
-        """
-        n = self.level
-        if c < 1 or n % c:
-            raise ValueError(f"cusp denominator {c} must divide level {n}")
-        return Fraction(self._order_numerator(c), 24 * gcd(c * c, n))
-
-    def _order_numerator(self, c: int) -> int:
-        n = self.level
-        return sum(gcd(c, t) ** 2 * r * (n // t) for t, r in self.exponents.items())
+        """Order of vanishing at any cusp a/c, width-normalized."""
+        if c < 1 or self.level % c:
+            raise ValueError(f"cusp denominator {c} must divide level {self.level}")
+        return Fraction(self.order_map24()[c], 24)
 
     def order_map(self) -> dict[int, Fraction]:
-        return {c: self.order_at_denominator(c) for c in divisors(self.level)}
+        return {c: Fraction(v, 24) for c, v in self.order_map24().items()}
 
     def total_cusp_order(self) -> Fraction:
         """Sum of cusp orders with denominator multiplicity; prime-power level."""
-        pp = prime_power(self.level)
-        if pp is None:
-            raise ValueError(f"level {self.level} is not a prime power")
-        total = Fraction(0)
-        for c in divisors(self.level):
-            mult = totient(gcd(c, self.level // c))
-            total += mult * self.order_at_denominator(c)
-        return total
+        n = self.level
+        if prime_power(n) is None:
+            raise ValueError(f"level {n} is not a prime power")
+        orders = self.order_map24()
+        return Fraction(sum(denominator_multiplicity(n, c) * v for c, v in orders.items()), 24)
 
     # -- modularity ----------------------------------------------------------
 
@@ -182,10 +181,9 @@ class EtaQuotient:
         )
 
     def is_modular(self) -> bool:
-        """is_modular_on_gamma0().is_modular with no Fraction: each cusp
-        order has the sign of its integer numerator."""
+        """is_modular_on_gamma0().is_modular with no Fraction."""
         return all(ok for _, ok in self._conditions()) and all(
-            self._order_numerator(c) >= 0 for c in divisors(self.level)
+            v >= 0 for v in self.order_map24().values()
         )
 
     def is_modular_on_gamma0(self) -> ModularityReport:

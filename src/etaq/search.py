@@ -3,16 +3,18 @@
 The enumeration of all eta quotients lying in the weight-k Eisenstein
 span works backwards from cusp orders.  The orders of an integer
 exponent vector r, in 1/24 units and one per cusp denominator p^i, are
-the vector B r with B = 24 * order_matrix(p, m), an integer matrix; so
-the order vectors of eta quotients are exactly the lattice B Z^(m+1).
-A lower-triangular (Hermite normal form) basis H = B U of that lattice,
-with U unimodular, lets the search walk the lattice one coordinate at a
-time: coordinate i of H y depends only on y_0..y_i, so each y_i runs
-over an arithmetic progression inside the per-cusp cap (1 per cusp, 2 at
-the denominator-2 cusp of level 4, the one exception the order bound
-allows) and what is left of the multiplicity-weighted total, the valence
-value (k/12)(p^m + p^(m-1)).  Every lattice point maps to the integer
-exponent vector U y; those passing the modularity criteria are then
+the vector B r, where column j of the integer matrix B is the order map
+EtaQuotient.order_map24 of eta(p^j z); so the order vectors of eta
+quotients are exactly the lattice B Z^(m+1).  A lower-triangular
+(Hermite normal form) basis H = B U of that lattice, with U unimodular,
+lets the search walk the lattice one coordinate at a time: coordinate i
+of H y depends only on y_0..y_i, so each y_i runs over an arithmetic
+progression inside the per-cusp cap (1 per cusp, 2 at the denominator-2
+cusp of level 4, the one exception the order bound allows) and what is
+left of the multiplicity-weighted total, the valence value (k/12) mu
+with mu = gamma0_index(p^m), which is 2 k mu in 1/24 units.  Every
+lattice point maps to the integer exponent vector U y, of weight k by
+the valence identity; those passing the modularity criteria are then
 certified against an Eisenstein combination coefficient-by-coefficient.
 The per-cusp caps are what make the walk finite, so the search is
 complete for elements with nonzero r_1 and r_{p^m}.
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .arith import lcm, xgcd
-from .cusps import denominator_multiplicity, per_cusp_cap
+from .arith import denominator_multiplicity, gamma0_index, xgcd
+from .cusps import per_cusp_cap
 from .eisenstein import (
     EisensteinElement,
     MembershipTag,
@@ -43,7 +45,6 @@ from .eisenstein import (
 from .eta import EtaQuotient
 
 __all__ = [
-    "order_matrix",
     "SearchPair",
     "SearchResult",
     "enumerate_eta_in_e",
@@ -56,19 +57,6 @@ __all__ = [
     "SecondDerivSolution",
     "classify_second_derivatives_level4",
 ]
-
-
-def order_matrix(p: int, m: int) -> list[list[Fraction]]:
-    """Linear map from eta exponents (r_{p^j})_j to width-normalized cusp
-    orders (v at denominator p^i)_i; entry (i, j) is the order of
-    eta(p^j z) at denominator p^i on Gamma0(p^m)."""
-    n = p**m
-    rows = []
-    for i in range(m + 1):
-        c = p**i
-        pref = Fraction(n, 24 * gcd(c * c, n))
-        rows.append([pref * Fraction(gcd(c, p**j) ** 2, p**j) for j in range(m + 1)])
-    return rows
 
 
 @dataclass(frozen=True)
@@ -137,6 +125,12 @@ def _lower_hnf(b: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return h, u
 
 
+def _order_matrix24(p: int, m: int) -> list[list[int]]:
+    """Column j is EtaQuotient.order_map24 of eta(p^j z) on Gamma0(p^m)."""
+    cols = [EtaQuotient(p**m, {p**j: 1}).order_map24() for j in range(m + 1)]
+    return [[col[p**i] for col in cols] for i in range(m + 1)]
+
+
 def _integral_exponents(k: int, p: int, m: int):
     """Yield, in lexicographic order of their cusp-order vectors, the
     integer exponent vectors (r_{p^j})_j whose orders (in 1/24 units)
@@ -145,12 +139,12 @@ def _integral_exponents(k: int, p: int, m: int):
     n = p**m
     mult = [denominator_multiplicity(n, p**i) for i in range(m + 1)]
     caps = [24 * per_cusp_cap(n, p**i) for i in range(m + 1)]
-    target = 2 * k * (n + n // p) if m >= 1 else 2 * k
+    target = 2 * k * gamma0_index(n)  # 24 (k/12) mu
     suffix = [0] * (m + 2)
     for i in range(m, -1, -1):
         suffix[i] = suffix[i + 1] + mult[i] * caps[i]
 
-    h, u = _lower_hnf([[int(24 * x) for x in row] for row in order_matrix(p, m)])
+    h, u = _lower_hnf(_order_matrix24(p, m))
     y = [0] * (m + 1)
 
     def walk(i: int, remaining: int):
@@ -185,8 +179,6 @@ def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     scanned = 0
     for r in _integral_exponents(k, p, m):
         scanned += 1
-        if sum(r) != 2 * k:  # the weight is sum_t r_t / 2
-            continue
         quotient = EtaQuotient(n, {p**j: rj for j, rj in enumerate(r)})
         if not quotient.is_modular():
             continue

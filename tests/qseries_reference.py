@@ -27,10 +27,9 @@ coefficient arrays through ``etaq.kernels``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
-from etaq.arith import lcm
 from etaq.cyclotomic import CycNumber
 from etaq.kernels import conv_trunc
 

@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 from etaq.arith import (
     SL2Matrix,
     bernoulli,
+    denominator_multiplicity,
     divisors,
     efgh_complete,
     factorize,
+    gamma0_index,
     prime_power,
     sigma,
     sigma_range,
@@ -86,6 +88,25 @@ def test_divisors_and_factorize():
 
 def test_totient():
     assert [totient(n) for n in (1, 2, 4, 9, 16, 12)] == [1, 1, 2, 6, 8, 4]
+
+
+def test_gamma0_index_counts_projective_line():
+    # [SL2(Z) : Gamma0(N)] = |P^1(Z/N)|: pairs (c, d) mod N with
+    # gcd(c, d, N) = 1, up to the phi(N) units
+    assert [gamma0_index(n) for n in (1, 2, 3, 4, 6, 12, 16, 27)] == [1, 3, 4, 6, 12, 24, 24, 36]
+    for n in range(1, 61):
+        pairs = sum(1 for c in range(n) for d in range(n) if gcd(gcd(c, d), n) == 1)
+        assert gamma0_index(n) * totient(n) == pairs, n
+
+
+def test_gamma0_index_is_the_sum_of_cusp_widths():
+    # mu(N) = sum_{c | N} phi(gcd(c, N/c)) N / gcd(c^2, N): the cusps with
+    # denominator c, each of width N / gcd(c^2, N), tile the index
+    for n in range(1, 2001):
+        widths = sum(denominator_multiplicity(n, c) * n // gcd(c * c, n) for c in divisors(n))
+        assert gamma0_index(n) == widths, n
+    with pytest.raises(ValueError):
+        denominator_multiplicity(12, 5)
 
 
 @given(st.integers(-500, 500), st.integers(-500, 500))

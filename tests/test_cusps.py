@@ -16,7 +16,15 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from etaq.arith import SL2Matrix, bernoulli, divisors, efgh_complete, sigma, sl2_complete
+from etaq.arith import (
+    SL2Matrix,
+    bernoulli,
+    denominator_multiplicity,
+    divisors,
+    efgh_complete,
+    sigma,
+    sl2_complete,
+)
 from etaq.cusps import (
     Cusp,
     _coefficients,
@@ -24,7 +32,6 @@ from etaq.cusps import (
     check_order_bound,
     cusp_count,
     cusp_reps,
-    denominator_multiplicity,
     expansion_at_cusp,
     order_at_cusp,
     order_sum_bound,
@@ -36,24 +43,28 @@ from etaq.linalg import rref
 from etaq.series import SeriesDomainError
 
 
-def coefficient_reference(terms, order: int, k: int, e: int) -> CycNumber:
-    """The former cusps._coefficient: one Fraction per term, sigma by
-    factorisation, turned into integers by the CycNumber constructor."""
+def coefficient_reference(f, cusp, order: int, terms, e: int) -> CycNumber:
+    """The former cusps._coefficient: one Fraction r_t (gcd(t,c)/t)^k per
+    term, read from the element, sigma by factorisation, turned into
+    integers by the CycNumber constructor.  Only the exponent steps and
+    the roots of unity come from _cusp_terms."""
+    k = f.k
     acc: dict[int, Fraction] = {}
     const = Fraction(-bernoulli(k), 2 * k)
-    for td in terms:
-        if e % td.step:
+    for (t, r), (step, w, _) in zip(f.coeffs.items(), terms, strict=True):
+        if e % step:
             continue
-        n = e // td.step
-        val = td.r * td.prefactor * (const if n == 0 else sigma(k - 1, n))
-        j = (n * td.omega_exp) % order
+        n = e // step
+        val = r * Fraction(gcd(t, cusp.c), t) ** k * (const if n == 0 else sigma(k - 1, n))
+        j = (n * w) % order
         acc[j] = acc.get(j, Fraction(0)) + val
     return CycNumber(order, acc)
 
 
-def cusp_coefficient(terms, order: int, k: int, e: int) -> CycNumber:
+def cusp_coefficient(f, cusp, e: int) -> CycNumber:
     """Coefficient of q_{c,N}^e, from the integer generator."""
-    return list(_coefficients(terms, order, k, e + 1))[e]
+    order, den, terms = _cusp_terms(f, cusp, efgh_complete)
+    return list(_coefficients(order, den, terms, f.k, e + 1))[e]
 
 
 @settings(max_examples=120, deadline=None)
@@ -72,14 +83,20 @@ def test_integer_coefficients_match_fraction_reference(data):
     element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
     element.k, element.level, element.coeffs = k, n, coeffs
     cusp = data.draw(st.sampled_from(cusp_reps(n)))
-    order, terms = _cusp_terms(element, cusp, efgh_complete)
-    assert all(td.prefactor == Fraction(gcd(td.t, cusp.c), td.t) ** k for td in terms)
+    order, den, terms = _cusp_terms(element, cusp, efgh_complete)
+    c = cusp.c
+    assert [step for step, _, _ in terms] == [
+        gcd(t, c) ** 2 * n // (t * gcd(c * c, n)) for t in coeffs
+    ]
+    assert [Fraction(num, den) for _, _, num in terms] == [
+        r * Fraction(gcd(t, c), t) ** k for t, r in coeffs.items()
+    ]
     prec = data.draw(st.integers(1, 40))
-    got = list(_coefficients(terms, order, k, prec))
+    got = list(_coefficients(order, den, terms, k, prec))
     assert len(got) == prec
-    for e, c in enumerate(got):
-        want = coefficient_reference(terms, order, k, e)
-        assert (c.order, c.terms, c.den) == (want.order, want.terms, want.den), (e, cusp)
+    for e, coeff in enumerate(got):
+        want = coefficient_reference(element, cusp, order, terms, e)
+        assert (coeff.order, coeff.terms, coeff.den) == (want.order, want.terms, want.den), (e, cusp)
 
 
 def nullspace(a) -> list[list[Fraction]]:
@@ -164,8 +181,6 @@ def test_expansion_at_cusp_t_divides_c():
     el = EisensteinElement(4, 4, {2: 1})
     cusp = Cusp(1, 4, 4)
     exp = expansion_at_cusp(el, cusp, 6)
-    for td in exp.terms:
-        assert td.omega_exp == 0
     for e in range(6):
         assert exp.series.coeff(e).rational_value() is not None
 
@@ -313,8 +328,6 @@ def test_level4_triple_vanishing_at_half_cusp_forces_zero():
     # at level 4, forcing the first three coefficients at cusp 1/2 to
     # vanish admits only the zero element (for any even weight), which
     # is why the denominator-2 cusp carries the cap 2 instead of 1
-    from etaq.cusps import _cusp_terms
-
     for k in (2, 4, 6, 8):
         cusp = Cusp(1, 2, 4)
         rows = []
@@ -323,8 +336,7 @@ def test_level4_triple_vanishing_at_half_cusp_forces_zero():
             for idx, t in enumerate((1, 2, 4)):
                 basis = EisensteinElement.__new__(EisensteinElement)
                 basis.k, basis.level, basis.coeffs = k, 4, {t: Fraction(1)}
-                order, terms = _cusp_terms(basis, cusp, efgh_complete)
-                val = cusp_coefficient(terms, order, k, e)
+                val = cusp_coefficient(basis, cusp, e)
                 for ci, cv in enumerate(val.reduced()):
                     coords.setdefault(ci, [Fraction(0)] * 3)[idx] = cv
             rows.extend(coords.values())
@@ -337,8 +349,6 @@ def test_forced_double_vanishing_kills_new_elements():
     # if two leading coefficients at a cusp a/p^i are forced to vanish,
     # every solution loses r_1 or r_{p^m}: solve the exact linear
     # conditions and inspect the nullspace
-    from etaq.cusps import _cusp_terms
-
     rng = random.Random(4)
     cases = [(2, 2, 3), (4, 3, 2), (2, 2, 4), (4, 2, 3), (6, 5, 2), (4, 7, 1)]
     for k, p, m in cases:
@@ -356,8 +366,7 @@ def test_forced_double_vanishing_kills_new_elements():
                         # bypass the weight-2 balance for the formal row
                         basis = EisensteinElement.__new__(EisensteinElement)
                         basis.k, basis.level, basis.coeffs = 2, n, {t: Fraction(1)}
-                    order, terms = _cusp_terms(basis, cusp, efgh_complete)
-                    val = cusp_coefficient(terms, order, k, e)
+                    val = cusp_coefficient(basis, cusp, e)
                     for ci, cv in enumerate(val.reduced()):
                         coords.setdefault(ci, [Fraction(0)] * len(divs))[idx] = cv
                 rows.extend(coords.values())

@@ -4,12 +4,13 @@ recomputed here from first principles (divisor sums by enumeration)."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etaq import eisenstein
-from etaq.arith import bernoulli, divisors, lcm
+from etaq.arith import bernoulli, divisors
 from etaq.cli import main
 from etaq.eisenstein import (
     EisensteinElement,

@@ -5,11 +5,11 @@ the acceptance suite for the full discussion)."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from etaq.arith import lcm, totient
+from etaq.arith import totient
 from etaq.eisenstein import MembershipTag, match_eta
 from etaq.eta import EtaQuotient
 from etaq.linalg import mat_inverse
@@ -20,12 +20,12 @@ from etaq.search import (
     WEIGHT4_CELLS,
     _integral_exponents,
     _lower_hnf,
+    _order_matrix24,
     antiderivative,
     classify_second_derivatives_level4,
     dual_pairs_prime_power,
     enumerate_eta_in_e,
     level4_targets,
-    order_matrix,
     second_derivative_ratio,
     verify_classification_lists,
 )
@@ -55,6 +55,24 @@ def det(a) -> Fraction:
                 f = m[i][col] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return out
+
+
+def order_matrix(p: int, m: int) -> list[list[Fraction]]:
+    """The former search.order_matrix: entry (i, j) is the width-normalized
+    order of eta(p^j z) at denominator p^i on Gamma0(p^m), in Fractions."""
+    n = p**m
+    rows = []
+    for i in range(m + 1):
+        c = p**i
+        pref = Fraction(n, 24 * gcd(c * c, n))
+        rows.append([pref * Fraction(gcd(c, p**j) ** 2, p**j) for j in range(m + 1)])
+    return rows
+
+
+def test_walk_matrix_matches_fraction_reference():
+    for p in (2, 3, 5, 7):
+        for m in range(0, 6):
+            assert _order_matrix24(p, m) == [[24 * x for x in row] for row in order_matrix(p, m)]
 
 
 def test_order_matrix_nonsingular():
@@ -170,6 +188,17 @@ def test_lattice_walk_matches_grid_walk(cell):
     assert res.candidates_scanned == len(candidates)
     got = [(sp.eta.key(), sp.element.to_json(), sp.eta_primitive) for sp in res.pairs]
     assert got == grid_walk_pairs(k, p, m, candidates)
+
+
+@pytest.mark.parametrize("cell", PUBLISHED_CELLS, ids=str)
+def test_walked_points_have_weight_k_and_nonnegative_orders(cell):
+    # the walk's target is the valence total of weight k, so no point it
+    # yields may need a weight filter or have a pole at a cusp
+    k, p, m = cell
+    a = order_matrix(p, m)
+    for r in _integral_exponents(k, p, m):
+        assert sum(r) == 2 * k, r
+        assert all(sum(x * rj for x, rj in zip(row, r)) >= 0 for row in a), r
 
 
 @pytest.mark.parametrize("cell", PUBLISHED_CELLS + UNPUBLISHED_CELLS, ids=str)
