@@ -134,7 +134,6 @@ def cusp_reps(level: int) -> list[Cusp]:
 @dataclass(frozen=True)
 class CuspExpansion:
     cusp: Cusp
-    weight: int
     cyc_order: int
     series: QSeries  # offset 0, whole steps of the local variable q_{c,N}
 
@@ -205,7 +204,7 @@ def expansion_at_cusp(
     if prec < 1:
         raise ValueError("prec must be >= 1")
     order, den, terms = _cusp_terms(f, cusp, efgh)
-    return CuspExpansion(cusp, f.k, order, QSeries(0, _coefficients(order, den, terms, f.k, prec)))
+    return CuspExpansion(cusp, order, QSeries(0, _coefficients(order, den, terms, f.k, prec)))
 
 
 def _default_order_prec(f: EisensteinElement) -> int:

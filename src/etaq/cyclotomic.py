@@ -116,10 +116,7 @@ class CycNumber:
             if c:
                 j %= order
                 acc[j] = acc.get(j, 0) + c
-        den = 1
-        for c in acc.values():
-            d = c.denominator
-            den = den // gcd(den, d) * d
+        den = lcm(*(c.denominator for c in acc.values()))
         # den is the lcm of denominators in lowest terms, so the
         # numerators below already share no factor with it
         self.order = order

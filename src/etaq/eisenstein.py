@@ -210,9 +210,7 @@ def parse_element(text: str, level: int | None = None) -> EisensteinElement:
         coeffs[t] = coeffs.get(t, Fraction(0)) + sign * c
     assert k is not None
     if level is None:
-        level = 1
-        for t in coeffs:
-            level = lcm(level, t)
+        level = lcm(*coeffs)
     return EisensteinElement(k, level, coeffs)
 
 

@@ -259,7 +259,5 @@ def parse_eta(text: str, level: int | None = None) -> EtaQuotient:
         r = int(m.group(2)) if m.group(2) else 1
         exps[t] = exps.get(t, 0) + r
     if level is None:
-        level = 1
-        for t in exps:
-            level = lcm(level, t)
+        level = lcm(*exps)
     return EtaQuotient(level, exps)

@@ -21,7 +21,7 @@ from __future__ import annotations
 __all__ = ["BACKEND", "conv_trunc", "pow_trunc"]
 
 # Crossover between schoolbook and Kronecker, in units of object
-# multiplications actually performed; see benchmarks/bench_kernels.py.
+# multiplications actually performed; tests/test_kernels.py pins its boundary.
 _SCHOOLBOOK_WORK_LIMIT = 6000
 
 BACKEND = "python"

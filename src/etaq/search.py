@@ -1,23 +1,21 @@
 """Classification searches over prime-power levels.
 
 The enumeration of all eta quotients lying in the weight-k Eisenstein
-span works backwards from cusp orders.  The orders of an integer
-exponent vector r, in 1/24 units and one per cusp denominator p^i, are
-the vector B r, where column j of the integer matrix B is the order map
-EtaQuotient.order_map24 of eta(p^j z); so the order vectors of eta
-quotients are exactly the lattice B Z^(m+1).  A lower-triangular
-(Hermite normal form) basis H = B U of that lattice, with U unimodular,
-lets the search walk the lattice one coordinate at a time: coordinate i
-of H y depends only on y_0..y_i, so each y_i runs over an arithmetic
-progression inside the per-cusp cap (1 per cusp, 2 at the denominator-2
-cusp of level 4, the one exception the order bound allows) and what is
-left of the multiplicity-weighted total, the valence value (k/12) mu
-with mu = gamma0_index(p^m), which is 2 k mu in 1/24 units.  Every
-lattice point maps to the integer exponent vector U y, of weight k by
-the valence identity; those passing the modularity criteria are then
-certified against an Eisenstein combination coefficient-by-coefficient.
-The per-cusp caps are what make the walk finite, so the search is
-complete for elements with nonzero r_1 and r_{p^m}.
+span works backwards from cusp orders.  An eta quotient has no zeros in
+the upper half plane, so its k mu/12 zeros (mu = gamma0_index(p^m)) sit
+at the cusps, where a modular one has whole orders.  In 1/24 units the
+orders of an exponent vector r at the cusp denominators p^i are B r,
+column j of the integer matrix B being EtaQuotient.order_map24 of
+eta(p^j z).  With a lower-triangular (Hermite normal form) basis H = B U,
+U unimodular, the search walks whole orders v_i one at a time, each
+inside its per-cusp cap (2 at the denominator-2 cusp of level 4, else 1)
+and what is left of the weighted total k mu/12: 24 v_i = (H y)_i needs
+only y_0..y_i, and v_i is kept when it fixes an integer y_i.  Each point
+gives the exponent vector U y of weight k.  Its orders at the cusps N
+and 1 are sum t r_t / 24 and sum (N/t) r_t / 24, so their being whole is
+the pair of mod-24 modularity congruences, and only the character is
+left to check before certifying against an Eisenstein combination.  The
+caps make the walk finite; it is complete for nonzero r_1 and r_{p^m}.
 
 Also here: antiderivatives pairing weight-2 results with the weight-0
 quotients whose derivative they are, and the bounded search for level-4
@@ -133,13 +131,14 @@ def _order_matrix24(p: int, m: int) -> list[list[int]]:
 
 def _integral_exponents(k: int, p: int, m: int):
     """Yield, in lexicographic order of their cusp-order vectors, the
-    integer exponent vectors (r_{p^j})_j whose orders (in 1/24 units)
-    respect the per-cusp caps and sum, with multiplicity, to the weight-k
-    valence value."""
+    integer exponent vectors (r_{p^j})_j whose orders are whole numbers
+    inside the per-cusp caps that sum, with multiplicity, to k mu/12."""
     n = p**m
     mult = [denominator_multiplicity(n, p**i) for i in range(m + 1)]
-    caps = [24 * per_cusp_cap(n, p**i) for i in range(m + 1)]
-    target = 2 * k * gamma0_index(n)  # 24 (k/12) mu
+    caps = [per_cusp_cap(n, p**i) for i in range(m + 1)]
+    target, rem = divmod(k * gamma0_index(n), 12)
+    if rem:
+        return
     suffix = [0] * (m + 2)
     for i in range(m, -1, -1):
         suffix[i] = suffix[i + 1] + mult[i] * caps[i]
@@ -155,11 +154,11 @@ def _integral_exponents(k: int, p: int, m: int):
         lo = max(0, -(-(remaining - suffix[i + 1]) // mult[i]))
         hi = min(caps[i], remaining // mult[i])
         base = sum(h[i][j] * y[j] for j in range(i))
-        d = h[i][i]
-        # order i is base + d * y_i, kept inside [lo, hi]
-        for yi in range(-((base - lo) // d), (hi - base) // d + 1):
-            y[i] = yi
-            yield from walk(i + 1, remaining - mult[i] * (base + d * yi))
+        for v in range(lo, hi + 1):
+            # order i is 24 v = base + h[i][i] y_i in 1/24 units
+            y[i], off = divmod(24 * v - base, h[i][i])
+            if not off:
+                yield from walk(i + 1, remaining - mult[i] * v)
 
     yield from walk(0, target)
 
@@ -169,8 +168,8 @@ def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     and level p^m whose combination has nonzero r_1 and r_{p^m}.
 
     An empty result is a valid outcome (and the expected one for all but
-    six (k, p^m) cells).  candidates_scanned counts the lattice points
-    walked, each an integral exponent vector.
+    six (k, p^m) cells).  candidates_scanned counts the points walked:
+    exponent vectors whose whole, capped cusp orders total k mu/12.
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be even >= 2")
@@ -180,7 +179,7 @@ def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     for r in _integral_exponents(k, p, m):
         scanned += 1
         quotient = EtaQuotient(n, {p**j: rj for j, rj in enumerate(r)})
-        if not quotient.is_modular():
+        if not quotient.is_modular():  # whole orders leave only the character
             continue
         element = match_eta(quotient)
         if element is None:
@@ -383,9 +382,7 @@ def antiderivative(g: EtaQuotient, certify_rel: int = 480) -> DualPair:
         raise ValueError(f"antiderivatives are defined for weight 2, got {element.k}")
     n = element.level
     basis = {d: -rho / d for d, rho in element.coeffs.items() if d > 1}
-    lam = 1
-    for v in basis.values():
-        lam = lcm(lam, v.denominator)
+    lam = lcm(*(v.denominator for v in basis.values()))
     exps = {d: int(v * lam) for d, v in basis.items() if v}
     r1 = -sum(exps.values())
     if r1:
@@ -512,9 +509,7 @@ def classify_second_derivatives_level4(
     """
     targets = []
     for q, ts in level4_targets():
-        scale = 1
-        for x in ts:
-            scale = lcm(scale, x.denominator)
+        scale = lcm(*(x.denominator for x in ts))
         targets.append((q, ts, [int(x * scale) for x in ts]))
     solutions: list[SecondDerivSolution] = []
     for r1 in range(-bound, bound + 1):

@@ -114,14 +114,17 @@ def test_lower_hnf():
             assert all(0 <= h[i][j] < h[i][i] for j in range(i))
 
 
-def grid_walk_exponents(k, p, m):
+def grid_walk_exponents(k, p, m, step=1):
     """Reference for the lattice walk: every order vector on the grid
-    (1/24)Z under the caps with the valence total, pushed through the
-    inverse order map; the integral images, in grid order."""
+    (step/24)Z under the caps with the valence total, pushed through the
+    inverse order map; the integral images, in grid order.  step = 1 is
+    the full (1/24)Z grid, step = 24 the grid of whole orders."""
     n = p**m
     mult = [totient(gcd(p**i, p ** (m - i))) for i in range(m + 1)]
-    caps = [24 * (2 if (n == 4 and i == 1) else 1) for i in range(m + 1)]
-    target = 2 * k * (n + n // p) if m >= 1 else 2 * k
+    caps = [24 // step * (2 if (n == 4 and i == 1) else 1) for i in range(m + 1)]
+    target, rem = divmod(2 * k * (n + n // p) if m >= 1 else 2 * k, step)
+    if rem:
+        return []
     ainv = mat_inverse(order_matrix(p, m))
     denom = 1
     for row in ainv:
@@ -139,7 +142,7 @@ def grid_walk_exponents(k, p, m):
             if remaining == 0:
                 rvals = []
                 for j in range(m + 1):
-                    s = sum(t_int[j][l] * nvec[l] for l in range(m + 1))
+                    s = sum(t_int[j][l] * step * nvec[l] for l in range(m + 1))
                     if s % denom:
                         return
                     rvals.append(s // denom)
@@ -181,30 +184,68 @@ UNPUBLISHED_CELLS = sorted(
 
 @pytest.mark.parametrize("cell", PUBLISHED_CELLS + UNPUBLISHED_CELLS, ids=str)
 def test_lattice_walk_matches_grid_walk(cell):
+    # the walk visits exactly the whole-order grid, and restricting the
+    # search to it loses no pair of the full (1/24)Z grid
     k, p, m = cell
-    candidates = grid_walk_exponents(k, p, m)
+    candidates = grid_walk_exponents(k, p, m, step=24)
     assert list(_integral_exponents(k, p, m)) == candidates
     res = enumerate_eta_in_e(k, p, m)
     assert res.candidates_scanned == len(candidates)
     got = [(sp.eta.key(), sp.element.to_json(), sp.eta_primitive) for sp in res.pairs]
-    assert got == grid_walk_pairs(k, p, m, candidates)
+    assert got == grid_walk_pairs(k, p, m, grid_walk_exponents(k, p, m))
 
 
 @pytest.mark.parametrize("cell", PUBLISHED_CELLS, ids=str)
 def test_walked_points_have_weight_k_and_nonnegative_orders(cell):
     # the walk's target is the valence total of weight k, so no point it
-    # yields may need a weight filter or have a pole at a cusp
+    # yields may need a weight filter or have a pole at a cusp; its orders
+    # are whole, so both mod-24 congruences of the modularity criteria hold
     k, p, m = cell
+    n = p**m
     a = order_matrix(p, m)
     for r in _integral_exponents(k, p, m):
         assert sum(r) == 2 * k, r
-        assert all(sum(x * rj for x, rj in zip(row, r)) >= 0 for row in a), r
+        orders = [sum(x * rj for x, rj in zip(row, r)) for row in a]
+        assert all(v >= 0 and v.denominator == 1 for v in orders), r
+        assert sum(p**j * rj for j, rj in enumerate(r)) % 24 == 0, r
+        assert sum(n // p**j * rj for j, rj in enumerate(r)) % 24 == 0, r
+
+
+@pytest.mark.parametrize("cell", PUBLISHED_CELLS + UNPUBLISHED_CELLS, ids=str)
+def test_modular_grid_points_have_whole_orders(cell):
+    # the fact the whole-order walk rests on: a holomorphic eta quotient
+    # on Gamma0(p^m) with trivial character has a whole order at every cusp
+    k, p, m = cell
+    a = order_matrix(p, m)
+    for r in grid_walk_exponents(k, p, m):
+        g = EtaQuotient(p**m, {p**j: rj for j, rj in enumerate(r)})
+        if g.is_modular_on_gamma0().is_modular:
+            assert all(sum(x * rj for x, rj in zip(row, r)).denominator == 1 for row in a), r
+
+
+def test_random_modular_quotients_have_whole_orders():
+    # the same fact off the walk's grid: 20,000 seeded exponent vectors
+    rng = random.Random(13)
+    levels = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+              (5, 1), (5, 2), (7, 1), (7, 2)]
+    matrices = {pm: order_matrix(*pm) for pm in levels}
+    modular = 0
+    for _ in range(20000):
+        p, m = rng.choice(levels)
+        r = [rng.randint(-12, 12) for _ in range(m + 1)]
+        g = EtaQuotient(p**m, {p**j: rj for j, rj in enumerate(r)})
+        if g.is_modular_on_gamma0().is_modular:
+            modular += 1
+            a = matrices[p, m]
+            assert all(sum(x * rj for x, rj in zip(row, r)).denominator == 1 for row in a), r
+    assert modular >= 50
 
 
 @pytest.mark.parametrize("cell", PUBLISHED_CELLS + UNPUBLISHED_CELLS, ids=str)
 def test_match_eta_matches_fraction_reference_on_lattice(cell):
+    # every integral point of the (1/24)Z grid, not only the whole orders
     k, p, m = cell
-    for r in _integral_exponents(k, p, m):
+    for r in grid_walk_exponents(k, p, m):
         g = EtaQuotient(p**m, {p**j: rj for j, rj in enumerate(r)})
         assert match_outcome(match_eta, g) == match_outcome(match_eta_reference, g), r
 

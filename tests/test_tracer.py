@@ -6,6 +6,7 @@ and not only in a traced benchmark run."""
 from pathlib import Path
 
 import etaq.eisenstein
+import etaq.search
 from etaq.cyclotomic import CycNumber
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -33,6 +34,7 @@ def test_tracer_install_and_uninstall_restore_every_attribute(monkeypatch):
         (ee.EisensteinElement, "expansion"),
         (ee, "match_eta"),
         (ee, "verify_identities"),
+        (etaq.search, "enumerate_eta_in_e"),
         (CycNumber, "inverse"),
     ]:
         assert (owner, name) in wrapped, name
