@@ -22,6 +22,7 @@ __all__ = [
     "divisors",
     "totient",
     "gamma0_index",
+    "cusp_step",
     "denominator_multiplicity",
     "factorize",
     "prime_power",
@@ -124,6 +125,13 @@ def gamma0_index(n: int) -> int:
     for p in factorize(n):
         mu += mu // p
     return mu
+
+
+def cusp_step(level: int, c: int, t: int) -> int:
+    """gcd(c, t)^2 (N/t) / gcd(c^2, N) for c, t | N, always an integer:
+    the exponent step of E_k(tz) in the local variable at a cusp a/c of
+    Gamma0(N), and 24 times the width-normalized order of eta(tz) there."""
+    return gcd(c, t) ** 2 * (level // t) // gcd(c * c, level)
 
 
 def denominator_multiplicity(level: int, c: int) -> int:

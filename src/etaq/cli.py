@@ -199,7 +199,7 @@ def cmd_cusp_expand(args) -> int:
         "element": element.render(),
         "cusp": cusp.label(),
         "width": cusp.width,
-        "cyclotomic_order": expansion.cyc_order,
+        "cyclotomic_order": expansion.series.cyc_order,
         "series": expansion.series.render_text(var="w"),
     }
     if order is None:

@@ -7,7 +7,8 @@ local variable q_{c,N} = e^(2 pi i gcd(c^2,N) z / N):
 
     coefficient of q_{c,N}^(n * step_t)  gains  r_t * a_n(c,t) * omega_t^n,
 
-with step_t = gcd(t,c)^2 N / (t gcd(c^2, N)), the rational prefactors
+with step_t = gcd(t,c)^2 N / (t gcd(c^2, N)) = arith.cusp_step(N, c, t)
+(24 times the order of eta(tz) at a/c), the rational prefactors
 a_0 = (gcd(t,c)/t)^k (-B_k/2k) and a_n = (gcd(t,c)/t)^k sigma_{k-1}(n),
 and omega_t a root of unity of order t/gcd(t,c) built from the chosen
 completions.  Coefficients therefore live in Q(zeta_L) with L the lcm
@@ -36,6 +37,7 @@ from typing import Callable, Iterator
 
 from .arith import (
     SL2Matrix,
+    cusp_step,
     denominator_multiplicity,
     divisors,
     efgh_complete,
@@ -134,7 +136,6 @@ def cusp_reps(level: int) -> list[Cusp]:
 @dataclass(frozen=True)
 class CuspExpansion:
     cusp: Cusp
-    cyc_order: int
     series: QSeries  # offset 0, whole steps of the local variable q_{c,N}
 
     def leading_coefficient(self) -> CycNumber:
@@ -153,16 +154,13 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[in
     order = lcm(*(t // gcd(t, c) for t in divisors(n)))
     raw = []
     for t, r in f.coeffs.items():
-        g0 = gcd(t, c)
-        tprime = t // g0
-        step, rem = divmod(g0 * g0 * n, t * gcd(c * c, n))
-        assert not rem, "cusp exponent lattice must be integral for t, c | N"
+        tprime = t // gcd(t, c)
         if tprime == 1:
             w = 0
         else:
             _, fv, _, _ = efgh(t, cusp.a, c)
             w = (-d * fv) % tprime * (order // tprime)  # omega_t = zeta_{t'}^(-d f)
-        raw.append((step, w, Fraction(r, tprime**k)))
+        raw.append((cusp_step(n, c, t), w, Fraction(r, tprime**k)))
     den = lcm(*(p.denominator for _, _, p in raw))
     return order, den, [(step, w, p.numerator * (den // p.denominator)) for step, w, p in raw]
 
@@ -204,7 +202,7 @@ def expansion_at_cusp(
     if prec < 1:
         raise ValueError("prec must be >= 1")
     order, den, terms = _cusp_terms(f, cusp, efgh)
-    return CuspExpansion(cusp, order, QSeries(0, _coefficients(order, den, terms, f.k, prec)))
+    return CuspExpansion(cusp, QSeries(0, _coefficients(order, den, terms, f.k, prec)))
 
 
 def _default_order_prec(f: EisensteinElement) -> int:

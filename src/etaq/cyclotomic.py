@@ -236,18 +236,6 @@ class CycNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = CycNumber.from_rational(1, self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def _reduced_numerators(self) -> list[int]:
         """den * (remainder mod Phi_order), degree < deg Phi, in Z.
 
@@ -290,19 +278,6 @@ class CycNumber:
         if isinstance(other, (CycNumber, int, Fraction)):
             return (self - other).is_zero()
         return NotImplemented
-
-    def __hash__(self):
-        # Tr(x)/phi(L): the same for every representative and every order
-        # the element is written in, and equal to x when x is rational.
-        # zeta_L^j has order m = L/gcd(j, L) and Tr(zeta_L^j)/phi(L) =
-        # mu(m)/phi(m).
-        trace = _ZERO
-        for j, n in self.terms.items():
-            m = self.order // gcd(j, self.order)
-            mu = _mobius(m)
-            if mu:
-                trace += Fraction(mu * n, totient(m))
-        return hash(trace / self.den)
 
     def rational_value(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None."""

@@ -23,7 +23,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .arith import denominator_multiplicity, divisors, prime_power, sigma_range
+from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_range
 from .series import QSeries, SeriesDomainError
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
@@ -136,11 +136,10 @@ class EtaQuotient:
 
     def order_map24(self) -> dict[int, int]:
         """24 times the width-normalized order at each cusp a/c, by c | N:
-        sum_t r_t gcd(c, t)^2 (N/t) / gcd(c^2, N), every term an integer."""
+        sum_t r_t cusp_step(N, c, t), every term an integer."""
         n = self.level
         return {
-            c: sum(r * (gcd(c, t) ** 2 * (n // t) // gcd(c * c, n))
-                   for t, r in self.exponents.items())
+            c: sum(r * cusp_step(n, c, t) for t, r in self.exponents.items())
             for c in divisors(n)
         }
 

@@ -458,11 +458,10 @@ def level4_targets() -> list[tuple[EtaQuotient, tuple[Fraction, Fraction, Fracti
     """Weight-4 eta quotients available inside level 4 (the classified
     level-2 quotients, their z -> 2z images, and the level-4 natives),
     each with its certified E_4-coefficient vector over divisors 1,2,4."""
-    level2 = [{1: -8, 2: 16}, {1: 16, 2: -8}]
-    native = [{1: -16, 2: 40, 4: -16}, {1: 8, 2: -8, 4: 8}]
+    level2 = [e for e in REFERENCE_WEIGHT4 if set(e) <= {1, 2}]
     quotients = [EtaQuotient(4, e) for e in level2]
     quotients += [EtaQuotient(2, e).rescale(2) for e in level2]
-    quotients += [EtaQuotient(4, e) for e in native]
+    quotients += [EtaQuotient(4, e) for e in REFERENCE_WEIGHT4 if e not in level2]
     out = []
     for q in quotients:
         element = match_eta(q)

@@ -18,10 +18,14 @@ A ``QSeries`` is
 D = q d/dq multiplies c_n by (24n + offset) and den by 24.  A sum aligns
 two offsets that agree mod 24 (series on different lattices are
 refused).  A product of rational series is one ``kernels.conv_trunc``
-call on the numerators.  A cyclotomic product puts each operand's steps
-over one common denominator, accumulates the integer products of each
-output step in Z[zeta_L] with ``cyclotomic._mul_into`` and normalises
-each output step once.
+call on the numerators.
+
+A cyclotomic series supports products (with a cyclotomic or rational
+series), powers e >= 0, negation, valuation, ``leading``, ``coeff``,
+truncation and rendering; sums, scalar multiples, D and inversion raise
+TypeError.  Its product puts each operand's steps over one common
+denominator, accumulates the integer products of each output step in
+Z[zeta_L] with ``cyclotomic._mul_into`` and normalises each step once.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
@@ -41,7 +45,7 @@ from .kernels import conv_trunc
 __all__ = ["QSeries", "SeriesDomainError"]
 
 Coeff = Union[int, CycNumber]
-Scalar = Union[int, Fraction, CycNumber]
+Scalar = Union[int, Fraction]
 
 
 class SeriesDomainError(ArithmeticError):
@@ -55,7 +59,7 @@ class SeriesDomainError(ArithmeticError):
 def _stored_nonzero(c: Coeff) -> bool:
     # cheap representation-level test; used only to skip work, never to
     # decide vanishing (valuation uses the exact test)
-    return bool(c.terms) if isinstance(c, CycNumber) else c != 0
+    return c != 0 if isinstance(c, int) else bool(c.terms)
 
 
 class QSeries:
@@ -91,15 +95,6 @@ class QSeries:
     def prec(self) -> int:
         return len(self.coeffs)
 
-    def _zero(self) -> Coeff:
-        return 0 if self.cyc_order is None else CycNumber.zero(self.cyc_order)
-
-    def _cyc_coeffs(self, order: int) -> list[CycNumber]:
-        """The coefficient values as CycNumbers of the given order."""
-        if self.cyc_order is not None:
-            return [c.lift(order) for c in self.coeffs]
-        return [CycNumber._normal(order, {0: c}, self.den) for c in self.coeffs]
-
     def _cyc_numerators(self, order: int) -> tuple[list[dict[int, int]], int]:
         """Each step's numerators {j: n} of zeta_order^j over one common
         denominator D, the lcm of the step denominators."""
@@ -108,6 +103,10 @@ class QSeries:
         step = order // self.cyc_order
         den = lcm(*(c.den for c in self.coeffs))
         return [{j * step: n * (den // c.den) for j, n in c.terms.items()} for c in self.coeffs], den
+
+    def _rational_only(self, op: str) -> None:
+        if self.cyc_order is not None:
+            raise TypeError(f"{op} is defined for rational series only")
 
     def _lead(self) -> int:
         """Stored leading zeros: exactly known, at most prec - 1 of them."""
@@ -119,8 +118,8 @@ class QSeries:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
+        if not isinstance(other, QSeries) or self.cyc_order or other.cyc_order:
+            return NotImplemented  # sums are for rational series only
         x, y = self, other
         if (x.offset - y.offset) % 24:
             raise SeriesDomainError(
@@ -129,16 +128,11 @@ class QSeries:
         offset = min(x.offset, y.offset)
         sx, sy = (x.offset - offset) // 24, (y.offset - offset) // 24
         n = min(sx + x.prec, sy + y.prec)
-        if x.cyc_order is None and y.cyc_order is None:
-            den = lcm(x.den, y.den)
-            xs, ys, zero = _scaled(x.coeffs, den // x.den), _scaled(y.coeffs, den // y.den), 0
-        else:
-            order = lcm(x.cyc_order or 1, y.cyc_order or 1)
-            xs, ys, den = x._cyc_coeffs(order), y._cyc_coeffs(order), 1
-            zero = CycNumber.zero(order)
+        den = lcm(x.den, y.den)
+        xs, ys = _scaled(x.coeffs, den // x.den), _scaled(y.coeffs, den // y.den)
         # each operand placed on the window [offset, offset + 24n)
-        xs = [zero] * min(sx, n) + list(xs[: max(n - sx, 0)])
-        ys = [zero] * min(sy, n) + list(ys[: max(n - sy, 0)])
+        xs = [0] * min(sx, n) + list(xs[: max(n - sx, 0)])
+        ys = [0] * min(sy, n) + list(ys[: max(n - sy, 0)])
         return QSeries(offset, [a + b for a, b in zip(xs, ys)], den)
 
     def __neg__(self):
@@ -150,17 +144,13 @@ class QSeries:
         return self + (-other)
 
     def scalar_mul(self, v: Scalar) -> "QSeries":
-        if isinstance(v, CycNumber):
-            order = lcm(v.order, self.cyc_order or 1)
-            return QSeries(self.offset, [v * c for c in self._cyc_coeffs(order)])
+        self._rational_only("a scalar multiple")
         v = Fraction(v)
-        if self.cyc_order is not None:
-            return QSeries(self.offset, [c * v for c in self.coeffs])
         num = v.numerator
         return QSeries(self.offset, [c * num for c in self.coeffs], self.den * v.denominator)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
+        if isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -184,13 +174,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, v: Scalar):
-        if isinstance(v, CycNumber):
-            return self.scalar_mul(v.inverse())
-        if v == 0:
-            raise ZeroDivisionError("division of series by zero scalar")
-        return self.scalar_mul(1 / Fraction(v))
-
     def __pow__(self, e: int) -> "QSeries":
         if e == 0:
             return QSeries(0, [1] + [0] * (self.prec - 1))
@@ -207,17 +190,16 @@ class QSeries:
 
     def inverse(self) -> "QSeries":
         """Reciprocal; the leading coefficient must be invertible."""
+        self._rational_only("inverse")
         v = self.valuation()
         if v is None:
             raise SeriesDomainError("division-by-nonunit", "inverse of zero-to-precision series")
         cs = [self.coeff(n) for n in range(v, self.prec)]
-        inv0 = 1 / cs[0] if self.cyc_order is None else cs[0].inverse()
+        inv0 = 1 / cs[0]
         out = [inv0]
         for n in range(1, len(cs)):
             out.append(-inv0 * sum(cs[k] * out[n - k] for k in range(1, n + 1)))
         offset = -(self.offset + 24 * v)
-        if self.cyc_order is not None:
-            return QSeries(offset, out)
         den = lcm(*(b.denominator for b in out))
         return QSeries(offset, [b.numerator * (den // b.denominator) for b in out], den)
 
@@ -225,9 +207,8 @@ class QSeries:
 
     def ramanujan_d(self) -> "QSeries":
         """D = q d/dq: c_n gains the factor (24n + offset)/24."""
+        self._rational_only("D")
         a = self.offset
-        if self.cyc_order is not None:
-            return QSeries(a, [c * Fraction(a + 24 * n, 24) for n, c in enumerate(self.coeffs)])
         return QSeries(a, [c * (a + 24 * n) for n, c in enumerate(self.coeffs)], 24 * self.den)
 
     def valuation(self) -> int | None:
@@ -254,7 +235,7 @@ class QSeries:
         if n >= self.prec:
             raise SeriesDomainError("precision-exhausted", f"step {n} >= prec {self.prec}")
         if n < 0:
-            return self._zero() if self.cyc_order is not None else Fraction(0)
+            return Fraction(0) if self.cyc_order is None else CycNumber.zero(self.cyc_order)
         c = self.coeffs[n]
         return c if self.cyc_order is not None else Fraction(c, self.den)
 
@@ -288,8 +269,7 @@ class QSeries:
         """Nonzero rational coefficients as [numerator, denominator,
         exponent], the exponent in 1/scale units (scale 1 needs offset = 0
         mod 24)."""
-        if self.cyc_order is not None:
-            raise TypeError("JSON triples are defined for rational series only")
+        self._rational_only("JSON triples")
         if (self.offset * scale) % 24:
             raise ValueError(f"offset {self.offset}/24 is not a multiple of 1/{scale}")
         out = []

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from etaq.arith import (
     SL2Matrix,
     bernoulli,
+    cusp_step,
     denominator_multiplicity,
     divisors,
     efgh_complete,
@@ -156,3 +157,17 @@ def test_efgh_determinant_property(t, a, c):
     assert e == a * t // gcd(t, c)
     assert g == c // gcd(t, c)
     assert e * h - f * g == 1
+
+
+def test_cusp_step_is_an_integer():
+    # gcd(c, t)^2 N / (t gcd(c^2, N)) has no remainder for every c, t | N:
+    # E_k(tz) lives on whole steps of the local variable at a/c, and
+    # 24 times the order of eta(tz) there is an integer
+    for n in range(1, 401):
+        divs = divisors(n)
+        for c in divs:
+            for t in divs:
+                whole = gcd(c, t) ** 2 * n
+                assert whole % (t * gcd(c * c, n)) == 0, (n, c, t)
+                assert cusp_step(n, c, t) == whole // (t * gcd(c * c, n))
+    assert [cusp_step(4, c, t) for t in (1, 2, 4) for c in (1, 2, 4)] == [4, 1, 1, 2, 2, 2, 1, 1, 4]

@@ -194,7 +194,6 @@ def test_expansion_exponent_lattice_integral():
             # cyclotomic order, and the values themselves as coefficients
             series = exp.series
             assert (series.offset, series.den, series.prec) == (0, 1, 8)
-            assert series.cyc_order == exp.cyc_order
 
 
 def test_orders_jacobi_element():
@@ -382,3 +381,40 @@ def test_forced_double_vanishing_kills_new_elements():
                     w = rng.randint(-5, 5)
                     combo = [c + w * v for c, v in zip(combo, vec)]
                 assert combo[0] == 0 or combo[-1] == 0
+
+
+def test_cusp_code_does_no_cyclotomic_number_arithmetic(monkeypatch, capsys):
+    # cusp expansions are built from integer steps, multiplied through
+    # cyclotomic._mul_into and only normalised, zero-tested and rendered:
+    # with CycNumber sums, products, lifts and inverses disabled, every
+    # cusp computation still runs and gives the same result
+    from etaq import cli
+
+    f = EisensteinElement(4, 27, {1: 2, 3: -1, 9: 4, 27: 5})
+    g = EisensteinElement(4, 9, {1: 1, 9: -1})  # vanishes at 1/9
+    bound_elements = [JACOBI_EL, random_p_element(random.Random(5), 4, 3, 3)]
+    argv = ["cusp-expand", "--element", "E4(1)-2*E4(9)+E4(27)", "--level", "27", "--cusp", "2/3"]
+    rational = EisensteinElement(4, 1, {1: 1}).expansion(8)
+
+    def run():
+        x = expansion_at_cusp(f, Cusp(1, 1, 27), 8).series
+        y = expansion_at_cusp(f, Cusp(2, 3, 27), 8).series
+        z = expansion_at_cusp(g, Cusp(1, 9, 9), 6).series
+        assert (x.cyc_order, y.cyc_order) == (27, 9)
+        series = [x, y, z, x * y, y * x, rational * y, z * z]
+        out = [[(c.order, c.terms, c.den) for c in s.coeffs] for s in series]
+        out += [(s.valuation(), s.leading()[1].render(), s.render_text(var="w")) for s in series]
+        out += [order_at_cusp(f, cusp) for cusp in cusp_reps(27)]
+        out += [check_order_bound(el).to_json() for el in bound_elements]
+        assert cli.main(argv) == 0
+        out.append(capsys.readouterr().out)
+        return out
+
+    today = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CycNumber arithmetic in the cusp code")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "lift", "inverse"):
+        monkeypatch.setattr(CycNumber, name, refuse)
+    assert run() == today

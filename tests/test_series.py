@@ -52,7 +52,7 @@ def substitute_power(x: QSeries, t: int) -> QSeries:
     rescaled eta expansions with it."""
     if t < 1:
         raise ValueError("substitution power must be >= 1")
-    vec = [x._zero()] * (x.prec * t)
+    vec = [0] * (x.prec * t)
     vec[::t] = x.coeffs
     return QSeries(x.offset * t, vec, x.den)
 
@@ -264,19 +264,47 @@ def test_mixed_rational_cyclotomic():
     p = x * y
     assert p.cyc_order == 3 and p.den == 1
     assert p.coeff(0) == z * Fraction(1, 2)
-    s = x + y
-    assert s.cyc_order == 3 and s.coeff(0) == z + Fraction(1, 2) and s.coeff(1) == 1
+    with pytest.raises(TypeError):
+        _ = x + y
 
 
-def test_division_by_scalars():
-    z = CycNumber.root_of_unity(5, 2)
-    x = QSeries(0, [CycNumber(5, [1, 2]), CycNumber.zero(5), z])
-    y = x / z
-    assert all((y * z).coeff(i) == x.coeff(i) for i in range(3))
-    r = series(0, [1, Fraction(2, 3)]) / Fraction(4, 7)
-    assert [r.coeff(0), r.coeff(1)] == [Fraction(7, 4), Fraction(7, 6)]
-    with pytest.raises(ZeroDivisionError):
-        _ = r / 0
+def test_cusp_series_refuse_rational_only_operations():
+    # a cusp series is multiplied and read, never summed, scaled,
+    # differentiated or inverted; a rational series still is
+    x = expansion_at_cusp(EisensteinElement(4, 9, {1: 1, 3: 2, 9: -1}), Cusp(1, 3, 9), 4).series
+    assert x.cyc_order == 3 and x.valuation() == 0
+    z = CycNumber.root_of_unity(3)
+    r = series(0, [2, Fraction(2, 3), 5, 0])
+    removed = {
+        "sum": lambda s: s + s,
+        "rational sum": lambda s: s + r,
+        "difference": lambda s: s - s,
+        "rational difference": lambda s: r - s,
+        "int multiple": lambda s: 3 * s,
+        "Fraction multiple": lambda s: s * Fraction(3, 7),
+        "scalar_mul": lambda s: s.scalar_mul(2),
+        "cyclotomic multiple": lambda s: s * z,
+        "D": lambda s: s.ramanujan_d(),
+        "inverse": lambda s: s.inverse(),
+        "negative power": lambda s: s**-1,
+    }
+    for name, op in removed.items():
+        with pytest.raises(TypeError):
+            op(x)
+        if name != "cyclotomic multiple":
+            assert op(r).cyc_order is None, name
+
+    def values(s):
+        return [s.coeff(n) for n in range(s.prec)]
+
+    assert values(r + r) == [4, Fraction(4, 3), 10, 0]
+    assert (r - r).is_zero_to_prec()
+    assert values(3 * r) == [6, 2, 15, 0]
+    assert values(r * Fraction(3, 7)) == [Fraction(6, 7), Fraction(2, 7), Fraction(15, 7), 0]
+    assert values(r.ramanujan_d()) == [0, Fraction(2, 3), 10, 0]
+    assert is_one(r * r.inverse()) and is_one(r * r**-1)
+    with pytest.raises(TypeError):
+        _ = r * z
 
 
 def test_substitute_power():
@@ -442,7 +470,7 @@ def test_operation_chains_match_reference(seed):
 @given(st.integers(0, 10**6))
 def test_cusp_series_chains_match_reference(seed):
     # cyclotomic series at a cusp, including elements that vanish there
-    # (stored leading zeros): products, sums and D against the reference
+    # (stored leading zeros): products against the reference
     rng = random.Random(seed)
     level = rng.choice([4, 8, 9, 16, 25, 27])
     cusp = rng.choice(cusp_reps(level))
@@ -457,8 +485,7 @@ def test_cusp_series_chains_match_reference(seed):
         xs.append(expansion_at_cusp(element, cusp, prec).series)
     x, y = xs
     xo, yo = (OldQSeries(1, 0, list(s.coeffs), s.prec) for s in xs)
-    for new, old in ((x * y, xo * yo), (x + y, xo + yo), (x.ramanujan_d(), xo.ramanujan_d()),
-                     (x * Fraction(3, 7), xo * Fraction(3, 7)), (x * x * y, xo * xo * yo)):
+    for new, old in ((x * y, xo * yo), (x * x * y, xo * xo * yo)):
         assert_matches_reference(new, old, var="w")
 
 
@@ -472,7 +499,13 @@ def schoolbook_cyc_product(x: QSeries, y: QSeries) -> QSeries:
     product and one CycNumber sum, each normalised, per pair of terms."""
     n = min(x.prec + y._lead(), y.prec + x._lead())
     order = lcm(x.cyc_order or 1, y.cyc_order or 1)
-    xs, ys = x._cyc_coeffs(order), y._cyc_coeffs(order)
+
+    def lifted(s: QSeries) -> list[CycNumber]:
+        if s.cyc_order is None:
+            return [CycNumber.from_rational(Fraction(c, s.den), order) for c in s.coeffs]
+        return [c.lift(order) for c in s.coeffs]
+
+    xs, ys = lifted(x), lifted(y)
     out = [CycNumber.zero(order)] * n
     for i, xc in enumerate(xs[:n]):
         if xc.terms:
