@@ -19,6 +19,7 @@ __all__ = [
     "bernoulli",
     "sigma",
     "sigma_range",
+    "sigma_table",
     "divisors",
     "totient",
     "gamma0_index",
@@ -69,6 +70,23 @@ def sigma_range(power: int, limit: int) -> list[int]:
         for n in range(d, limit + 1, d):
             table[n] += dp
     return table
+
+
+_sigma_tables: dict[int, tuple[int, ...]] = {}
+_sigma_lock = threading.Lock()
+
+
+def sigma_table(power: int, limit: int) -> tuple[int, ...]:
+    """sigma_power(n) at index n for 1 <= n <= limit (index 0 unused),
+    read from the one table kept per power.  A table that is too short
+    is sieved again to at least twice its length, so it may hold more
+    than limit + 1 entries: index or slice what is needed."""
+    with _sigma_lock:
+        table = _sigma_tables.get(power, ())
+        if len(table) <= limit:
+            table = tuple(sigma_range(power, max(limit, 2 * len(table))))
+            _sigma_tables[power] = table
+        return table
 
 
 def divisors(n: int) -> list[int]:

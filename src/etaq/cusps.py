@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterator
 
@@ -42,7 +41,7 @@ from .arith import (
     divisors,
     efgh_complete,
     prime_power,
-    sigma_range,
+    sigma_table,
     sl2_complete,
 )
 from .cyclotomic import CycNumber
@@ -165,11 +164,6 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[in
     return order, den, [(step, w, p.numerator * (den // p.denominator)) for step, w, p in raw]
 
 
-# order_at_cusp usually stops within a step or two of a table sized for
-# the Sturm bound, and asks for the same few (k, prec) again and again
-_sigma_table = lru_cache(maxsize=64)(sigma_range)
-
-
 def _coefficients(order: int, den: int, terms: list[Term], k: int, prec: int) -> Iterator[CycNumber]:
     """Cusp coefficients of q_{c,N}^e for e = 0, 1, ..., prec - 1.
 
@@ -179,7 +173,7 @@ def _coefficients(order: int, den: int, terms: list[Term], k: int, prec: int) ->
     read from one sigma table.
     """
     const = _constant(k)
-    table = _sigma_table(k - 1, prec - 1)
+    table = sigma_table(k - 1, prec - 1)
     for e in range(prec):
         acc: dict[int, int] = {}
         for step, w, num in terms:

@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .arith import bernoulli, divisors, gamma0_index, prime_power, sigma_range
+from .arith import bernoulli, divisors, gamma0_index, prime_power, sigma_table
 from .eta import EtaQuotient
 from .series import QSeries
 
@@ -70,12 +70,12 @@ def _numerators(k: int, weights: dict[int, int], prec: int) -> list[int]:
     sigma_{k-1}(j/t) at j >= 1, read from one sigma table.
     """
     c = _constant(k)
-    table = sigma_range(k - 1, prec - 1)
+    table = sigma_table(k - 1, prec - 1)
     vec = [0] * prec
     for t, w in weights.items():
         vec[0] += w * c.numerator
         w *= c.denominator
-        vec[t::t] = [v + w * s for v, s in zip(vec[t::t], table[1:])]
+        vec[t::t] = [v + w * s for v, s in zip(vec[t::t], table[1 : (prec - 1) // t + 1])]
     return vec
 
 
@@ -259,7 +259,7 @@ def match_eta(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
     # b[j] = exp.den * [q^j] g for j = 0..rows; holomorphy at infinity
     # makes the offset nonnegative
     b = [0] * (g.offset() // 24) + list(exp.coeffs)
-    sig = sigma_range(k - 1, n)
+    sig = sigma_table(k - 1, n)
     x: dict[int, int] = {}  # exp.den * r_t
     for t in divisors(n):
         x[t] = b[t] - sum(sig[t // s] * xs for s, xs in x.items() if t % s == 0)

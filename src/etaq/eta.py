@@ -23,7 +23,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_range
+from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
 from .series import QSeries, SeriesDomainError
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
@@ -118,7 +118,7 @@ class EtaQuotient:
         if prec <= off:
             raise SeriesDomainError("precision-exhausted", f"prec {prec} <= offset {off}")
         n = -(-(prec - off) // 24)
-        sig = sigma_range(1, n)
+        sig = sigma_table(1, n)
         b = [0] * n
         for t, lt in self.log_derivative().coeffs.items():
             lt = int(lt)

@@ -23,14 +23,16 @@ quotients whose second derivative is again an eta quotient.  That
 search tests proportionality in integers: 12 times the ratio vector is
 an integer quadratic form in (r1, r2, r4), and it is a nonzero multiple
 of a target direction scaled to integers exactly when it is nonzero and
-its three 2x2 minors against the target vanish.
+its three 2x2 minors against the target vanish.  With r4 = -2 - r1 - r2
+the minors are quadratics in r2 for each r1, so the candidates are their
+exact integer roots, not every point of the square |r1|, |r2| <= bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .arith import denominator_multiplicity, gamma0_index, xgcd
 from .cusps import per_cusp_cap
@@ -495,6 +497,91 @@ def _certify_second_derivative(
     return SecondDerivSolution(r, s, f, target, scalar, f.is_primitive())
 
 
+def _integer_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int] | None:
+    """The integer roots x, lo <= x <= hi, of a x^2 + b x + c in increasing
+    order, or None when the polynomial is identically zero."""
+    if not a:
+        if not b:
+            return None if not c else []
+        x, rem = divmod(-c, b)
+        return [x] if not rem and lo <= x <= hi else []
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    w = isqrt(disc)
+    if w * w != disc:
+        return []
+    roots = set()
+    for num in (-b - w, -b + w):
+        x, rem = divmod(num, 2 * a)
+        if not rem and lo <= x <= hi:
+            roots.add(x)
+    return sorted(roots)
+
+
+def _ratio12_in_r2() -> list[tuple[int, int, int, int, int, int]]:
+    """For each component m of s(r1, r2) = _ratio12(r1, r2, -2 - r1 - r2),
+    (a, b0, b1, c0, c1, c2) with m = a r2^2 + (b0 + b1 r1) r2 + c0 + c1 r1
+    + c2 r1^2: m has total degree 2, so finite differences of its values
+    at six points give these integers."""
+    points = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+    out = []
+    for f00, f01, f02, f10, f11, f20 in zip(*(_ratio12(x, y, -2 - x - y) for x, y in points)):
+        a = (f02 - 2 * f01 + f00) // 2
+        b0 = f01 - f00 - a
+        c2 = (f20 - 2 * f10 + f00) // 2
+        out.append((a, b0, f11 - f10 - a - b0, f00, f10 - f00 - c2, c2))
+    return out
+
+
+def _second_derivative_hits(
+    bound: int, directions: list[tuple[int, int, int]]
+) -> list[tuple[tuple[int, int, int], int]]:
+    """(r, index) for every r = (r1, r2, -2 - r1 - r2), |r_i| <= bound,
+    whose s = _ratio12(*r) is nonzero and parallel to directions[index],
+    with the lowest such index, in increasing order of r.
+
+    With i the first nonzero coordinate of a direction t, s is parallel
+    to t exactly when the minors t_i s_j - t_j s_i (j != i) vanish.  Each
+    minor is an integer quadratic in (r1, r2), its coefficients found
+    once per direction, so for each r1 the first minor not identically
+    zero in r2 has at most two integer roots, and only those are tested.
+    A row where both minors vanish identically is walked in full.
+    """
+    coeffs = _ratio12_in_r2()
+    minors = []
+    for t in directions:
+        i = next(j for j, tj in enumerate(t) if tj)
+        minors.append(
+            [
+                tuple(t[i] * x - t[j] * y for x, y in zip(coeffs[j], coeffs[i]))
+                for j in range(3)
+                if j != i
+            ]
+        )
+    hits = []
+    for r1 in range(-bound, bound + 1):
+        lo, hi = max(-bound, -2 - r1 - bound), min(bound, -2 - r1 + bound)
+        found: dict[int, int] = {}
+        for index, ((t1, t2, t4), pair) in enumerate(zip(directions, minors)):
+            for a, b0, b1, c0, c1, c2 in pair:
+                roots = _integer_roots(a, b0 + b1 * r1, c0 + (c1 + c2 * r1) * r1, lo, hi)
+                if roots is not None:
+                    break
+            else:
+                roots = range(lo, hi + 1)
+            for r2 in roots:
+                if r2 in found:
+                    continue
+                s1, s2, s4 = _ratio12(r1, r2, -2 - r1 - r2)
+                if (s1 or s2 or s4) and (
+                    s1 * t2 == s2 * t1 and s1 * t4 == s4 * t1 and s2 * t4 == s4 * t2
+                ):
+                    found[r2] = index
+        hits += [((r1, r2, -2 - r1 - r2), found[r2]) for r2 in sorted(found)]
+    return hits
+
+
 def classify_second_derivatives_level4(
     bound: int = 60, certify_rel: int = 240
 ) -> list[SecondDerivSolution]:
@@ -504,30 +591,22 @@ def classify_second_derivatives_level4(
 
     The -2 constraint is forced: an eta quotient whose D^2-to-f ratio
     is again an eta quotient must have weight -1 (and the ratio weight
-    4).  Output is deterministic: sorted by exponent triple.
+    4).  The candidates are the integer roots of the 2x2 minors of the
+    ratio against each target direction, quadratics in r2 for each r1
+    (_second_derivative_hits): O(bound * targets) root solves, not a
+    scan of the (2 bound + 1)^2 square.  Each hit is certified by exact
+    series arithmetic through certify_rel exponent steps.  Output is
+    deterministic: sorted by exponent triple.
     """
-    targets = []
-    for q, ts in level4_targets():
+    targets = level4_targets()
+    directions = []
+    for _, ts in targets:
         scale = lcm(*(x.denominator for x in ts))
-        targets.append((q, ts, [int(x * scale) for x in ts]))
+        directions.append(tuple(int(x * scale) for x in ts))
     solutions: list[SecondDerivSolution] = []
-    for r1 in range(-bound, bound + 1):
-        for r2 in range(-bound, bound + 1):
-            r4 = -2 - r1 - r2
-            if abs(r4) > bound:
-                continue
-            s1, s2, s4 = _ratio12(r1, r2, r4)
-            if not (s1 or s2 or s4):
-                continue
-            # (s1, s2, s4) != 0 is a nonzero multiple of the (nonzero)
-            # target direction t exactly when the 2x2 minors vanish
-            for q, ts, (t1, t2, t4) in targets:
-                if s1 * t2 == s2 * t1 and s1 * t4 == s4 * t1 and s2 * t4 == s4 * t2:
-                    r = (r1, r2, r4)
-                    s = second_derivative_ratio(r)
-                    scalar = next(sv / tv for sv, tv in zip(s, ts) if tv)
-                    solutions.append(
-                        _certify_second_derivative(r, s, q, scalar, certify_rel)
-                    )
-                    break
-    return sorted(solutions, key=lambda sol: sol.r)
+    for r, index in _second_derivative_hits(bound, directions):
+        q, ts = targets[index]
+        s = second_derivative_ratio(r)
+        scalar = next(sv / tv for sv, tv in zip(s, ts) if tv)
+        solutions.append(_certify_second_derivative(r, s, q, scalar, certify_rel))
+    return solutions

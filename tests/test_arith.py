@@ -2,12 +2,15 @@
 oracles (the Bernoulli recurrence and divisor enumeration are recomputed
 here from scratch rather than trusting the library path)."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import etaq.arith
 from etaq.arith import (
     SL2Matrix,
     bernoulli,
@@ -20,6 +23,7 @@ from etaq.arith import (
     prime_power,
     sigma,
     sigma_range,
+    sigma_table,
     sl2_complete,
     totient,
     xgcd,
@@ -76,6 +80,43 @@ def test_sigma_range_matches_pointwise():
     assert table[0] == 0
     for n in range(1, 51):
         assert table[n] == sigma(3, n)
+
+
+def test_sigma_table_is_shared_and_grows(monkeypatch):
+    monkeypatch.setattr(etaq.arith, "_sigma_tables", {})
+    table = sigma_table(3, 30)
+    assert table == tuple(sigma_range(3, 30))
+    assert sigma_table(3, 30) is table and sigma_table(3, 7) is table
+    grown = sigma_table(3, 31)
+    assert grown == tuple(sigma_range(3, 62))
+    assert sigma_table(3, 45) is grown
+    assert sigma_table(3, 200) == tuple(sigma_range(3, 200))
+    assert sigma_table(5, 0) == (0,)
+
+
+def test_sigma_table_under_concurrent_growth(monkeypatch):
+    monkeypatch.setattr(etaq.arith, "_sigma_tables", {})
+    reference = sigma_range(2, 400)
+    bad = []
+
+    def worker(seed):
+        for limit in range(seed, 400, 7):
+            table = sigma_table(2, limit)
+            if list(table[: limit + 1]) != reference[: limit + 1]:
+                bad.append(limit)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not bad
 
 
 def test_divisors_and_factorize():

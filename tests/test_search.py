@@ -8,7 +8,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import etaq.search
 from etaq.arith import totient
 from etaq.eisenstein import MembershipTag, match_eta
 from etaq.eta import EtaQuotient
@@ -18,9 +20,11 @@ from etaq.search import (
     REFERENCE_ANTIDERIVATIVES,
     WEIGHT2_CELLS,
     WEIGHT4_CELLS,
+    _integer_roots,
     _integral_exponents,
     _lower_hnf,
     _order_matrix24,
+    _second_derivative_hits,
     antiderivative,
     classify_second_derivatives_level4,
     dual_pairs_prime_power,
@@ -448,6 +452,135 @@ def test_integer_proportionality_matches_fraction_loop(bound):
     got = [(sol.r, sol.target, sol.scalar, sol.s) for sol in sols]
     assert got == fraction_loop_hits(bound)
     assert all(type(x) is Fraction for sol in sols for x in (sol.scalar, *sol.s))
+
+
+def square_scan_hits(bound, directions):
+    """The square scan _second_derivative_hits replaced: every (r1, r2)
+    with |r_i| <= bound, tested against the directions in order by the
+    2x2 minors of etaq.search._ratio12, the first match winning."""
+    hits = []
+    for r1 in range(-bound, bound + 1):
+        for r2 in range(-bound, bound + 1):
+            r4 = -2 - r1 - r2
+            if abs(r4) > bound:
+                continue
+            s1, s2, s4 = etaq.search._ratio12(r1, r2, r4)
+            if not (s1 or s2 or s4):
+                continue
+            for index, (t1, t2, t4) in enumerate(directions):
+                if s1 * t2 == s2 * t1 and s1 * t4 == s4 * t1 and s2 * t4 == s4 * t2:
+                    hits.append(((r1, r2, r4), index))
+                    break
+    return hits
+
+
+def level4_directions():
+    out = []
+    for _, ts in level4_targets():
+        scale = lcm(*(x.denominator for x in ts))
+        out.append(tuple(int(x * scale) for x in ts))
+    return out
+
+
+@pytest.mark.parametrize("bound", [*range(46), 60, 120])
+def test_root_search_matches_square_scan(bound):
+    directions = level4_directions()
+    assert _second_derivative_hits(bound, directions) == square_scan_hits(bound, directions)
+
+
+def _reduced(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+# directions that some small r is parallel to, so that random lists of
+# directions have hits and ties between them
+HIT_DIRECTIONS = sorted(
+    {
+        d
+        for r1 in range(-12, 13)
+        for r2 in range(-12, 13)
+        if any(s := etaq.search._ratio12(r1, r2, -2 - r1 - r2))
+        and max(map(abs, d := _reduced(s))) <= 30
+    }
+)
+_component = st.one_of(st.just(0), st.integers(-30, 30))
+_direction = st.one_of(
+    st.tuples(_component, _component, _component).filter(any),
+    st.sampled_from(HIT_DIRECTIONS),
+    st.sampled_from(HIT_DIRECTIONS).map(lambda d: tuple(-x for x in d)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_direction, min_size=1, max_size=4), st.integers(0, 25))
+@example([(1, -1, 0), (-2, 2, 0)], 25)
+@example([(0, 0, 1), (1, 0, 0), (0, 1, 0)], 25)
+def test_root_search_matches_square_scan_on_random_directions(directions, bound):
+    assert _second_derivative_hits(bound, directions) == square_scan_hits(bound, directions)
+
+
+def test_random_directions_reach_hits():
+    # the hypothesis test above compares something: these lists hit
+    assert len(HIT_DIRECTIONS) > 20
+    assert all(_second_derivative_hits(12, [d]) for d in HIT_DIRECTIONS[:20])
+
+
+def test_degenerate_rows_are_walked(monkeypatch):
+    # a stand-in ratio of total degree 2: at r1 = 5 both minors against
+    # (1, 2, 0) vanish identically in r2, and against (2, 4, 1) only the
+    # first does
+    def ratio(r1, r2, r4):
+        return (r2 * r2 + 1, 2 * r2 * r2 + 2 + (r1 - 5) * r2, (r1 - 5) * r2)
+
+    monkeypatch.setattr(etaq.search, "_ratio12", ratio)
+    directions = [(0, 0, 1), (1, 2, 0), (1, 0, 0), (2, 4, 1)]
+    hits = _second_derivative_hits(8, directions)
+    assert hits == square_scan_hits(8, directions)
+    row = [r for r, index in hits if r[0] == 5]
+    assert row == [(5, r2, -7 - r2) for r2 in range(-8, 2)]
+
+
+def integer_roots_brute(a, b, c, lo, hi):
+    if not (a or b or c):
+        return None
+    return [x for x in range(lo, hi + 1) if a * x * x + b * x + c == 0]
+
+
+def _from_roots(x1, x2, k):
+    return k, -k * (x1 + x2), k * x1 * x2
+
+
+_coefficient = st.one_of(st.just(0), st.integers(-60, 60))
+_window = st.integers(-40, 40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_coefficient, _coefficient, _coefficient),
+        st.builds(_from_roots, _window, _window, st.integers(-6, 6)),
+    ),
+    _window,
+    _window,
+)
+@example((0, 3, -6), -10, 10)  # a = 0
+@example((0, 2, 1), -10, 10)  # a = 0, -c not divisible by b
+@example((0, 0, 5), -10, 10)  # a = b = 0, no root
+@example((1, 0, -9), -10, 10)  # b = 0
+@example((2, -6, 0), -10, 10)  # c = 0
+@example((0, 0, 0), -10, 10)  # identically zero
+@example((1, 0, 1), -10, 10)  # negative discriminant
+@example((1, 0, -2), -10, 10)  # discriminant not a square
+@example((1, 0, -100), -5, 5)  # both roots outside the window
+@example((1, -3, -40), 0, 10)  # roots 8 and -5, one outside
+@example((2, -1, -1), -10, 10)  # -b - sqrt(D) not divisible by 2a
+@example((4, 0, -1), -10, 10)  # neither -b +- sqrt(D) divisible by 2a
+@example((-3, 3, 18), -10, 10)  # a < 0
+@example((1, -4, 4), -10, 10)  # double root
+@example((1, 1, 0), 5, -5)  # empty window
+def test_integer_roots_match_brute_force(abc, lo, hi):
+    assert _integer_roots(*abc, lo, hi) == integer_roots_brute(*abc, lo, hi)
 
 
 def test_level4_targets():
