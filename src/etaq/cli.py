@@ -38,8 +38,14 @@ class UsageError(Exception):
     pass
 
 
+# The most units a count flag accepts.  It bounds the work one call can
+# ask for: an expansion's time grows about quadratically with its length.
+MAX_COUNT = 100_000
+
+
 def _count_arg(unit: str):
-    """argparse type for a positive count of units (q-exponents, samples)."""
+    """argparse type for a count of units (q-exponents, samples) from 1
+    to MAX_COUNT."""
 
     def parse(text: str) -> int:
         try:
@@ -48,6 +54,8 @@ def _count_arg(unit: str):
             raise argparse.ArgumentTypeError(f"expected a number of {unit}s, got {text!r}") from None
         if value < 1:
             raise argparse.ArgumentTypeError(f"must be at least 1 {unit}, got {value}")
+        if value > MAX_COUNT:
+            raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT} {unit}s, got {value}")
         return value
 
     return parse
@@ -377,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True)
     p.add_argument("--level", type=_level_arg, required=True)
     p.add_argument("--cusp", required=True, help="cusp a/c with c | level")
-    p.add_argument("--prec", type=_prec_arg, default=10, help="number of local-variable exponents")
+    p.add_argument("--prec", type=_count_arg("local-variable exponent"), default=10,
+                   help="number of local-variable exponents")
     common(p)
     p.set_defaults(func=cmd_cusp_expand)
 

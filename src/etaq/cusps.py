@@ -11,12 +11,13 @@ with step_t = gcd(t,c)^2 N / (t gcd(c^2, N)) = arith.cusp_step(N, c, t)
 (24 times the order of eta(tz) at a/c), the rational prefactors
 a_0 = (gcd(t,c)/t)^k (-B_k/2k) and a_n = (gcd(t,c)/t)^k sigma_{k-1}(n),
 and omega_t a root of unity of order t/gcd(t,c) built from the chosen
-completions.  Coefficients therefore live in Q(zeta_L) with L the lcm
-of the t/gcd(t,c); vanishing is decided by the exact cyclotomic zero
-test, and the computed order of vanishing must be independent of every
-completion choice (only omega_t changes).  Each term is held as the
-integers step_t, w_t (omega_t = zeta_L^w_t) and the numerator of
-r_t (gcd(t,c)/t)^k over one denominator shared by all terms.
+completions.  Coefficients therefore live in Q(zeta_L) with L = N/c,
+the lcm of the t/gcd(t,c) over t | N; vanishing is decided by the exact
+cyclotomic zero test, and the computed order of vanishing must be
+independent of every completion choice (only omega_t changes).  Each
+term is held as the integers step_t, w_t (omega_t = zeta_L^w_t) and the
+numerator of r_t (gcd(t,c)/t)^k over one denominator shared by all
+terms.
 
 arith.denominator_multiplicity(N, c) counts the cusps with denominator
 c; their widths sum to arith.gamma0_index(N).  On elements matched to
@@ -30,7 +31,6 @@ never represented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterator
 
@@ -145,12 +145,16 @@ class CuspExpansion:
 def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[int, int, list[Term]]:
     """(L, D, terms) with one term (step_t, w_t, W_t) per t: the exponent
     step, omega_t = zeta_L^w_t, and P_t = r_t (gcd(t,c)/t)^k = W_t / D
-    over the one denominator D, the lcm of the P_t denominators."""
+    over the one denominator D, the lcm of the P_t denominators.
+
+    L = lcm over t | N of t' = t/gcd(t,c) is N/c: t' divides N/c, since
+    v_p(t) - min(v_p(t), v_p(c)) <= v_p(N) - v_p(c), and t = N gives N/c.
+    """
     if cusp.level != f.level:
         raise ValueError(f"cusp lives on Gamma0({cusp.level}) but element on Gamma0({f.level})")
     n, c, k = f.level, cusp.c, f.k
     d = cusp.completion.d
-    order = lcm(*(t // gcd(t, c) for t in divisors(n)))
+    order = n // c
     raw = []
     for t, r in f.coeffs.items():
         tprime = t // gcd(t, c)
@@ -159,9 +163,11 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[in
         else:
             _, fv, _, _ = efgh(t, cusp.a, c)
             w = (-d * fv) % tprime * (order // tprime)  # omega_t = zeta_{t'}^(-d f)
-        raw.append((cusp_step(n, c, t), w, Fraction(r, tprime**k)))
-    den = lcm(*(p.denominator for _, _, p in raw))
-    return order, den, [(step, w, p.numerator * (den // p.denominator)) for step, w, p in raw]
+        pn, pd = r.numerator, r.denominator * tprime**k
+        g = gcd(pn, pd)
+        raw.append((cusp_step(n, c, t), w, pn // g, pd // g))
+    den = lcm(*(pd for _, _, _, pd in raw))
+    return order, den, [(step, w, pn * (den // pd)) for step, w, pn, pd in raw]
 
 
 def _coefficients(order: int, den: int, terms: list[Term], k: int, prec: int) -> Iterator[CycNumber]:

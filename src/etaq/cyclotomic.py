@@ -12,9 +12,10 @@ so that division is done exactly in Z.  This is the entire mechanism by
 which vanishing of cusp-expansion coefficients is certified; no
 coefficient ever leaves exact arithmetic.
 
-The layer has one algebra: the sparse product ``_mul_into``, which the
-cusp series products in ``etaq.series`` share, and the one reduction
-mod Phi_L.  Phi_L itself is built from the Moebius product over 1 - x^d
+The layer has one algebra: the sparse product ``_mul_into`` on integer
+monomials (s, j, n) = n * q^s * zeta_L^j, which CycNumber products (all
+at s = 0) and the cusp series products in ``etaq.series`` share, and
+the one reduction mod Phi_L.  Phi_L itself is built from the Moebius product over 1 - x^d
 by in-place integer updates, and an inverse is the product of the
 element's other Galois conjugates over its norm, a rational number.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd, lcm
 from typing import Union
 
@@ -32,6 +33,7 @@ from .arith import divisors, factorize, totient
 __all__ = ["CycNumber", "cyclotomic_polynomial"]
 
 Scalar = Union[int, Fraction]
+Monomial = tuple[int, int, int]  # (s, j, n): n * q^s * zeta^j, see _mul_into
 
 _ZERO = Fraction(0)
 
@@ -71,21 +73,30 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
         return result
 
 
-def _mul_into(out: dict[int, int], xs: Mapping[int, int], ys: Mapping[int, int], order: int) -> None:
-    """out += xs * ys on sparse integer numerators in Z[x]/(x^order - 1).
+def _mul_into(
+    out: list[dict[int, int]], xs: Iterable[Monomial], ys: Sequence[Monomial], order: int
+) -> None:
+    """out[s] += the q^s part of xs * ys, for s < len(out).
 
-    The one product kernel of the cyclotomic layer: CycNumber products
-    and cusp series products both accumulate through it, and normalise
-    the result once.
+    A monomial (s, j, n) is n * q^s * zeta_order^j with 0 <= j < order,
+    and out[s] holds the integer numerators {j: n} of step s in
+    Z[x]/(x^order - 1).  ys must be sorted by s, so the inner loop stops
+    at the first product past the last step.  This is the one product
+    kernel of the cyclotomic layer: CycNumber products (one step,
+    monomials at s = 0) and cusp series products both accumulate through
+    it, and normalise each step once.
     """
-    yt = ys.items()
-    get = out.get
-    for i, x in xs.items():
-        for j, y in yt:
+    size = len(out)
+    for s, i, x in xs:
+        room = size - s
+        for t, j, y in ys:
+            if t >= room:
+                break
             k = i + j
             if k >= order:
                 k -= order
-            out[k] = get(k, 0) + x * y
+            step = out[s + t]
+            step[k] = step.get(k, 0) + x * y
 
 
 def _mobius(n: int) -> int:
@@ -230,9 +241,11 @@ class CycNumber:
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._common(other)
-        out: dict[int, int] = {}
-        _mul_into(out, a.terms, b.terms, a.order)
-        return CycNumber._normal(a.order, out, a.den * b.den)
+        xs = [(0, j, n) for j, n in a.terms.items()]
+        ys = [(0, j, n) for j, n in b.terms.items()]
+        out: list[dict[int, int]] = [{}]
+        _mul_into(out, xs, ys, a.order)
+        return CycNumber._normal(a.order, out[0], a.den * b.den)
 
     __rmul__ = __mul__
 

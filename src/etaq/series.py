@@ -23,9 +23,11 @@ call on the numerators.
 A cyclotomic series supports products (with a cyclotomic or rational
 series), powers e >= 0, negation, valuation, ``leading``, ``coeff``,
 truncation and rendering; sums, scalar multiples, D and inversion raise
-TypeError.  Its product puts each operand's steps over one common
-denominator, accumulates the integer products of each output step in
-Z[zeta_L] with ``cyclotomic._mul_into`` and normalises each step once.
+TypeError.  Its product lists each operand's nonzero monomials
+(s, j, n) = n * q^s * zeta_L^j below the output precision, over one
+common denominator and in step order, adds all their products into the
+output steps in Z[zeta_L] with one ``cyclotomic._mul_into`` call, and
+normalises each step once.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
@@ -39,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .cyclotomic import CycNumber, _mul_into
+from .cyclotomic import CycNumber, Monomial, _mul_into
 from .kernels import conv_trunc
 
 __all__ = ["QSeries", "SeriesDomainError"]
@@ -95,14 +97,18 @@ class QSeries:
     def prec(self) -> int:
         return len(self.coeffs)
 
-    def _cyc_numerators(self, order: int) -> tuple[list[dict[int, int]], int]:
-        """Each step's numerators {j: n} of zeta_order^j over one common
-        denominator D, the lcm of the step denominators."""
+    def _cyc_monomials(self, order: int, n: int) -> tuple[list[Monomial], int]:
+        """The nonzero monomials (s, j, num) of the steps s < n, num *
+        zeta_order^j over one common denominator D, in step order; D is
+        the lcm of those steps' denominators.  A rational step is j = 0."""
         if self.cyc_order is None:
-            return [{0: c} if c else {} for c in self.coeffs], self.den
+            return [(s, 0, c) for s, c in enumerate(self.coeffs[:n]) if c], self.den
         step = order // self.cyc_order
-        den = lcm(*(c.den for c in self.coeffs))
-        return [{j * step: n * (den // c.den) for j, n in c.terms.items()} for c in self.coeffs], den
+        cs = self.coeffs[:n]
+        den = lcm(*(c.den for c in cs))
+        return [
+            (s, j * step, v * (den // c.den)) for s, c in enumerate(cs) for j, v in c.terms.items()
+        ], den
 
     def _rational_only(self, op: str) -> None:
         if self.cyc_order is not None:
@@ -162,13 +168,9 @@ class QSeries:
             vec += [0] * (n - len(vec))
             return QSeries(offset, vec, x.den * y.den)
         order = lcm(x.cyc_order or 1, y.cyc_order or 1)
-        (xs, dx), (ys, dy) = x._cyc_numerators(order), y._cyc_numerators(order)
+        (xs, dx), (ys, dy) = x._cyc_monomials(order, n), y._cyc_monomials(order, n)
         acc: list[dict[int, int]] = [{} for _ in range(n)]
-        for i, xc in enumerate(xs[:n]):
-            if xc:
-                for j in range(min(len(ys), n - i)):
-                    if ys[j]:
-                        _mul_into(acc[i + j], xc, ys[j], order)
+        _mul_into(acc, xs, ys, order)
         den = dx * dy
         return QSeries(offset, [CycNumber._normal(order, a, den) for a in acc])
 

@@ -5,7 +5,7 @@ here from scratch rather than trusting the library path)."""
 import sys
 import threading
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -212,3 +212,13 @@ def test_cusp_step_is_an_integer():
                 assert whole % (t * gcd(c * c, n)) == 0, (n, c, t)
                 assert cusp_step(n, c, t) == whole // (t * gcd(c * c, n))
     assert [cusp_step(4, c, t) for t in (1, 2, 4) for c in (1, 2, 4)] == [4, 1, 1, 2, 2, 2, 1, 1, 4]
+
+
+def test_root_of_unity_order_at_a_cusp_is_level_over_denominator():
+    # lcm over t | N of t / gcd(t, c) is N / c for every c | N: each term
+    # divides N / c, and t = N attains it.  cusps._cusp_terms takes the
+    # cyclotomic order of the coefficients at a/c from this identity
+    for n in range(1, 2001):
+        divs = divisors(n)
+        for c in divs:
+            assert lcm(*(t // gcd(t, c) for t in divs)) == n // c, (n, c)

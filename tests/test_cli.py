@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import etaq
-from etaq.cli import build_parser, main
+from etaq.cli import MAX_COUNT, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -35,17 +35,37 @@ def test_expand_eta_o_term_in_lowest_terms(capsys):
     assert series.endswith("252*q^3 + O(q^4)")
 
 
+PREC_COMMANDS = [
+    (["expand", "--eta", "eta(1)^-1"], "q-exponent"),
+    (["cusp-expand", "--element", "E4(1)", "--level", "4", "--cusp", "1/2"], "local-variable exponent"),
+    (["verify", "--suite", "identities"], "q-exponent"),
+]
+
+
 def test_prec_must_be_positive(capsys):
-    for sub in (
-        ["expand", "--eta", "eta(1)^-1"],
-        ["cusp-expand", "--element", "E4(1)", "--level", "4", "--cusp", "1/2"],
-        ["verify", "--suite", "identities"],
-    ):
+    for sub, unit in PREC_COMMANDS:
         for prec in ("0", "-3"):
             code, out, err = run_cli(capsys, *sub, "--prec", prec)
             assert code == 2 and out == ""
-            assert f"at least 1 q-exponent, got {prec}" in err
+            assert f"at least 1 {unit}, got {prec}" in err
             assert "offset" not in err
+
+
+def test_counts_are_bounded(capsys):
+    # the limit itself parses (and is not run); one more is a usage error
+    # in the flag's own unit
+    limit = str(MAX_COUNT)
+    over = str(MAX_COUNT + 1)
+    for sub, unit in PREC_COMMANDS:
+        assert build_parser().parse_args([*sub, "--prec", limit]).prec == MAX_COUNT
+        code, out, err = run_cli(capsys, *sub, "--prec", over)
+        assert code == 2 and out == ""
+        assert f"argument --prec: must be at most {limit} {unit}s, got {over}" in err
+    maingen = ["verify", "--suite", "maingen", "--samples"]
+    assert build_parser().parse_args([*maingen, limit]).samples == MAX_COUNT
+    code, out, err = run_cli(capsys, *maingen, over)
+    assert code == 2 and out == ""
+    assert f"argument --samples: must be at most {limit} samples, got {over}" in err
 
 
 def test_expand_element(capsys):

@@ -99,6 +99,22 @@ def test_integer_coefficients_match_fraction_reference(data):
         assert (coeff.order, coeff.terms, coeff.den) == (want.order, want.terms, want.den), (e, cusp)
 
 
+def test_cusp_terms_keep_rational_denominators():
+    # P_t = r_t (gcd(t,c)/t)^k with r_t's own denominators above 1, on
+    # terms with t' = 1 (P = r) and with t' > 1, one of them reduced by
+    # gcd(8, 9 * 2^4) = 8: at 1/2 on level 12, P = 3/7, -5/4, 1/18 and
+    # 1/7776 over D = 7 * 7776, with L = 12 / 2
+    r = {1: Fraction(3, 7), 2: Fraction(-5, 4), 4: Fraction(8, 9), 12: Fraction(1, 6)}
+    f = EisensteinElement(4, 12, r)
+    cusp = Cusp(1, 2, 12)
+    order, den, terms = _cusp_terms(f, cusp, efgh_complete)
+    assert (order, den) == (6, 54432)
+    assert [(step, num) for step, _, num in terms] == [(3, 23328), (6, -68040), (3, 3024), (1, 7)]
+    for e in range(8):
+        got, want = cusp_coefficient(f, cusp, e), coefficient_reference(f, cusp, order, terms, e)
+        assert (got.order, got.terms, got.den) == (want.order, want.terms, want.den), e
+
+
 def nullspace(a) -> list[list[Fraction]]:
     """Basis of the right nullspace of A."""
     if not a:
@@ -384,8 +400,9 @@ def test_forced_double_vanishing_kills_new_elements():
 
 
 def test_cusp_code_does_no_cyclotomic_number_arithmetic(monkeypatch, capsys):
-    # cusp expansions are built from integer steps, multiplied through
-    # cyclotomic._mul_into and only normalised, zero-tested and rendered:
+    # cusp expansions are built from integer steps, multiplied as integer
+    # monomial lists by one cyclotomic._mul_into call, and only
+    # normalised, zero-tested and rendered:
     # with CycNumber sums, products, lifts and inverses disabled, every
     # cusp computation still runs and gives the same result
     from etaq import cli

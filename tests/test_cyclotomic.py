@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etaq.arith import factorize, totient
-from etaq.cyclotomic import CycNumber, cyclotomic_polynomial
+from etaq.cyclotomic import CycNumber, _mul_into, cyclotomic_polynomial
 
 
 def to_complex(x: CycNumber) -> complex:
@@ -158,6 +158,76 @@ def test_rational_value_and_render():
     assert CycNumber.root_of_unity(4).rational_value() is None
     assert CycNumber(4, {0: Fraction(1, 2), 1: -3}).render() == "1/2 - 3*zeta4"
     assert CycNumber.zero(5).render() == "0"
+
+
+# -- the product kernel -------------------------------------------------------
+
+
+def mul_reference(out, xs, ys, order):
+    """{(s, j): n} of out + xs * ys below q^len(out), one monomial pair at
+    a time, with the exponent reduced by %."""
+    acc = {(s, j): n for s, step in enumerate(out) for j, n in step.items()}
+    for s, i, x in xs:
+        for t, j, y in ys:
+            if s + t < len(out):
+                key = (s + t, (i + j) % order)
+                acc[key] = acc.get(key, 0) + x * y
+    return {key: n for key, n in acc.items() if n}
+
+
+def kernel_result(out, xs, ys, order):
+    _mul_into(out, xs, ys, order)
+    return {(s, j): n for s, step in enumerate(out) for j, n in step.items() if n}
+
+
+KERNEL_CASES = {
+    # exponent sums below, at and above order, up to 2 * order - 2
+    "wrap": (5, [{}], [(0, 3, 2), (0, 4, -1), (0, 1, 7)], [(0, 1, 3), (0, 2, 5), (0, 4, -4)]),
+    # products at s + s' >= 3 are dropped, including ones past a kept one
+    "truncation": (
+        3, [{}, {}, {}], [(0, 0, 1), (2, 1, 2), (1, 2, -3)], [(0, 0, 1), (1, 1, 1), (2, 2, 1), (4, 0, 9)]
+    ),
+    # sparse steps on both sides, and a first monomial already too late
+    "gaps": (
+        7,
+        [{} for _ in range(12)],
+        [(0, 6, 1), (3, 5, -2), (7, 0, 4), (11, 3, 1)],
+        [(2, 3, 5), (5, 6, 1), (9, 1, -1)],
+    ),
+    "empty left": (4, [{0: 1}, {}], [], [(0, 1, 2)]),
+    "empty right": (4, [{0: 1}, {}], [(0, 1, 2)], []),
+    # existing numerators are added to, and two cancel to zero
+    "accumulate": (3, [{0: 5, 2: -1}, {1: -2}], [(0, 1, 1), (1, 0, 2)], [(0, 1, 1), (0, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_cases(name):
+    order, out, xs, ys = KERNEL_CASES[name]
+    want = mul_reference(out, xs, ys, order)
+    assert kernel_result([dict(step) for step in out], xs, ys, order) == want
+    if name == "accumulate":
+        assert want == {(0, 0): 5, (0, 1): 1, (1, 0): 2}
+
+
+def monomials(order, size):
+    return st.lists(
+        st.tuples(st.integers(0, size + 2), st.integers(0, order - 1), st.integers(-50, 50)),
+        max_size=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_matches_pairwise_reference(data):
+    order = data.draw(st.integers(1, 30))
+    size = data.draw(st.integers(1, 8))
+    xs = data.draw(monomials(order, size))
+    ys = sorted(data.draw(monomials(order, size)), key=lambda m: m[0])
+    steps = st.dictionaries(st.integers(0, order - 1), st.integers(-9, 9), max_size=3)
+    out = [data.draw(steps) for _ in range(size)]
+    want = mul_reference(out, xs, ys, order)
+    assert kernel_result(out, xs, ys, order) == want
 
 
 # -- differential test against the dense layout -----------------------------
