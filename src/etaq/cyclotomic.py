@@ -15,9 +15,10 @@ coefficient ever leaves exact arithmetic.
 The layer has one algebra: the sparse product ``_mul_into`` on integer
 monomials (s, j, n) = n * q^s * zeta_L^j, which CycNumber products (all
 at s = 0) and the cusp series products in ``etaq.series`` share, and
-the one reduction mod Phi_L.  Phi_L itself is built from the Moebius product over 1 - x^d
-by in-place integer updates, and an inverse is the product of the
-element's other Galois conjugates over its norm, a rational number.
+the one reduction mod Phi_L.  Phi_L itself is built from the Moebius
+product over 1 - x^d by in-place integer updates, and an inverse is the
+product of the element's other Galois conjugates over its norm, a
+rational number.
 """
 
 from __future__ import annotations

@@ -98,9 +98,9 @@ class QSeries:
         return len(self.coeffs)
 
     def _cyc_monomials(self, order: int, n: int) -> tuple[list[Monomial], int]:
-        """The nonzero monomials (s, j, num) of the steps s < n, num *
-        zeta_order^j over one common denominator D, in step order; D is
-        the lcm of those steps' denominators.  A rational step is j = 0."""
+        """Nonzero monomials (s, j, num) of the steps s < n, in step order:
+        num * q^s * zeta_order^j over one denominator D, the lcm of those
+        steps' denominators.  A rational step has j = 0."""
         if self.cyc_order is None:
             return [(s, 0, c) for s, c in enumerate(self.coeffs[:n]) if c], self.den
         step = order // self.cyc_order
