@@ -10,7 +10,7 @@ of prime-power levels (including derivative and second-derivative
 pairs).
 """
 
-from .arith import SL2Matrix, bernoulli, divisors, sigma, sl2_complete, efgh_complete
+from .arith import SL2Matrix, bernoulli, divisors, sigma, sl2_complete
 from .cyclotomic import CycNumber, cyclotomic_polynomial
 from .series import QSeries, SeriesDomainError
 from .eta import EtaQuotient, ModularityReport, parse_eta
@@ -51,7 +51,6 @@ __all__ = [
     "divisors",
     "sigma",
     "sl2_complete",
-    "efgh_complete",
     "CycNumber",
     "cyclotomic_polynomial",
     "QSeries",

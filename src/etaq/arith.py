@@ -30,7 +30,6 @@ __all__ = [
     "xgcd",
     "SL2Matrix",
     "sl2_complete",
-    "efgh_complete",
 ]
 
 
@@ -203,16 +202,3 @@ def sl2_complete(a: int, c: int) -> SL2Matrix:
     assert m.det == 1
     return m
 
-
-def efgh_complete(t: int, a: int, c: int) -> tuple[int, int, int, int]:
-    """The auxiliary completion used for expanding E_k(tz) at a/c.
-
-    Returns (e, f, g, h) with e = a*t/gcd(t, c), g = c/gcd(t, c) and
-    e*h - f*g = 1, with the same deterministic (f, h) choice as
-    sl2_complete.
-    """
-    g0 = gcd(t, c)
-    e = a * t // g0
-    g = c // g0
-    m = sl2_complete(e, g)  # (e, f; g, h) with e*h - f*g = 1
-    return e, m.b, g, m.d

@@ -335,6 +335,8 @@ def cmd_verify(args) -> int:
         "second-derivative": _suite_second_derivative,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
+    if "maingen" in names and 2 in args.weights and 1 in args.levels:
+        raise UsageError("--weights 2 with --levels 1: the weight-2 space at level 1 is trivial")
     payload = {}
     all_ok = True
     for name in names:

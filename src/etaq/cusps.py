@@ -10,14 +10,15 @@ local variable q_{c,N} = e^(2 pi i gcd(c^2,N) z / N):
 with step_t = gcd(t,c)^2 N / (t gcd(c^2, N)) = arith.cusp_step(N, c, t)
 (24 times the order of eta(tz) at a/c), the rational prefactors
 a_0 = (gcd(t,c)/t)^k (-B_k/2k) and a_n = (gcd(t,c)/t)^k sigma_{k-1}(n),
-and omega_t a root of unity of order t/gcd(t,c) built from the chosen
-completions.  Coefficients therefore live in Q(zeta_L) with L = N/c,
-the lcm of the t/gcd(t,c) over t | N; vanishing is decided by the exact
+and omega_t = zeta_t'^(d g^-1 mod t'), with t' = t/gcd(t,c) and
+g = c/gcd(t,c), read off the entry d of the cusp's completion (see
+_cusp_terms).  Coefficients therefore live in Q(zeta_L) with L = N/c,
+the lcm of the t' over t | N; vanishing is decided by the exact
 cyclotomic zero test, and the computed order of vanishing must be
-independent of every completion choice (only omega_t changes).  Each
-term is held as the integers step_t, w_t (omega_t = zeta_L^w_t) and the
-numerator of r_t (gcd(t,c)/t)^k over one denominator shared by all
-terms.
+independent of the completion (shifting d by a multiple of c rotates
+omega_t but not the order).  Each term is held as the integers step_t,
+w_t (omega_t = zeta_L^w_t) and the numerator of r_t (gcd(t,c)/t)^k
+over one denominator shared by all terms.
 
 arith.denominator_multiplicity(N, c) counts the cusps with denominator
 c; their widths sum to arith.gamma0_index(N).  On elements matched to
@@ -32,14 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .arith import (
     SL2Matrix,
     cusp_step,
     denominator_multiplicity,
     divisors,
-    efgh_complete,
     prime_power,
     sigma_table,
     sl2_complete,
@@ -60,7 +60,6 @@ __all__ = [
     "check_order_bound",
 ]
 
-EfghChooser = Callable[[int, int, int], tuple[int, int, int, int]]
 Term = tuple[int, int, int]  # (step_t, w_t, W_t), see _cusp_terms
 
 
@@ -142,13 +141,17 @@ class CuspExpansion:
         return c  # type: ignore[return-value]
 
 
-def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[int, int, list[Term]]:
+def _cusp_terms(f: EisensteinElement, cusp: Cusp) -> tuple[int, int, list[Term]]:
     """(L, D, terms) with one term (step_t, w_t, W_t) per t: the exponent
     step, omega_t = zeta_L^w_t, and P_t = r_t (gcd(t,c)/t)^k = W_t / D
     over the one denominator D, the lcm of the P_t denominators.
 
     L = lcm over t | N of t' = t/gcd(t,c) is N/c: t' divides N/c, since
     v_p(t) - min(v_p(t), v_p(c)) <= v_p(N) - v_p(c), and t = N gives N/c.
+
+    omega_t = zeta_t'^(-d f) for (e f; g h) in SL2(Z) with e = a t' and
+    g = c/gcd(t,c).  As t' | e, e h - f g = 1 gives -f g = 1 (mod t'), so
+    -d f = d g^-1 (mod t') for every such f; t' = 1 gives w_t = 0.
     """
     if cusp.level != f.level:
         raise ValueError(f"cusp lives on Gamma0({cusp.level}) but element on Gamma0({f.level})")
@@ -157,12 +160,9 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp, efgh: EfghChooser) -> tuple[in
     order = n // c
     raw = []
     for t, r in f.coeffs.items():
-        tprime = t // gcd(t, c)
-        if tprime == 1:
-            w = 0
-        else:
-            _, fv, _, _ = efgh(t, cusp.a, c)
-            w = (-d * fv) % tprime * (order // tprime)  # omega_t = zeta_{t'}^(-d f)
+        ct = gcd(t, c)
+        tprime = t // ct
+        w = d * pow(c // ct, -1, tprime) % tprime * (order // tprime)
         pn, pd = r.numerator, r.denominator * tprime**k
         g = gcd(pn, pd)
         raw.append((cusp_step(n, c, t), w, pn // g, pd // g))
@@ -180,6 +180,7 @@ def _coefficients(order: int, den: int, terms: list[Term], k: int, prec: int) ->
     """
     const = _constant(k)
     table = sigma_table(k - 1, prec - 1)
+    zero = CycNumber.zero(order)  # read-only, so shared by every empty step
     for e in range(prec):
         acc: dict[int, int] = {}
         for step, w, num in terms:
@@ -189,19 +190,14 @@ def _coefficients(order: int, den: int, terms: list[Term], k: int, prec: int) ->
             val = num * const.numerator if n == 0 else num * const.denominator * table[n]
             j = n * w % order
             acc[j] = acc.get(j, 0) + val
-        yield CycNumber._normal(order, acc, den * const.denominator)
+        yield CycNumber._normal(order, acc, den * const.denominator) if acc else zero
 
 
-def expansion_at_cusp(
-    f: EisensteinElement,
-    cusp: Cusp,
-    prec: int,
-    efgh: EfghChooser = efgh_complete,
-) -> CuspExpansion:
+def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpansion:
     """Expansion of (cz+d)^(-k) f(Mz) in q_{c,N} below exponent prec."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    order, den, terms = _cusp_terms(f, cusp, efgh)
+    order, den, terms = _cusp_terms(f, cusp)
     return CuspExpansion(cusp, QSeries(0, _coefficients(order, den, terms, f.k, prec)))
 
 
@@ -211,12 +207,7 @@ def _default_order_prec(f: EisensteinElement) -> int:
     return sturm_bound(f.k, f.level) + 10
 
 
-def order_at_cusp(
-    f: EisensteinElement,
-    cusp: Cusp,
-    prec: int | None = None,
-    efgh: EfghChooser = efgh_complete,
-) -> int:
+def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> int:
     """Order of vanishing of f at the cusp in the q_{c,N} variable.
 
     Coefficients are produced lazily from exponent 0 upward and tested
@@ -227,7 +218,7 @@ def order_at_cusp(
         raise ValueError("order of the zero element is undefined")
     if prec is None:
         prec = _default_order_prec(f)
-    order, den, terms = _cusp_terms(f, cusp, efgh)
+    order, den, terms = _cusp_terms(f, cusp)
     for e, coeff in enumerate(_coefficients(order, den, terms, f.k, prec)):
         if not coeff.is_zero():
             return e

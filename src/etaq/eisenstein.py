@@ -31,6 +31,7 @@ import re
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .arith import bernoulli, divisors, gamma0_index, prime_power, sigma_table
@@ -58,8 +59,9 @@ def eisenstein_series(k: int, prec: int) -> QSeries:
     return _combination(k, {1: 1}, prec)
 
 
+@cache
 def _constant(k: int) -> Fraction:
-    """The constant term -B_k/2k of E_k."""
+    """The constant term -B_k/2k of E_k, built once per weight."""
     return Fraction(-bernoulli(k), 2 * k)
 
 

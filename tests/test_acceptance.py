@@ -335,8 +335,9 @@ def test_criterion_9_property_suites(capsys):
     ] == naive[:prec_q]
 
     # (c) completion independence of cusp orders, 50 randomized choices
-    from etaq.arith import SL2Matrix, efgh_complete, sl2_complete
-    from etaq.cusps import Cusp
+    from etaq.arith import SL2Matrix, sl2_complete
+    from etaq.cusps import Cusp, _cusp_terms
+    from test_cusps import efgh_exponent
 
     completion_ok = True
     el = EisensteinElement(2, 4, {1: 8, 4: -32})
@@ -353,15 +354,12 @@ def test_criterion_9_property_suites(capsys):
                     element.level,
                     SL2Matrix(m0.a, m0.b + j * m0.a, m0.c, m0.d + j * m0.c),
                 )
-
-                def chooser(t, a, c, _rng=rng):
-                    e, f, g, h = efgh_complete(t, a, c)
-                    jj = _rng.randint(-30, 30)
-                    return e, f + jj * e, g, h + jj * g
-
-                completion_ok = completion_ok and (
-                    order_at_cusp(element, shifted, efgh=chooser) == reference
+                order, _, terms = _cusp_terms(element, shifted)
+                completion_ok = completion_ok and all(
+                    w == efgh_exponent(t, shifted, order, rng, 30)
+                    for t, (_, w, _) in zip(element.coeffs, terms, strict=True)
                 )
+                completion_ok = completion_ok and order_at_cusp(element, shifted) == reference
 
     # (d) exponent-step table, p in {2, 3}, m <= 5, exhaustive
     table_ok = True

@@ -17,7 +17,6 @@ from etaq.arith import (
     cusp_step,
     denominator_multiplicity,
     divisors,
-    efgh_complete,
     factorize,
     gamma0_index,
     prime_power,
@@ -178,26 +177,6 @@ def test_sl2_complete_determinant_property(a, c):
     m = sl2_complete(a, c)
     assert (m.a, m.c) == (a, c)
     assert m.a * m.d - m.b * m.c == 1
-
-
-def test_efgh_examples():
-    e, f, g, h = efgh_complete(4, 1, 2)
-    assert (e, g) == (2, 1)
-    assert e * h - f * g == 1
-    assert efgh_complete(1, 1, 1) == (1, 0, 1, 1)
-    e, f, g, h = efgh_complete(2, 1, 2)
-    assert (e, g) == (1, 1)
-    assert h - f == 1
-
-
-@given(st.integers(1, 40), st.integers(-40, 40), st.integers(1, 40))
-def test_efgh_determinant_property(t, a, c):
-    if gcd(a, c) != 1:
-        return
-    e, f, g, h = efgh_complete(t, a, c)
-    assert e == a * t // gcd(t, c)
-    assert g == c // gcd(t, c)
-    assert e * h - f * g == 1
 
 
 def test_cusp_step_is_an_integer():

@@ -257,6 +257,18 @@ def test_verify_rejects_empty_runs(capsys, flag, value, message):
     assert message in err
 
 
+@pytest.mark.parametrize("suite", ["maingen", "all"])
+def test_verify_rejects_weight2_at_level1_before_any_suite(capsys, monkeypatch, suite):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(etaq.cli, "verify_identities", refuse)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--weights", "4,2",
+                             "--levels", "4,1")
+    assert code == 2 and out == ""
+    assert err == "error: --weights 2 with --levels 1: the weight-2 space at level 1 is trivial\n"
+
+
 @pytest.mark.parametrize("value, message", [
     ("3", "argument --weight: a weight must be even and at least 2, got 3"),
     ("0", "argument --weight: a weight must be even and at least 2, got 0"),

@@ -4,8 +4,10 @@ the order-sum bound machinery.
 The two structural oracles here: (1) for elements matched to eta
 quotients, orders at every cusp must agree with the closed-form eta
 order, for every numerator; (2) orders must be invariant under the
-(non-canonical) choice of SL2 completions, which only rotate the root
-of unity entering the coefficients.
+(non-canonical) choice of the cusp's SL2 completion, which only rotates
+the roots of unity entering the coefficients.  Their closed form in
+cusps._cusp_terms is checked against the auxiliary completion of
+E_k(tz) at a/c, kept here as the reference.
 """
 
 import random
@@ -21,7 +23,6 @@ from etaq.arith import (
     bernoulli,
     denominator_multiplicity,
     divisors,
-    efgh_complete,
     sigma,
     sl2_complete,
 )
@@ -41,6 +42,51 @@ from etaq.eisenstein import EisensteinElement, match_eta, random_p_element
 from etaq.eta import EtaQuotient
 from etaq.linalg import rref
 from etaq.series import SeriesDomainError
+
+
+def efgh_complete(t: int, a: int, c: int) -> tuple[int, int, int, int]:
+    """The auxiliary completion used for expanding E_k(tz) at a/c.
+
+    Returns (e, f, g, h) with e = a*t/gcd(t, c), g = c/gcd(t, c) and
+    e*h - f*g = 1, with the same deterministic (f, h) choice as
+    sl2_complete.
+    """
+    g0 = gcd(t, c)
+    e = a * t // g0
+    g = c // g0
+    m = sl2_complete(e, g)  # (e, f; g, h) with e*h - f*g = 1
+    return e, m.b, g, m.d
+
+
+def efgh_exponent(t: int, cusp: Cusp, order: int, rng: random.Random, spread: int) -> int:
+    """w_t from the auxiliary completion: omega_t = zeta_t'^(-d f), with f
+    shifted by a random multiple of e (drawn only when t' > 1)."""
+    tprime = t // gcd(t, cusp.c)
+    if tprime == 1:
+        return 0
+    e, f, _, _ = efgh_complete(t, cusp.a, cusp.c)
+    f += rng.randint(-spread, spread) * e
+    return (-cusp.completion.d * f) % tprime * (order // tprime)
+
+
+def test_efgh_examples():
+    e, f, g, h = efgh_complete(4, 1, 2)
+    assert (e, g) == (2, 1)
+    assert e * h - f * g == 1
+    assert efgh_complete(1, 1, 1) == (1, 0, 1, 1)
+    e, f, g, h = efgh_complete(2, 1, 2)
+    assert (e, g) == (1, 1)
+    assert h - f == 1
+
+
+@given(st.integers(1, 40), st.integers(-40, 40), st.integers(1, 40))
+def test_efgh_determinant_property(t, a, c):
+    if gcd(a, c) != 1:
+        return
+    e, f, g, h = efgh_complete(t, a, c)
+    assert e == a * t // gcd(t, c)
+    assert g == c // gcd(t, c)
+    assert e * h - f * g == 1
 
 
 def coefficient_reference(f, cusp, order: int, terms, e: int) -> CycNumber:
@@ -63,7 +109,7 @@ def coefficient_reference(f, cusp, order: int, terms, e: int) -> CycNumber:
 
 def cusp_coefficient(f, cusp, e: int) -> CycNumber:
     """Coefficient of q_{c,N}^e, from the integer generator."""
-    order, den, terms = _cusp_terms(f, cusp, efgh_complete)
+    order, den, terms = _cusp_terms(f, cusp)
     return list(_coefficients(order, den, terms, f.k, e + 1))[e]
 
 
@@ -83,7 +129,7 @@ def test_integer_coefficients_match_fraction_reference(data):
     element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
     element.k, element.level, element.coeffs = k, n, coeffs
     cusp = data.draw(st.sampled_from(cusp_reps(n)))
-    order, den, terms = _cusp_terms(element, cusp, efgh_complete)
+    order, den, terms = _cusp_terms(element, cusp)
     c = cusp.c
     assert [step for step, _, _ in terms] == [
         gcd(t, c) ** 2 * n // (t * gcd(c * c, n)) for t in coeffs
@@ -107,7 +153,7 @@ def test_cusp_terms_keep_rational_denominators():
     r = {1: Fraction(3, 7), 2: Fraction(-5, 4), 4: Fraction(8, 9), 12: Fraction(1, 6)}
     f = EisensteinElement(4, 12, r)
     cusp = Cusp(1, 2, 12)
-    order, den, terms = _cusp_terms(f, cusp, efgh_complete)
+    order, den, terms = _cusp_terms(f, cusp)
     assert (order, den) == (6, 54432)
     assert [(step, num) for step, _, num in terms] == [(3, 23328), (6, -68040), (3, 3024), (1, 7)]
     for e in range(8):
@@ -228,6 +274,25 @@ def test_order_at_cusp_level1():
     assert order_at_cusp(el, cusp_reps(1)[0]) == 0
 
 
+def test_eisenstein_constant_built_once_per_weight(monkeypatch):
+    # -B_k/2k is built once per weight, not once per expansion or order
+    import etaq.eisenstein
+
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return bernoulli(k)
+
+    monkeypatch.setattr(etaq.eisenstein, "bernoulli", counted)
+    etaq.eisenstein._constant.cache_clear()
+    el = EisensteinElement(6, 8, {1: 1, 2: -3, 4: 2, 8: 5})
+    cusps = cusp_reps(8)
+    for i in range(50):
+        order_at_cusp(el, cusps[i % len(cusps)])
+    assert len(calls) <= 1
+
+
 def test_order_errors():
     with pytest.raises(ValueError):
         order_at_cusp(EisensteinElement(4, 4, {}), Cusp(1, 2, 4))
@@ -275,7 +340,8 @@ def _shifted_completion(a, c, j):
 
 def test_order_independent_of_completions():
     # 50 randomized completion choices: (b, d) shifted by multiples of
-    # (a, c), and (f, h) shifted by multiples of (e, g)
+    # (a, c), which must leave the order alone; and (f, h) shifted by
+    # multiples of (e, g), which must leave every root of unity alone
     rng = random.Random(99)
     elements = [
         JACOBI_EL,
@@ -291,14 +357,31 @@ def test_order_independent_of_completions():
                 shifted_cusp = Cusp(
                     cusp.a, cusp.c, el.level, _shifted_completion(cusp.a, cusp.c, j)
                 )
+                order, _, terms = _cusp_terms(el, shifted_cusp)
+                for t, (_, w, _) in zip(el.coeffs, terms, strict=True):
+                    assert w == efgh_exponent(t, shifted_cusp, order, rng, 20), (t, shifted_cusp)
+                assert order_at_cusp(el, shifted_cusp) == reference
 
-                def shifted_efgh(t, a, c, _rng=rng):
-                    e, f, g, h = efgh_complete(t, a, c)
-                    jj = _rng.randint(-20, 20)
-                    return e, f + jj * e, g, h + jj * g
 
-                got = order_at_cusp(el, shifted_cusp, efgh=shifted_efgh)
-                assert got == reference
+def test_cusp_roots_of_unity_match_auxiliary_completion():
+    # the closed form w_t = d (c/gcd(t,c))^-1 mod t' against the
+    # auxiliary completion, for every N <= 500, c | N and t | N, with
+    # three random numerators a in [-50, 50] per c, d shifted by a
+    # random multiple of c and f by a random multiple of e
+    rng = random.Random(17)
+    numerators = range(-50, 51)
+    for n in range(1, 501):
+        divs = divisors(n)
+        element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
+        element.k, element.level, element.coeffs = 4, n, {t: Fraction(1) for t in divs}
+        for c in divs:
+            coprime = [a for a in numerators if gcd(a, c) == 1]
+            for a in rng.sample(coprime, 3):
+                cusp = Cusp(a, c, n, _shifted_completion(a, c, rng.randint(-1000, 1000)))
+                order, _, terms = _cusp_terms(element, cusp)
+                assert order == n // c
+                for t, (_, w, _) in zip(divs, terms, strict=True):
+                    assert w == efgh_exponent(t, cusp, order, rng, 1000), (n, cusp, t)
 
 
 def test_order_sum_bound_values():
