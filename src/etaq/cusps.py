@@ -20,6 +20,13 @@ omega_t but not the order).  Each term is held as the integers step_t,
 w_t (omega_t = zeta_L^w_t) and the numerator of r_t (gcd(t,c)/t)^k
 over one denominator shared by all terms.
 
+The coefficients of a window lo <= e < hi are built by one scatter:
+each term writes its integer contributions only at its own multiples
+e = n * step_t in the window, each nonempty step is normalised once,
+and every empty step is one shared zero.  An expansion is the window
+[0, prec), stored as it is built; an order tests the doubling windows
+[0, 1), [1, 2), [2, 4), ... and stops at the first nonzero step.
+
 arith.denominator_multiplicity(N, c) counts the cusps with denominator
 c; their widths sum to arith.gamma0_index(N).  On elements matched to
 eta quotients, orders agree with the closed form EtaQuotient.order_map24.
@@ -33,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Iterator
 
 from .arith import (
     SL2Matrix,
@@ -170,27 +176,37 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp) -> tuple[int, int, list[Term]]
     return order, den, [(step, w, pn * (den // pd)) for step, w, pn, pd in raw]
 
 
-def _coefficients(order: int, den: int, terms: list[Term], k: int, prec: int) -> Iterator[CycNumber]:
-    """Cusp coefficients of q_{c,N}^e for e = 0, 1, ..., prec - 1.
+def _coefficients(
+    order: int, den: int, terms: list[Term], k: int, prec: int, lo: int = 0
+) -> list[CycNumber]:
+    """Cusp coefficients of q_{c,N}^e for the window lo <= e < prec.
 
     Term t contributes P_t * const at n = 0 and P_t * sigma_{k-1}(n) at
     n = e/step_t >= 1, with const = -B_k/2k.  Over den * den(const)
     those are the integers W_t num(const) and W_t den(const) sigma(n),
-    read from one sigma table.
+    read from one sigma table.  Each term scatters into its own
+    multiples e = n * step_t of the window, so no step is visited by a
+    term that misses it; each nonempty step is normalised once and every
+    empty one is the same read-only zero.
     """
     const = _constant(k)
     table = sigma_table(k - 1, prec - 1)
-    zero = CycNumber.zero(order)  # read-only, so shared by every empty step
-    for e in range(prec):
-        acc: dict[int, int] = {}
-        for step, w, num in terms:
-            if e % step:
-                continue
-            n = e // step
-            val = num * const.numerator if n == 0 else num * const.denominator * table[n]
+    accs: list[dict[int, int] | None] = [None] * (prec - lo)
+    if lo == 0:  # every term's n = 0 lands on zeta^0 at e = 0
+        accs[0] = {0: const.numerator * sum(num for _, _, num in terms)}
+    for step, w, num in terms:
+        scale = num * const.denominator
+        for n in range(max(-(-lo // step), 1), (prec - 1) // step + 1):
+            i = n * step - lo
             j = n * w % order
-            acc[j] = acc.get(j, 0) + val
-        yield CycNumber._normal(order, acc, den * const.denominator) if acc else zero
+            acc = accs[i]
+            if acc is None:
+                accs[i] = {j: scale * table[n]}
+            else:
+                acc[j] = acc.get(j, 0) + scale * table[n]
+    zero = CycNumber.zero(order)
+    den *= const.denominator
+    return [zero if acc is None else CycNumber._normal(order, acc, den) for acc in accs]
 
 
 def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpansion:
@@ -198,7 +214,8 @@ def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpans
     if prec < 1:
         raise ValueError("prec must be >= 1")
     order, den, terms = _cusp_terms(f, cusp)
-    return CuspExpansion(cusp, QSeries(0, _coefficients(order, den, terms, f.k, prec)))
+    steps = _coefficients(order, den, terms, f.k, prec)
+    return CuspExpansion(cusp, QSeries._cyclotomic(0, order, steps))
 
 
 def _default_order_prec(f: EisensteinElement) -> int:
@@ -210,18 +227,24 @@ def _default_order_prec(f: EisensteinElement) -> int:
 def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> int:
     """Order of vanishing of f at the cusp in the q_{c,N} variable.
 
-    Coefficients are produced lazily from exponent 0 upward and tested
-    exactly; raises precision-exhausted if none is nonzero below prec
-    (impossible for nonzero elements once prec exceeds the Sturm bound).
+    Coefficients are built on the doubling windows [0, 1), [1, 2),
+    [2, 4), ... below prec and tested exactly from exponent 0 upward, so
+    a low order costs a short window; raises precision-exhausted if none
+    is nonzero below prec (impossible for nonzero elements once prec
+    exceeds the Sturm bound).
     """
     if f.is_zero():
         raise ValueError("order of the zero element is undefined")
     if prec is None:
         prec = _default_order_prec(f)
     order, den, terms = _cusp_terms(f, cusp)
-    for e, coeff in enumerate(_coefficients(order, den, terms, f.k, prec)):
-        if not coeff.is_zero():
-            return e
+    lo = 0
+    while lo < prec:
+        hi = min(2 * lo or 1, prec)
+        for e, coeff in enumerate(_coefficients(order, den, terms, f.k, hi, lo), lo):
+            if not coeff.is_zero():
+                return e
+        lo = hi
     raise SeriesDomainError("precision-exhausted", f"no nonzero coefficient below {prec}")
 
 

@@ -15,10 +15,12 @@ coefficient ever leaves exact arithmetic.
 The layer has one algebra: the sparse product ``_mul_into`` on integer
 monomials (s, j, n) = n * q^s * zeta_L^j, which CycNumber products (all
 at s = 0) and the cusp series products in ``etaq.series`` share, and
-the one reduction mod Phi_L.  Phi_L itself is built from the Moebius
-product over 1 - x^d by in-place integer updates, and an inverse is the
-product of the element's other Galois conjugates over its norm, a
-rational number.
+the one reduction mod Phi_L.  Results are put in normal form by
+``CycNumber._normal``, which takes a one-entry dict (nearly every cusp
+step is a single power of zeta_L) with one gcd and no rebuild.  Phi_L
+itself is built from the Moebius product over 1 - x^d by in-place
+integer updates, and an inverse is the product of the element's other
+Galois conjugates over its norm, a rational number.
 """
 
 from __future__ import annotations
@@ -137,23 +139,39 @@ class CycNumber:
 
     @classmethod
     def _normal(cls, order: int, terms: dict[int, int], den: int) -> "CycNumber":
-        """Drop zero numerators and divide out gcd(den, numerators)."""
-        if 0 in terms.values():
-            terms = {j: n for j, n in terms.items() if n}
-        if not terms:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {j: n // g for j, n in terms.items()}
+        """Drop zero numerators and divide out gcd(den, numerators).
+
+        A one-entry dict, nearly every cusp step, takes one gcd and
+        neither scans for zeros nor rebuilds the dict unless it divides.
+        """
+        if len(terms) == 1:
+            [(j, n)] = terms.items()
+            if not n:
+                terms, den = {}, 1
+            elif den != 1:
+                g = gcd(den, n)
+                if g != 1:
+                    den //= g
+                    terms = {j: n // g}
+        else:
+            if 0 in terms.values():
+                terms = {j: n for j, n in terms.items() if n}
+            if not terms:
+                den = 1
+            elif den != 1:
+                g = gcd(den, *terms.values())
+                if g != 1:
+                    den //= g
+                    terms = {j: n // g for j, n in terms.items()}
         x = object.__new__(cls)
         x.order, x.terms, x.den = order, terms, den
         return x
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycNumber":
-        return cls(order, ())
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        return cls._normal(order, {}, 1)
 
     @classmethod
     def from_rational(cls, value: Scalar, order: int = 1) -> "CycNumber":

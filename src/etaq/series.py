@@ -27,7 +27,11 @@ TypeError.  Its product lists each operand's nonzero monomials
 (s, j, n) = n * q^s * zeta_L^j below the output precision, over one
 common denominator and in step order, adds all their products into the
 output steps in Z[zeta_L] with one ``cyclotomic._mul_into`` call, and
-normalises each step once.
+normalises each nonempty step once; every empty step is one shared zero.
+Cusp expansions and these products establish the cyclotomic invariant
+themselves (one order, den 1, at least one step, normalised steps), so
+they build their series through ``QSeries._cyclotomic`` without the
+checks of the public constructor.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
@@ -92,6 +96,15 @@ class QSeries:
         self.coeffs = vec
         self.den = den
         self.cyc_order = order
+
+    @classmethod
+    def _cyclotomic(cls, offset: int, order: int, coeffs: list[CycNumber]) -> "QSeries":
+        """A cyclotomic series whose caller guarantees what ``__init__``
+        checks: at least one step, each a normalised ``CycNumber`` of
+        this order, over den 1."""
+        x = object.__new__(cls)
+        x.offset, x.coeffs, x.den, x.cyc_order = offset, tuple(coeffs), 1, order
+        return x
 
     @property
     def prec(self) -> int:
@@ -172,7 +185,10 @@ class QSeries:
         acc: list[dict[int, int]] = [{} for _ in range(n)]
         _mul_into(acc, xs, ys, order)
         den = dx * dy
-        return QSeries(offset, [CycNumber._normal(order, a, den) for a in acc])
+        zero = CycNumber.zero(order)
+        return QSeries._cyclotomic(
+            offset, order, [CycNumber._normal(order, a, den) if a else zero for a in acc]
+        )
 
     __rmul__ = __mul__
 
@@ -256,10 +272,12 @@ class QSeries:
     def render_text(self, var: str = "q") -> str:
         parts: list[str] = []
         for n, c in enumerate(self.coeffs):
-            if not _stored_nonzero(c):
-                continue
             if self.cyc_order is not None:
+                if not c.terms or c.is_zero():
+                    continue
                 cs = f"({c.render()})"
+            elif not c:
+                continue
             else:
                 cs = str(c) if self.den == 1 else str(Fraction(c, self.den))
             e = self.offset + 24 * n

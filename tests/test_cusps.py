@@ -7,7 +7,8 @@ order, for every numerator; (2) orders must be invariant under the
 (non-canonical) choice of the cusp's SL2 completion, which only rotates
 the roots of unity entering the coefficients.  Their closed form in
 cusps._cusp_terms is checked against the auxiliary completion of
-E_k(tz) at a/c, kept here as the reference.
+E_k(tz) at a/c, kept here as the reference, and the windowed scatter
+in cusps._coefficients against the gather generator it replaced.
 """
 
 import random
@@ -24,6 +25,7 @@ from etaq.arith import (
     denominator_multiplicity,
     divisors,
     sigma,
+    sigma_table,
     sl2_complete,
 )
 from etaq.cusps import (
@@ -38,7 +40,7 @@ from etaq.cusps import (
     order_sum_bound,
 )
 from etaq.cyclotomic import CycNumber
-from etaq.eisenstein import EisensteinElement, match_eta, random_p_element
+from etaq.eisenstein import EisensteinElement, _constant, match_eta, random_p_element
 from etaq.eta import EtaQuotient
 from etaq.linalg import rref
 from etaq.series import SeriesDomainError
@@ -159,6 +161,71 @@ def test_cusp_terms_keep_rational_denominators():
     for e in range(8):
         got, want = cusp_coefficient(f, cusp, e), coefficient_reference(f, cusp, order, terms, e)
         assert (got.order, got.terms, got.den) == (want.order, want.terms, want.den), e
+
+
+def coefficients_reference(order: int, den: int, terms, k: int, prec: int):
+    """The former cusps._coefficients: for each exponent below prec, gather
+    every term that divides it, then normalise the step."""
+    const = _constant(k)
+    table = sigma_table(k - 1, prec - 1)
+    zero = CycNumber.zero(order)  # read-only, so shared by every empty step
+    for e in range(prec):
+        acc: dict[int, int] = {}
+        for step, w, num in terms:
+            if e % step:
+                continue
+            n = e // step
+            val = num * const.numerator if n == 0 else num * const.denominator * table[n]
+            j = n * w % order
+            acc[j] = acc.get(j, 0) + val
+        yield CycNumber._normal(order, acc, den * const.denominator) if acc else zero
+
+
+def stored(c: CycNumber) -> tuple:
+    return (c.order, c.terms, c.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_windowed_scatter_matches_gather_reference(data):
+    # every cusp of a level <= 128, small integer r (some forced to make
+    # the constant term vanish at one cusp denominator, so orders above 0
+    # occur), windows split at random points: the concatenated windows
+    # equal the gather reference step for step, and order_at_cusp finds
+    # its first exactly nonzero step or raises at the same prec
+    n = data.draw(st.integers(1, 128))
+    k = data.draw(st.sampled_from([2, 4, 6]))
+    divs = divisors(n)
+    r = {t: Fraction(data.draw(st.integers(-4, 4))) for t in divs}
+    if data.draw(st.booleans()):
+        # sum_t r_t (gcd(t, c0)/t)^k = 0: the q^0 coefficient vanishes at c0
+        c0 = data.draw(st.sampled_from(divs))
+        t0 = data.draw(st.sampled_from(divs))
+        weight = {t: Fraction(gcd(t, c0), t) ** k for t in divs}
+        r[t0] = -sum(r[t] * weight[t] for t in divs if t != t0) / weight[t0]
+    element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
+    element.k, element.level, element.coeffs = k, n, {t: v for t, v in r.items() if v}
+    prec = data.draw(st.integers(1, 40))
+    cuts = sorted(set(data.draw(st.lists(st.integers(0, prec), max_size=4))) | {0, prec})
+    for cusp in cusp_reps(n):
+        order, den, terms = _cusp_terms(element, cusp)
+        want = list(coefficients_reference(order, den, terms, k, prec))
+        got = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            window = _coefficients(order, den, terms, k, hi, lo)
+            assert len(window) == hi - lo
+            got += window
+        assert [stored(c) for c in got] == [stored(c) for c in want], (n, k, cusp, cuts)
+        if element.is_zero():
+            with pytest.raises(ValueError):
+                order_at_cusp(element, cusp, prec)
+            continue
+        first = next((e for e, c in enumerate(want) if not c.is_zero()), None)
+        if first is None:
+            with pytest.raises(SeriesDomainError, match="precision-exhausted"):
+                order_at_cusp(element, cusp, prec)
+        else:
+            assert order_at_cusp(element, cusp, prec) == first, (n, k, cusp, prec)
 
 
 def nullspace(a) -> list[list[Fraction]]:

@@ -160,6 +160,40 @@ def test_rational_value_and_render():
     assert CycNumber.zero(5).render() == "0"
 
 
+def normal_general(order: int, n_by_j: dict[int, int], den: int) -> CycNumber:
+    # a padding zero at an exponent outside 0..order-1 sends the same
+    # value through the general path of _normal, which drops it first
+    return CycNumber._normal(order, {**n_by_j, -1: 0}, den)
+
+
+@pytest.mark.parametrize(
+    "j, n, den, want",
+    [
+        (3, 0, 7, ({}, 1)),  # zero numerator
+        (2, 5, 1, ({2: 5}, 1)),  # den 1
+        (1, -7, 4, ({1: -7}, 4)),  # negative numerator, coprime
+        (0, -6, 4, ({0: -3}, 2)),  # negative numerator, gcd 2
+        (4, 12, 18, ({4: 2}, 3)),  # gcd 6
+        (5, 9, 9, ({5: 1}, 1)),  # den divides the numerator
+    ],
+)
+def test_normal_one_entry_cases(j, n, den, want):
+    terms = {j: n}
+    fast = CycNumber._normal(6, terms, den)
+    assert (fast.terms, fast.den) == want
+    general = normal_general(6, {j: n}, den)
+    assert (fast.order, fast.terms, fast.den) == (general.order, general.terms, general.den)
+    assert terms == {j: n}  # the caller's dict is not changed
+
+
+@given(st.integers(1, 30), st.integers(0, 60), st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_normal_one_entry_matches_general_path(order, j, n, den):
+    j %= order
+    fast = CycNumber._normal(order, {j: n}, den)
+    general = normal_general(order, {j: n}, den)
+    assert (fast.order, fast.terms, fast.den) == (general.order, general.terms, general.den)
+
+
 # -- the product kernel -------------------------------------------------------
 
 

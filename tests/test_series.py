@@ -4,7 +4,7 @@ differential test against the former scale-24 QSeries."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +322,17 @@ def test_render_and_json():
         QSeries(1, [1]).to_json_triples(1)
 
 
+def test_render_skips_exactly_zero_cusp_steps():
+    # 1 + zeta3 + zeta3^2 is stored with nonzero numerators but is
+    # exactly zero, so it is left out like an empty step
+    z = CycNumber(3, [1, 1, 1])
+    x = QSeries(0, [CycNumber.from_rational(2, 3), z, z])
+    assert x.render_text(var="w") == "(2) + O(w^3)"
+    y = QSeries(0, [z, CycNumber.root_of_unity(3), z])
+    assert y.render_text(var="w") == "(zeta3)*w + O(w^3)"
+    assert QSeries(0, [z]).render_text() == "0 + O(q)"
+
+
 def test_constructor_normal_form():
     x = QSeries(0, [6, -4, 0], 8)
     assert (x.coeffs, x.den) == ((3, -2, 0), 4)
@@ -520,6 +531,26 @@ def assert_same_representatives(new: QSeries, ref: QSeries):
     assert (new.offset, new.prec, new.den, new.cyc_order) == (ref.offset, ref.prec, ref.den, ref.cyc_order)
     for a, b in zip(new.coeffs, ref.coeffs):
         assert (a.order, a.terms, a.den) == (b.order, b.terms, b.den)
+
+
+def test_cusp_series_built_unchecked_equal_checked_ones():
+    # expansions and cyclotomic products skip QSeries.__init__; each one
+    # equals the series the checked constructor builds from the same
+    # steps, and every step is normalised (no zero numerator, numerators
+    # coprime to den, den 1 when empty)
+    rng = random.Random(18)
+    r = series(24, [Fraction(1, 6), Fraction(-5, 4), 3])
+    for level in (4, 9, 12, 27, 32):
+        f = EisensteinElement(4, level, {t: rng.randint(-3, 3) for t in divisors(level)})
+        g = EisensteinElement(6, level, {t: 1 for t in divisors(level) if t > 1})
+        top = expansion_at_cusp(g, Cusp(1, 1, level), 6).series
+        for cusp in cusp_reps(level):
+            x, y = (expansion_at_cusp(e, cusp, rng.randint(1, 10)).series for e in (f, g))
+            for s in (x, y, x * y, y * x, x * x, r * y, y * r, top * x):
+                assert_same_representatives(s, QSeries(s.offset, s.coeffs))
+                for c in s.coeffs:
+                    assert 0 not in c.terms.values()
+                    assert gcd(c.den, *c.terms.values()) == 1
 
 
 def random_cusp_series(rng, lead: int = 0) -> QSeries:
