@@ -10,7 +10,7 @@ of prime-power levels (including derivative and second-derivative
 pairs).
 """
 
-from .arith import SL2Matrix, bernoulli, divisors, sigma, sl2_complete
+from .arith import bernoulli, divisors, sigma
 from .cyclotomic import CycNumber, cyclotomic_polynomial
 from .series import QSeries, SeriesDomainError
 from .eta import EtaQuotient, ModularityReport, parse_eta
@@ -46,11 +46,9 @@ from .kernels import BACKEND as KERNEL_BACKEND
 __version__ = "0.1.0"
 
 __all__ = [
-    "SL2Matrix",
     "bernoulli",
     "divisors",
     "sigma",
-    "sl2_complete",
     "CycNumber",
     "cyclotomic_polynomial",
     "QSeries",

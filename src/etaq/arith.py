@@ -2,10 +2,11 @@
 
 Everything here is pure and deterministic: Bernoulli numbers by the
 defining recurrence, divisor power sums, elementary number theory
-helpers, and the SL2(Z) completions used to move q-expansions between
-cusps.  Rational values are ``fractions.Fraction`` throughout; nothing
-in this module (or anywhere in the certified computation path) touches
-floating point.
+helpers, and the exponent steps of E_k(tz) and eta(tz) at the cusps
+a/c of Gamma0(N).  A cusp carries its own d with a d = 1 (mod c)
+(cusps.Cusp), so no SL2(Z) matrix is built here.  Rational values are
+``fractions.Fraction`` throughout; nothing in this module (or anywhere
+in the certified computation path) touches floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb, gcd, isqrt
-from typing import NamedTuple
 
 __all__ = [
     "bernoulli",
@@ -28,8 +28,6 @@ __all__ = [
     "factorize",
     "prime_power",
     "xgcd",
-    "SL2Matrix",
-    "sl2_complete",
 ]
 
 
@@ -168,37 +166,3 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
-
-
-class SL2Matrix(NamedTuple):
-    """Integer matrix (a b; c d) with determinant 1."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-
-def sl2_complete(a: int, c: int) -> SL2Matrix:
-    """Complete a coprime pair (a, c) to (a b; c d) in SL2(Z).
-
-    Deterministic choice: for c != 0 take the least positive d with
-    a*d == 1 (mod c); for c == 0 (so a = +-1) take b = 0.  Any other
-    valid completion differs by (b, d) -> (b + j*a, d + j*c); cusp
-    orders computed downstream must not depend on the choice.
-    """
-    g, x, _y = xgcd(a, c)
-    if g != 1:
-        raise ValueError(f"sl2_complete requires gcd(a, c) = 1, got ({a}, {c})")
-    if c == 0:
-        return SL2Matrix(a, 0, 0, a)  # a = +-1
-    d = (x - 1) % abs(c) + 1
-    b = (a * d - 1) // c
-    m = SL2Matrix(a, b, c, d)
-    assert m.det == 1
-    return m
-

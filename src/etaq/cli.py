@@ -370,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--text", dest="json", action="store_false", help="text output (default)")
 
     p = sub.add_parser("expand", help="q-expansion of an eta quotient or Eisenstein element")
-    p.add_argument("--eta", help="eta quotient, e.g. 'eta(2)^20*eta(1)^-8*eta(4)^-8'")
-    p.add_argument("--element", help="Eisenstein combination, e.g. '8*E2(1)-32*E2(4)'")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--eta", help="eta quotient, e.g. 'eta(2)^20*eta(1)^-8*eta(4)^-8'")
+    source.add_argument("--element", help="Eisenstein combination, e.g. '8*E2(1)-32*E2(4)'")
     p.add_argument("--level", type=_level_arg, default=None)
     p.add_argument("--prec", type=_prec_arg, default=10, help="number of q-exponents")
     common(p)

@@ -1,9 +1,11 @@
 """Cusps of Gamma0(N) and Fourier expansions of Eisenstein elements there.
 
-A cusp a/c (gcd(a,c) = 1, c | N) carries its width N/gcd(c^2, N) and an
-SL2(Z) completion M = (a b; c d).  For f = sum_t r_t E_k(tz) the
-expansion of (cz+d)^(-k) f(Mz) is supported on integral powers of the
-local variable q_{c,N} = e^(2 pi i gcd(c^2,N) z / N):
+A cusp a/c (gcd(a,c) = 1, c | N) carries its width N/gcd(c^2, N) and
+one integer d with a d = 1 (mod c), which completes (a, c) to
+M = (a b; c d) in SL2(Z) with b = (a d - 1)/c; no other entry of M is
+ever read.  For f = sum_t r_t E_k(tz) the expansion of
+(cz+d)^(-k) f(Mz) is supported on integral powers of the local variable
+q_{c,N} = e^(2 pi i gcd(c^2,N) z / N):
 
     coefficient of q_{c,N}^(n * step_t)  gains  r_t * a_n(c,t) * omega_t^n,
 
@@ -11,14 +13,16 @@ with step_t = gcd(t,c)^2 N / (t gcd(c^2, N)) = arith.cusp_step(N, c, t)
 (24 times the order of eta(tz) at a/c), the rational prefactors
 a_0 = (gcd(t,c)/t)^k (-B_k/2k) and a_n = (gcd(t,c)/t)^k sigma_{k-1}(n),
 and omega_t = zeta_t'^(d g^-1 mod t'), with t' = t/gcd(t,c) and
-g = c/gcd(t,c), read off the entry d of the cusp's completion (see
-_cusp_terms).  Coefficients therefore live in Q(zeta_L) with L = N/c,
-the lcm of the t' over t | N; vanishing is decided by the exact
-cyclotomic zero test, and the computed order of vanishing must be
-independent of the completion (shifting d by a multiple of c rotates
-omega_t but not the order).  Each term is held as the integers step_t,
-w_t (omega_t = zeta_L^w_t) and the numerator of r_t (gcd(t,c)/t)^k
-over one denominator shared by all terms.
+g = c/gcd(t,c), read off the cusp's d (see _cusp_terms).
+Coefficients therefore live in Q(zeta_L) with L = N/c, the lcm of the
+t' over t | N; vanishing is decided by the exact cyclotomic zero test,
+and the computed order of vanishing must be independent of d (shifting
+d by a multiple of c rotates omega_t but not the order).  It depends
+on c alone: once d and d' are shifted to units mod L, d' = u d, so the
+coefficients at a'/c are those at a/c under zeta_L -> zeta_L^u.  Each
+term is held as the integers step_t, w_t (omega_t = zeta_L^w_t) and
+the numerator of r_t (gcd(t,c)/t)^k over one denominator shared by all
+terms.
 
 The coefficients of a window lo <= e < hi are built by one scatter:
 each term writes its integer contributions only at its own multiples
@@ -41,15 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .arith import (
-    SL2Matrix,
-    cusp_step,
-    denominator_multiplicity,
-    divisors,
-    prime_power,
-    sigma_table,
-    sl2_complete,
-)
+from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
 from .cyclotomic import CycNumber
 from .eisenstein import EisensteinElement, MembershipTag, _constant, sturm_bound
 from .series import QSeries, SeriesDomainError
@@ -71,26 +67,30 @@ Term = tuple[int, int, int]  # (step_t, w_t, W_t), see _cusp_terms
 
 @dataclass(frozen=True)
 class Cusp:
-    """Cusp a/c of Gamma0(level) with a chosen SL2(Z) completion."""
+    """Cusp a/c of Gamma0(level) with a d such that a d = 1 (mod c).
+
+    The default d is the least positive inverse of a mod c, or 1 when
+    c = 1; orders do not depend on which d is chosen.
+    """
 
     a: int
     c: int
     level: int
-    completion: SL2Matrix
+    d: int
 
-    def __init__(self, a: int, c: int, level: int, completion: SL2Matrix | None = None):
+    def __init__(self, a: int, c: int, level: int, d: int | None = None):
         if c < 1 or level % c:
             raise ValueError(f"denominator {c} must be a positive divisor of {level}")
         if gcd(a, c) != 1:
             raise ValueError(f"cusp needs gcd(a, c) = 1, got {a}/{c}")
-        if completion is None:
-            completion = sl2_complete(a, c)
-        elif (completion.a, completion.c) != (a, c) or completion.det != 1:
-            raise ValueError("completion must extend (a, c) with determinant 1")
+        if d is None:
+            d = pow(a, -1, c) or 1  # pow gives 0 only for c = 1
+        elif (a * d - 1) % c:
+            raise ValueError(f"cusp {a}/{c} needs a*d = 1 (mod {c}), got d = {d}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "completion", completion)
+        object.__setattr__(self, "d", d)
 
     @property
     def width(self) -> int:
@@ -161,8 +161,7 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp) -> tuple[int, int, list[Term]]
     """
     if cusp.level != f.level:
         raise ValueError(f"cusp lives on Gamma0({cusp.level}) but element on Gamma0({f.level})")
-    n, c, k = f.level, cusp.c, f.k
-    d = cusp.completion.d
+    n, c, d, k = f.level, cusp.c, cusp.d, f.k
     order = n // c
     raw = []
     for t, r in f.coeffs.items():
@@ -300,7 +299,7 @@ class OrderBoundReport:
         }
 
 
-def check_order_bound(f: EisensteinElement, prec: int | None = None) -> OrderBoundReport:
+def check_order_bound(f: EisensteinElement) -> OrderBoundReport:
     """Verify the strict order-sum bound and per-cusp caps for an element
     classified IN_P at a prime-power level; returns the full order vector
     and any violated assertion as a counterexample entry."""
@@ -313,7 +312,7 @@ def check_order_bound(f: EisensteinElement, prec: int | None = None) -> OrderBou
     violations: list[str] = []
     total = 0
     for cusp in cusp_reps(level):
-        v = order_at_cusp(f, cusp, prec)
+        v = order_at_cusp(f, cusp)
         orders[cusp.label()] = v
         total += v
         cap = per_cusp_cap(level, cusp.c)

@@ -184,11 +184,17 @@ def parse_element(text: str, level: int | None = None) -> EisensteinElement:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty Eisenstein combination")
-    # split at +/- while keeping the sign with the term
-    tokens = re.findall(r"[+-]?[^+-]+", cleaned)
+    # split before every +/-, so each token is one term with its sign
+    tokens = re.split(r"(?=[+-])", cleaned)
+    if not tokens[0]:  # the text starts with a sign
+        del tokens[0]
     k: int | None = None
     coeffs: dict[int, Fraction] = {}
+    pos = 0
     for token in tokens:
+        if token in ("+", "-"):
+            raise ValueError(f"sign {token!r} begins no term at {cleaned[pos:]!r}")
+        pos += len(token)
         sign = Fraction(1)
         body = token
         if body[0] in "+-":
@@ -369,9 +375,15 @@ def _identity_bound(prec: int | None, weight: int, level: int) -> int:
     return prec if prec is not None else max(50, 2 * sturm_bound(weight, level))
 
 
+def _eta_side(g: EtaQuotient, n: int) -> QSeries:
+    """g through q^n, and at least one q-step past its own offset."""
+    return g.expansion(max(24 * n, g.offset()) + 1)
+
+
 def _identity_sides(prec: int | None):
     """(name, weight, level, bound, lhs, rhs) for every table identity,
-    both sides known through q^bound."""
+    both sides known through q^bound, or through their first q-step when
+    that lies beyond q^bound."""
     for name, (a, b, c, e) in CONVOLUTIONS.items():
         n = _identity_bound(prec, 4, b)
         lhs = _combination(2, {a: 1}, n + 1) * _combination(2, {b: 1}, n + 1)
@@ -381,13 +393,12 @@ def _identity_sides(prec: int | None):
         g = EtaQuotient(level, r)
         k = int(g.weight())
         n = _identity_bound(prec, k, level)
-        yield name, k, level, n, g.expansion(24 * n + 1), _combination(k, coeffs, n + 1)
+        yield name, k, level, n, _eta_side(g, n), _combination(k, coeffs, n + 1)
     for name, (level, f, g, c) in ETA_DERIVATIVES.items():
         f, g = EtaQuotient(level, f), EtaQuotient(level, g)
         k = int(g.weight())
         n = _identity_bound(prec, k, level)
-        lhs = f.expansion(24 * n + 1).ramanujan_d()
-        yield name, k, level, n, lhs, g.expansion(24 * n + 1) * c
+        yield name, k, level, n, _eta_side(f, n).ramanujan_d(), _eta_side(g, n) * c
 
 
 def verify_identities(prec: int | None = None) -> list[IdentityCheck]:

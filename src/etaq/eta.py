@@ -45,11 +45,15 @@ class LogDerivative(NamedTuple):
 class ModularityReport:
     weight: Fraction
     conditions: tuple[tuple[str, bool], ...]
-    order_map: dict[int, Fraction]
+    order_map24: dict[int, int]  # EtaQuotient.order_map24, 1/24 units
+
+    @property
+    def order_map(self) -> dict[int, Fraction]:
+        return {c: Fraction(v, 24) for c, v in self.order_map24.items()}
 
     @property
     def holomorphic_at_cusps(self) -> bool:
-        return all(v >= 0 for v in self.order_map.values())
+        return all(v >= 0 for v in self.order_map24.values())
 
     @property
     def is_modular(self) -> bool:
@@ -180,14 +184,12 @@ class EtaQuotient:
         )
 
     def is_modular(self) -> bool:
-        """is_modular_on_gamma0().is_modular with no Fraction."""
-        return all(ok for _, ok in self._conditions()) and all(
-            v >= 0 for v in self.order_map24().values()
-        )
+        """The verdict of is_modular_on_gamma0()."""
+        return self.is_modular_on_gamma0().is_modular
 
     def is_modular_on_gamma0(self) -> ModularityReport:
         """Holomorphic-modular-form criteria on Gamma0(level), trivial character."""
-        return ModularityReport(self.weight(), self._conditions(), self.order_map())
+        return ModularityReport(self.weight(), self._conditions(), self.order_map24())
 
     # -- transformations ------------------------------------------------------
 

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 import etaq.arith
 from etaq.arith import (
-    SL2Matrix,
     bernoulli,
     cusp_step,
     denominator_multiplicity,
@@ -23,7 +22,6 @@ from etaq.arith import (
     sigma,
     sigma_range,
     sigma_table,
-    sl2_complete,
     totient,
     xgcd,
 )
@@ -155,28 +153,6 @@ def test_xgcd_identity(a, b):
     g, x, y = xgcd(a, b)
     assert g == gcd(a, b)
     assert a * x + b * y == g
-
-
-def test_sl2_complete_examples():
-    assert sl2_complete(1, 2) == SL2Matrix(1, 0, 2, 1)
-    assert sl2_complete(1, 0) == SL2Matrix(1, 0, 0, 1)
-    m = sl2_complete(3, 4)
-    assert (m.a, m.c) == (3, 4)
-    assert m.det == 1
-
-
-def test_sl2_complete_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        sl2_complete(2, 4)
-
-
-@given(st.integers(-60, 60), st.integers(-60, 60))
-def test_sl2_complete_determinant_property(a, c):
-    if gcd(a, c) != 1:
-        return
-    m = sl2_complete(a, c)
-    assert (m.a, m.c) == (a, c)
-    assert m.a * m.d - m.b * m.c == 1
 
 
 def test_cusp_step_is_an_integer():

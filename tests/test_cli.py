@@ -81,6 +81,16 @@ def test_expand_requires_input(capsys):
     assert "expand needs" in err
 
 
+def test_expand_input_errors(capsys):
+    # a sign that begins no term is named; two inputs are refused at parse time
+    code, out, err = run_cli(capsys, "expand", "--element", "+")
+    assert (code, out) == (2, "")
+    assert err == "error: sign '+' begins no term at '+'\n"
+    code, out, err = run_cli(capsys, "expand", "--eta", "eta(1)^24", "--element", "E4(1)")
+    assert (code, out) == (2, "")
+    assert "argument --element: not allowed with argument --eta" in err
+
+
 def test_eta_order(capsys):
     code, out, _ = run_cli(capsys, "eta-order", "--eta", "eta(2)^20*eta(1)^-8*eta(4)^-8", "--json")
     assert code == 0
@@ -327,6 +337,17 @@ def test_verify_identities(capsys):
     statuses = {c["identity"]: c["status"] for c in data["identities"]}
     assert statuses["jacobi-four-squares"] == "ok"
     assert statuses["theta-power-eisenstein-part-2k2"] == "remainder"
+
+
+def test_verify_identities_at_every_prec(capsys):
+    # the level-12 derivative pair starts at q^2, past a bound of 1:
+    # each eta side is expanded through its own first q-step
+    for prec in ("1", "2"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--prec", prec, "--json")
+        assert (code, err) == (0, "")
+        checks = json.loads(out)["identities"]
+        assert {c["status"] for c in checks} <= {"ok", "remainder"}
+        assert {c["bound"] for c in checks} == {int(prec)}
 
 
 def test_verify_order_bounds_small(capsys):

@@ -1,11 +1,13 @@
 """Cusp representatives, widths, expansions at cusps, exact orders, and
 the order-sum bound machinery.
 
-The two structural oracles here: (1) for elements matched to eta
+The three structural oracles here: (1) for elements matched to eta
 quotients, orders at every cusp must agree with the closed-form eta
 order, for every numerator; (2) orders must be invariant under the
-(non-canonical) choice of the cusp's SL2 completion, which only rotates
-the roots of unity entering the coefficients.  Their closed form in
+(non-canonical) choice of the cusp's d, which only rotates the roots of
+unity entering the coefficients; (3) cusps with one denominator have
+the same orders, since changing the numerator applies a Galois
+automorphism to the coefficients.  The roots of unity's closed form in
 cusps._cusp_terms is checked against the auxiliary completion of
 E_k(tz) at a/c, kept here as the reference, and the windowed scatter
 in cusps._coefficients against the gather generator it replaced.
@@ -17,17 +19,9 @@ from math import gcd
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from etaq.arith import (
-    SL2Matrix,
-    bernoulli,
-    denominator_multiplicity,
-    divisors,
-    sigma,
-    sigma_table,
-    sl2_complete,
-)
+from etaq.arith import bernoulli, denominator_multiplicity, divisors, sigma, sigma_table
 from etaq.cusps import (
     Cusp,
     _coefficients,
@@ -50,14 +44,14 @@ def efgh_complete(t: int, a: int, c: int) -> tuple[int, int, int, int]:
     """The auxiliary completion used for expanding E_k(tz) at a/c.
 
     Returns (e, f, g, h) with e = a*t/gcd(t, c), g = c/gcd(t, c) and
-    e*h - f*g = 1, with the same deterministic (f, h) choice as
-    sl2_complete.
+    e*h - f*g = 1: h is the least positive inverse of e mod g (1 when
+    g = 1), the same choice as a cusp's default d.
     """
     g0 = gcd(t, c)
     e = a * t // g0
     g = c // g0
-    m = sl2_complete(e, g)  # (e, f; g, h) with e*h - f*g = 1
-    return e, m.b, g, m.d
+    h = pow(e, -1, g) or 1
+    return e, (e * h - 1) // g, g, h
 
 
 def efgh_exponent(t: int, cusp: Cusp, order: int, rng: random.Random, spread: int) -> int:
@@ -68,7 +62,7 @@ def efgh_exponent(t: int, cusp: Cusp, order: int, rng: random.Random, spread: in
         return 0
     e, f, _, _ = efgh_complete(t, cusp.a, cusp.c)
     f += rng.randint(-spread, spread) * e
-    return (-cusp.completion.d * f) % tprime * (order // tprime)
+    return (-cusp.d * f) % tprime * (order // tprime)
 
 
 def test_efgh_examples():
@@ -276,6 +270,23 @@ def test_cusp_validation_and_width():
     assert Cusp(1, 2, 4).key() == Cusp(3, 2, 4).key()
 
 
+def test_cusp_default_d_is_least_inverse():
+    # the default d against a brute-force search for the least positive
+    # d with a*d = 1 (mod c), over every coprime pair with 1 <= c < 300
+    # and -300 <= a < 300; a d that is not an inverse is refused
+    for c in range(1, 300):
+        least = {}
+        for r in range(c):
+            if gcd(r, c) == 1:
+                least[r] = next(d for d in range(1, c + 1) if (r * d - 1) % c == 0)
+        for a in range(-300, 300):
+            if gcd(a, c) == 1:
+                assert Cusp(a, c, c).d == least[a % c], (a, c)
+    assert Cusp(3, 4, 4, 7).d == 7
+    with pytest.raises(ValueError, match="a\\*d = 1"):
+        Cusp(1, 2, 4, 2)
+
+
 def test_denominator_multiplicity():
     assert [denominator_multiplicity(16, c) for c in (1, 2, 4, 8, 16)] == [1, 1, 2, 1, 1]
     assert [denominator_multiplicity(9, c) for c in (1, 3, 9)] == [1, 2, 1]
@@ -400,15 +411,15 @@ def test_cross_oracle_composite_level():
     assert orders == {"1/1": 0, "1/2": 1, "1/3": 0, "1/4": 2, "1/6": 1, "1/12": 0}
 
 
-def _shifted_completion(a, c, j):
-    m = sl2_complete(a, c)
-    return SL2Matrix(a, m.b + j * a, c, m.d + j * c)
+def _shifted(a, c, n, j):
+    """Cusp a/c of Gamma0(n) with its default d shifted by j*c."""
+    return Cusp(a, c, n, Cusp(a, c, n).d + j * c)
 
 
 def test_order_independent_of_completions():
-    # 50 randomized completion choices: (b, d) shifted by multiples of
-    # (a, c), which must leave the order alone; and (f, h) shifted by
-    # multiples of (e, g), which must leave every root of unity alone
+    # 50 randomized choices of d, shifted by multiples of c, which must
+    # leave the order alone; and of the auxiliary f, shifted by
+    # multiples of e, which must leave every root of unity alone
     rng = random.Random(99)
     elements = [
         JACOBI_EL,
@@ -421,9 +432,7 @@ def test_order_independent_of_completions():
             reference = order_at_cusp(el, cusp)
             for _ in range(50):
                 j = rng.randint(-20, 20)
-                shifted_cusp = Cusp(
-                    cusp.a, cusp.c, el.level, _shifted_completion(cusp.a, cusp.c, j)
-                )
+                shifted_cusp = _shifted(cusp.a, cusp.c, el.level, j)
                 order, _, terms = _cusp_terms(el, shifted_cusp)
                 for t, (_, w, _) in zip(el.coeffs, terms, strict=True):
                     assert w == efgh_exponent(t, shifted_cusp, order, rng, 20), (t, shifted_cusp)
@@ -444,11 +453,70 @@ def test_cusp_roots_of_unity_match_auxiliary_completion():
         for c in divs:
             coprime = [a for a in numerators if gcd(a, c) == 1]
             for a in rng.sample(coprime, 3):
-                cusp = Cusp(a, c, n, _shifted_completion(a, c, rng.randint(-1000, 1000)))
+                cusp = _shifted(a, c, n, rng.randint(-1000, 1000))
                 order, _, terms = _cusp_terms(element, cusp)
                 assert order == n // c
                 for t, (_, w, _) in zip(divs, terms, strict=True):
                     assert w == efgh_exponent(t, cusp, order, rng, 1000), (n, cusp, t)
+
+
+def workload_numerators(level: int, c: int) -> list[int]:
+    """Every numerator the cusp-products workload of perfbench can pick at
+    denominator c: for each class a mod g = gcd(c, level/c) prime to g,
+    the first six members from (a mod g or g) upward that are prime to c;
+    only 1 at c = level."""
+    if c == level:
+        return [1]
+    g = gcd(c, level // c)
+    out = []
+    for res in range(g):
+        if gcd(res, g) == 1:
+            out += [a for a in range(res or g, res + 8 * g * c, g) if gcd(a, c) == 1][:6]
+    return out
+
+
+def conjugate_denominators(level: int) -> list[int]:
+    """The c | level with more than one cusp a/c up to equivalence."""
+    return [c for c in divisors(level) if denominator_multiplicity(level, c) > 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orders_depend_only_on_the_denominator(data):
+    # For a/c and a'/c, shift d and d' by multiples of c until both are
+    # units mod L = N/c; then d' = u d (mod L), so every omega_t exponent
+    # is multiplied by u: zeta_L -> zeta_L^u maps each coefficient at a/c
+    # to the one at a'/c, and each step vanishes at both or at neither.
+    # The element is forced to vanish on its first steps at a drawn cusp
+    # a0/c0 with inequivalent conjugates (a nullspace over Q), so that
+    # the steps compared there cancel in Q(zeta_L).
+    levels = [n for n in range(2, 129) if conjugate_denominators(n)]
+    n = data.draw(st.sampled_from(levels), label="level")
+    k = data.draw(st.sampled_from([2, 4, 6]), label="k")
+    divs = divisors(n)
+    c0 = data.draw(st.sampled_from(conjugate_denominators(n)), label="c0")
+    cusp0 = Cusp(data.draw(st.sampled_from(workload_numerators(n, c0)), label="a0"), c0, n)
+    rows = [[Fraction(1, t) for t in divs]] if k == 2 else []
+    for e in range(data.draw(st.integers(1, 3), label="forced steps")):
+        coords: dict[int, list[Fraction]] = {}
+        for idx, t in enumerate(divs):
+            basis = EisensteinElement.__new__(EisensteinElement)
+            basis.k, basis.level, basis.coeffs = k, n, {t: Fraction(1)}
+            for ci, cv in enumerate(cusp_coefficient(basis, cusp0, e).reduced()):
+                coords.setdefault(ci, [Fraction(0)] * len(divs))[idx] = cv
+        rows.extend(coords.values())
+    space = nullspace(rows)
+    weights = data.draw(st.lists(st.integers(-9, 9), min_size=len(space), max_size=len(space)))
+    r = [sum(w * v[i] for w, v in zip(weights, space)) for i in range(len(divs))]
+    assume(any(r))
+    element = EisensteinElement(k, n, dict(zip(divs, r)))
+    for c in divs:
+        seen = set()
+        for a in workload_numerators(n, c):
+            cusp = Cusp(a, c, n)
+            steps = expansion_at_cusp(element, cusp, 6).series.coeffs
+            seen.add((order_at_cusp(element, cusp), tuple(x.is_zero() for x in steps)))
+        assert len(seen) == 1, (element, c, seen)
 
 
 def test_order_sum_bound_values():

@@ -3,6 +3,7 @@ matching, and the identity suite.  Expected series coefficients are
 recomputed here from first principles (divisor sums by enumeration)."""
 
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -160,6 +161,17 @@ def test_parse_element():
         parse_element("E2(1)+E4(2)")
     with pytest.raises(ValueError):
         parse_element("2*F2(1)")
+    # every sign must begin a term
+    for text, rest in [
+        ("E4(1)--E4(2)", "--E4(2)"),
+        ("E4(1)-+E4(2)", "-+E4(2)"),
+        ("E4(1)+-2*E4(2)", "+-2*E4(2)"),
+        ("E4(1)-", "-"),
+        ("+", "+"),
+    ]:
+        with pytest.raises(ValueError, match=f"begins no term at {re.escape(repr(rest))}"):
+            parse_element(text)
+    assert parse_element("+E4(1)-2*E4(2)").coeffs == {1: 1, 2: -2}
     for level in (None, 4):
         with pytest.raises(ValueError, match=r"t in Ek\(t\) must be at least 1 in '-2\*E4\(0\)'"):
             parse_element("E4(1)-2*E4(0)", level=level)

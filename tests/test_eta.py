@@ -215,7 +215,7 @@ def modularity_reference(f: EtaQuotient) -> ModularityReport:
         ("even integer weight", w2 % 4 == 0),
         ("trivial character", square),
     )
-    return ModularityReport(Fraction(w2, 2), conditions, f.order_map())
+    return ModularityReport(Fraction(w2, 2), conditions, f.order_map24())
 
 
 @settings(max_examples=300, deadline=None)
