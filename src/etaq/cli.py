@@ -6,8 +6,9 @@ second-derivative, verify.  Output is deterministic for fixed flags
 text rendering to machine-readable JSON.  Exit codes: 0 success or
 verified, 1 verification failure (counterexample in the output),
 2 usage error, 3 internal error (a failed certificate: a claim the
-search had selected did not survive its exact series check; or a
-series computation that ran out of known precision).
+search had selected did not survive its exact series check; a series
+computation that ran out of known precision; or any other arithmetic
+fault).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .search import (
     enumerate_eta_in_e,
     verify_classification_lists,
 )
-from .series import SeriesDomainError
 
 DEFAULT_LEVELS = "2,4,8,16,32,3,9,27,5,25,7,49"
 DEFAULT_WEIGHTS = "2,4,6"
@@ -439,13 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SeriesDomainError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (ArithmeticError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

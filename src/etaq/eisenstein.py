@@ -17,11 +17,13 @@ Also here: the Sturm equality bound, certified matching of eta
 quotients against Eisenstein combinations, and a suite of classical
 product-to-sum and convolution identities verified exactly.  Matching
 reads the coefficients r_t off the rows q^t, t | N, which form a
-unitriangular system, then checks every row through twice the Sturm
-bound (and the weight-2 balance); every comparison is between integers.
-The identities are data: three tables (E_2 convolutions, eta quotients
-equal to Eisenstein combinations, eta-quotient derivatives) read by one
-loop.
+unitriangular system, then checks every row through the fixed depth
+2*sturm_bound + 2 (and the weight-2 balance); every comparison is
+between integers.  The identities are data: four tables (E_2
+convolutions, eta quotients equal to Eisenstein combinations,
+eta-quotient derivatives, theta-power remainders): the first three
+are read by one loop of equalities, the last by one loop of constant
+terms.
 """
 
 from __future__ import annotations
@@ -229,13 +231,13 @@ def sturm_bound(k: int, n: int) -> int:
     return (k * gamma0_index(n)) // 12
 
 
-def match_certification_rows(k: int, n: int, margin: int = 2) -> int:
-    """Last q-exponent match_eta compares: at least twice the Sturm
-    bound, and the rows q^t for every t | n."""
-    return max(2 * sturm_bound(k, n) + margin, n + 1)
+def match_certification_rows(k: int, n: int) -> int:
+    """Last q-exponent match_eta compares: twice the Sturm bound plus 2,
+    and at least the rows q^t for every t | n."""
+    return max(2 * sturm_bound(k, n) + 2, n + 1)
 
 
-def match_eta(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
+def match_eta(g: EtaQuotient) -> EisensteinElement | None:
     """Certified Eisenstein combination equal to g, or None.
 
     The unknowns are the r_t of sum_{t | level} r_t E_k(tz).  The rows
@@ -247,25 +249,21 @@ def match_eta(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
     when k = 2) is then checked by integer comparisons; any failure
     returns None.  Both sides are modular of weight k on Gamma0(level),
     so agreement through twice the Sturm bound proves equality.
-    Preconditions: g passes the modularity criteria with even integer
-    weight >= 2.
+    Preconditions: g passes the modularity criteria, which make its
+    weight an even integer, with weight >= 2.
     """
     if not g.is_modular():
         failed = g.is_modular_on_gamma0().failed()
         raise ValueError(f"quotient fails modularity criteria: {failed}")
-    weight = g.weight()
-    if weight < 2 or weight.denominator != 1 or weight % 2:
-        raise ValueError(f"matching needs even integer weight >= 2, got {weight}")
-    k = int(weight)
+    k = int(g.weight())
+    if k < 2:
+        raise ValueError(f"matching needs even integer weight >= 2, got {k}")
     n = g.level
-    rows = match_certification_rows(k, n, margin)
-    # the expansion lives on q^(offset/24) * Z[[q]], so it is integral
-    # exactly when the offset is
-    if g.offset() % 24:
-        raise AssertionError("integral-exponent expansion expected for modular quotient")
+    rows = match_certification_rows(k, n)
     exp = g.expansion(24 * rows + 1)
-    # b[j] = exp.den * [q^j] g for j = 0..rows; holomorphy at infinity
-    # makes the offset nonnegative
+    # b[j] = exp.den * [q^j] g for j = 0..rows; the modularity criteria
+    # make the offset a multiple of 24 (sum t*r_t = 0 mod 24), and
+    # holomorphy at infinity makes it nonnegative
     b = [0] * (g.offset() // 24) + list(exp.coeffs)
     sig = sigma_table(k - 1, n)
     x: dict[int, int] = {}  # exp.den * r_t
@@ -334,29 +332,16 @@ ETA_DERIVATIVES = {
     ),
 }
 
-THETA_QUOTIENT = {1: -2, 2: 5, 4: -2}
-
-
-def _theta_power_remainder(k: int, prec: int) -> Fraction:
-    """Constant term of theta^(4k) minus its Eisenstein principal part.
-
-    The classical representation-by-squares expression for theta^(4k)
-    is exact only for 2k in {2, 4} up to a weight-2k remainder series;
-    this returns the constant-term discrepancy (expected 1/2).
-    """
-    theta_pow = EtaQuotient(4, {t: 2 * k * r for t, r in THETA_QUOTIENT.items()})
-    lhs = theta_pow.expansion(24 * prec + 1)
-    kk = 2 * k
-    denom = Fraction(2**kk - 1)
-    sign = Fraction((-1) ** k)
-    combo = {
-        1: sign / denom,
-        2: -(sign + 1) / denom,
-        4: Fraction(2**kk) / denom,
-    }
-    scale = Fraction(-kk) / bernoulli(kk)  # -2k/B_2k with kk = 2k
-    rhs = EisensteinElement(kk, 4, {t: scale * c for t, c in combo.items()}).expansion(prec)
-    return (lhs - rhs).coeff(0)
+# theta(z)^(2k) against the weight-2k combination
+# -2k/B_2k * (s E_2k(z) - (s+1) E_2k(2z) + 2^2k E_2k(4z)) / (2^2k - 1),
+# s = (-1)^k, with theta(z) = eta(2z)^5 / (eta(z)^2 eta(4z)^2).  theta^(2k)
+# has weight k, not 2k, so the two sides are not equal as series; only
+# their constant terms are compared, and they differ by 1/2.
+# name -> (level, weight, r, coeffs)
+THETA_REMAINDERS = {
+    "theta-power-eisenstein-part-2k2": (4, 2, {1: -4, 2: 10, 4: -4}, {1: 4, 4: -16}),
+    "theta-power-eisenstein-part-2k4": (4, 4, {1: -8, 2: 20, 4: -8}, {1: 8, 2: -16, 4: 128}),
+}
 
 
 def _check_equal(
@@ -406,24 +391,17 @@ def verify_identities(prec: int | None = None) -> list[IdentityCheck]:
 
     Each table identity is checked coefficient-by-coefficient through
     max(50, 2*sturm_bound(weight, level)) q-exponents (or ``prec`` if
-    given).  The theta-power checks are expected to leave a remainder
-    and report its constant term instead of an equality.
+    given).  The theta-power rows are expected to leave a remainder and
+    report their constant-term discrepancy instead of an equality.
     """
     out = [_check_equal(*sides) for sides in _identity_sides(prec)]
-    for k in (1, 2):
-        bound = _identity_bound(prec, 2 * k, 4)
-        const = _theta_power_remainder(k, bound)
+    for name, (level, weight, r, coeffs) in THETA_REMAINDERS.items():
+        bound = _identity_bound(prec, weight, level)
+        theta_pow = EtaQuotient(level, r).expansion(1)
+        const = theta_pow.coeff(0) - _combination(weight, coeffs, 1).coeff(0)
         status = "remainder" if const == Fraction(1, 2) else "mismatch"
-        out.append(
-            IdentityCheck(
-                f"theta-power-eisenstein-part-2k{2*k}",
-                2 * k,
-                4,
-                bound,
-                status,
-                note=f"non-modular remainder; constant-term discrepancy {const}",
-            )
-        )
+        note = f"non-modular remainder; constant-term discrepancy {const}"
+        out.append(IdentityCheck(name, weight, level, bound, status, note=note))
     return sorted(out, key=lambda c: c.identity)
 
 

@@ -76,6 +76,8 @@ class EtaQuotient:
             raise ValueError("level must be >= 1")
         exps = {}
         for t, r in exponents.items():
+            if t < 1:
+                raise ValueError(f"the t in eta(t) must be at least 1, got {t}")
             if level % t:
                 raise ValueError(f"divisor {t} does not divide level {level}")
             if r:

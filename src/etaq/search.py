@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import denominator_multiplicity, gamma0_index, xgcd
+from .arith import denominator_multiplicity, gamma0_index, prime_power, xgcd
 from .cusps import per_cusp_cap
 from .eisenstein import (
     EisensteinElement,
@@ -175,6 +175,8 @@ def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be even >= 2")
+    if m < 0 or p < 2 or prime_power(p) != (p, 1):
+        raise ValueError(f"level p^m needs a prime p and m >= 0, got p = {p}, m = {m}")
     n = p**m
     pairs: list[SearchPair] = []
     scanned = 0
@@ -369,13 +371,14 @@ def antiderivative(g: EtaQuotient, certify_rel: int = 480) -> DualPair:
     """The weight-0 eta quotient f with D(f) a constant multiple of g
     times f (equivalently: D(f)/f equals lambda * g as a series).
 
-    Writes the certified Eisenstein match of g in the basis
-    {E_2(z) - d E_2(dz) : 1 < d | N} with coefficients -rho_d/d, scales
-    by the least lambda clearing denominators, and exponentiates: the
-    logarithmic-derivative identity D(eta(dz))/eta(dz) = -d E_2(dz)
-    turns the basis coefficients into eta exponents.  The resulting
-    identity D(f) = lambda * (f*g) is certified by exact series
-    arithmetic through certify_rel exponent steps past the offset.
+    By the logarithmic-derivative identity D(eta(tz))/eta(tz) =
+    -t E_2(tz) (EtaQuotient.log_derivative), D(f)/f = lambda * g for
+    g = sum_t rho_t E_2(tz) exactly when r_t = -lambda * rho_t / t, so
+    f is read off the certified match rho of g, with lambda the least
+    positive integer that makes every r_t integral; the weight-2 balance
+    sum rho_t/t = 0 makes f of weight 0.  The identity D(f) =
+    lambda * (f*g) is certified by exact series arithmetic through
+    certify_rel exponent steps past the offset.
     """
     element = match_eta(g)
     if element is None:
@@ -383,12 +386,9 @@ def antiderivative(g: EtaQuotient, certify_rel: int = 480) -> DualPair:
     if element.k != 2:
         raise ValueError(f"antiderivatives are defined for weight 2, got {element.k}")
     n = element.level
-    basis = {d: -rho / d for d, rho in element.coeffs.items() if d > 1}
-    lam = lcm(*(v.denominator for v in basis.values()))
-    exps = {d: int(v * lam) for d, v in basis.items() if v}
-    r1 = -sum(exps.values())
-    if r1:
-        exps[1] = exps.get(1, 0) + r1
+    ratios = {t: rho / t for t, rho in element.coeffs.items()}
+    lam = lcm(*(v.denominator for v in ratios.values()))
+    exps = {t: int(-lam * v) for t, v in ratios.items()}
     f = EtaQuotient(n, exps)
     g_der = f * g
 

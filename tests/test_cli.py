@@ -318,7 +318,9 @@ def test_precision_exhaustion_is_internal_error(capsys, monkeypatch):
         assert err == "internal error: precision-exhausted: operands share no known window\n"
 
 
-def test_other_arithmetic_errors_stay_usage_errors(capsys, monkeypatch):
+def test_other_arithmetic_errors_are_internal_errors(capsys, monkeypatch):
+    # no input the parsers accept reaches a bare ArithmeticError: one is
+    # always the program's fault
     from etaq.series import QSeries
 
     def fails(self):
@@ -326,7 +328,21 @@ def test_other_arithmetic_errors_stay_usage_errors(capsys, monkeypatch):
 
     monkeypatch.setattr(QSeries, "is_zero_to_prec", fails)
     code, out, err = run_cli(capsys, "second-derivative")
-    assert code == 2 and out == "" and err == "error: no such thing\n"
+    assert code == 3 and out == "" and err == "internal error: no such thing\n"
+
+
+def test_expansion_faults_are_internal_errors(capsys, monkeypatch):
+    from etaq.eta import EtaQuotient
+
+    for exc in (ArithmeticError("log-derivative recurrence: 5 does not divide 7"),
+                ZeroDivisionError("division by zero")):
+        def fails(self, prec, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(EtaQuotient, "expansion", fails)
+        code, out, err = run_cli(capsys, "expand", "--eta", "eta(1)^24", "--prec", "5")
+        assert code == 3 and out == ""
+        assert err == f"internal error: {exc}\n"
 
 
 def test_verify_identities(capsys):

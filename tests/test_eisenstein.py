@@ -15,6 +15,7 @@ from etaq.arith import bernoulli, divisors
 from etaq.cli import main
 from etaq.eisenstein import (
     EisensteinElement,
+    IdentityCheck,
     MembershipTag,
     eisenstein_series,
     match_certification_rows,
@@ -26,7 +27,7 @@ from etaq.eisenstein import (
 )
 from etaq.eta import EtaQuotient
 from etaq.linalg import solve_unique
-from etaq.series import QSeries, SeriesDomainError
+from etaq.series import QSeries
 from test_series import substitute_power
 
 
@@ -191,9 +192,10 @@ def eisenstein_coefficient(k: int, j: int, t: int = 1) -> Fraction:
     return Fraction(total)
 
 
-def match_eta_reference(g: EtaQuotient, margin: int = 2) -> EisensteinElement | None:
-    """The former match_eta: the whole system of Eisenstein coefficients
-    through the certification rows, solved by Fraction row reduction."""
+def match_eta_reference(g: EtaQuotient) -> EisensteinElement | None:
+    """The former match_eta in Fractions: the square system of the rows
+    q^t, t | N (unitriangular, so its solution is unique) solved by row
+    reduction, then every row 0..rows and the weight-2 balance checked."""
     report = g.is_modular_on_gamma0()
     if not report.is_modular:
         raise ValueError(f"quotient fails modularity criteria: {report.failed()}")
@@ -202,7 +204,7 @@ def match_eta_reference(g: EtaQuotient, margin: int = 2) -> EisensteinElement | 
     k = int(report.weight)
     n = g.level
     divs = divisors(n)
-    rows = match_certification_rows(k, n, margin)
+    rows = match_certification_rows(k, n)
     if g.offset() % 24:
         raise AssertionError("integral-exponent expansion expected for modular quotient")
     exp = g.expansion(24 * rows + 1)
@@ -210,26 +212,18 @@ def match_eta_reference(g: EtaQuotient, margin: int = 2) -> EisensteinElement | 
 
     a = [[eisenstein_coefficient(k, j, t) for t in divs] for j in range(rows + 1)]
     b = [exp.coeff(j - lead) for j in range(rows + 1)]
-    if k == 2:
-        a.append([Fraction(1, t) for t in divs])
-        b.append(Fraction(0))
-    try:
-        sol = solve_unique(a, b)
-    except ValueError as exc:
-        raise SeriesDomainError("precision-exhausted", str(exc)) from exc
-    if sol is None:
+    sol = solve_unique([a[t] for t in divs], [b[t] for t in divs])
+    if any(sum(x * r for x, r in zip(row, sol)) != bj for row, bj in zip(a, b)):
         return None
-    coeffs = {t: r for t, r in zip(divs, sol)}
-    try:
-        return EisensteinElement(k, n, coeffs)
-    except ValueError:
+    if k == 2 and sum(r / t for t, r in zip(divs, sol)):
         return None
+    return EisensteinElement(k, n, dict(zip(divs, sol)))
 
 
-def match_outcome(match, g: EtaQuotient, margin: int = 2):
+def match_outcome(match, g: EtaQuotient):
     """The element or None that match returns, or the type it raises."""
     try:
-        return match(g, margin)
+        return match(g)
     except Exception as exc:  # the type raised is the outcome
         return type(exc)
 
@@ -276,9 +270,9 @@ def test_match_eta_quotient_draws_are_modular():
 
 
 @settings(max_examples=200, deadline=None)
-@given(quotients_up_to_level_144(), st.integers(0, 4))
-def test_match_eta_matches_fraction_reference(g, margin):
-    assert match_outcome(match_eta, g, margin) == match_outcome(match_eta_reference, g, margin)
+@given(quotients_up_to_level_144())
+def test_match_eta_matches_fraction_reference(g):
+    assert match_outcome(match_eta, g) == match_outcome(match_eta_reference, g)
 
 
 def test_eisenstein_coefficient_helper():
@@ -453,6 +447,73 @@ def test_identity_table_error_is_reported(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "first_mismatch: q^(24/24) coefficient differs by -1/6" in out
     assert "identities_ok: False" in out
+
+
+# The theta-power checks as they were computed before they became
+# table rows: theta(z) = eta(2z)^5 / (eta(z)^2 eta(4z)^2) raised to 2k,
+# against the weight-2k representation-by-squares combination.
+THETA_QUOTIENT = {1: -2, 2: 5, 4: -2}
+
+
+def theta_power_sides(k: int) -> tuple[EtaQuotient, EisensteinElement]:
+    """theta^(2k) and -2k/B_2k * (s, -(s+1), 2^2k)/(2^2k - 1), s = (-1)^k."""
+    theta_pow = EtaQuotient(4, {t: 2 * k * r for t, r in THETA_QUOTIENT.items()})
+    kk = 2 * k
+    denom = Fraction(2**kk - 1)
+    sign = Fraction((-1) ** k)
+    combo = {
+        1: sign / denom,
+        2: -(sign + 1) / denom,
+        4: Fraction(2**kk) / denom,
+    }
+    scale = Fraction(-kk) / bernoulli(kk)  # -2k/B_2k with kk = 2k
+    return theta_pow, EisensteinElement(kk, 4, {t: scale * c for t, c in combo.items()})
+
+
+def _theta_power_remainder(k: int, prec: int) -> Fraction:
+    """Constant term of theta^(2k) minus its Eisenstein principal part.
+
+    The classical representation-by-squares expression for theta^(2k)
+    is exact only for 2k in {2, 4} up to a weight-2k remainder series;
+    this returns the constant-term discrepancy (expected 1/2).
+    """
+    theta_pow, element = theta_power_sides(k)
+    lhs = theta_pow.expansion(24 * prec + 1)
+    rhs = element.expansion(prec)
+    return (lhs - rhs).coeff(0)
+
+
+def test_theta_table_rows_follow_the_formula():
+    for k in (1, 2):
+        theta_pow, element = theta_power_sides(k)
+        name = f"theta-power-eisenstein-part-2k{2 * k}"
+        level, weight, r, coeffs = eisenstein.THETA_REMAINDERS[name]
+        assert EtaQuotient(level, r) == theta_pow
+        assert EisensteinElement(weight, level, coeffs) == element
+
+
+@pytest.mark.parametrize("prec", [1, 2, 12, 50, 75, None])
+def test_theta_table_matches_remainder_reference(prec):
+    checks = {c.identity: c for c in verify_identities(prec)}
+    for k in (1, 2):
+        name = f"theta-power-eisenstein-part-2k{2 * k}"
+        bound = prec if prec is not None else max(50, 2 * sturm_bound(2 * k, 4))
+        const = _theta_power_remainder(k, bound)
+        assert const == Fraction(1, 2)
+        note = f"non-modular remainder; constant-term discrepancy {const}"
+        assert checks[name] == IdentityCheck(name, 2 * k, 4, bound, "remainder", note=note)
+
+
+def test_theta_table_error_is_reported(monkeypatch):
+    level, weight, r, _ = eisenstein.THETA_REMAINDERS["theta-power-eisenstein-part-2k2"]
+    monkeypatch.setitem(
+        eisenstein.THETA_REMAINDERS,
+        "theta-power-eisenstein-part-2k2",
+        (level, weight, r, {1: 2, 4: -8}),
+    )
+    check = next(x for x in verify_identities() if x.identity == "theta-power-eisenstein-part-2k2")
+    assert check.status == "mismatch"
+    assert check.note == "non-modular remainder; constant-term discrepancy 3/4"
 
 
 def test_identity_suite_custom_precision():

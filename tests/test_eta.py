@@ -41,6 +41,15 @@ def test_level_divisor_validation():
         EtaQuotient(4, {3: 1})
 
 
+def test_divisor_must_be_positive():
+    # -2 divides 4 and 0 divides nothing, but neither is an eta argument
+    for exps in ({-2: 1, 1: 2}, {0: 1}, {-1: 0}):
+        with pytest.raises(ValueError, match="the t in eta"):
+            EtaQuotient(4, exps)
+    with pytest.raises(ValueError, match="bad eta argument in 'eta\\(0\\)\\^2'"):
+        parse_eta("eta(0)^2")
+
+
 def test_expansion_jacobi():
     ex = JACOBI.expansion(24 * 8 + 1)
     # four-squares representation counts

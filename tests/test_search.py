@@ -272,6 +272,14 @@ def test_weight2_level4_search():
     assert imprimitive.element.coeffs == {1: 1, 2: -3, 4: 2}
 
 
+def test_search_needs_prime_and_nonnegative_exponent():
+    # the walk takes the divisors of p^m to be p^0, ..., p^m, which holds
+    # only for a prime p and m >= 0
+    for p, m in ((4, 1), (6, 1), (1, 2), (0, 1), (-2, 1), (2, -1)):
+        with pytest.raises(ValueError, match="needs a prime p and m >= 0"):
+            enumerate_eta_in_e(2, p, m)
+
+
 def test_weight2_empty_at_level2():
     assert enumerate_eta_in_e(2, 2, 1).pairs == ()
 
@@ -331,6 +339,28 @@ def test_antiderivative_level12():
 def test_antiderivative_rejects_non_weight2():
     with pytest.raises(ValueError):
         antiderivative(EtaQuotient(2, {1: -8, 2: 16}))  # weight 4
+
+
+def antiderivative_reference(g: EtaQuotient) -> tuple[EtaQuotient, Fraction]:
+    """The former antiderivative's f and lambda: the match rho of g in
+    the basis {E_2(z) - d E_2(dz) : 1 < d | N} with coefficients
+    -rho_d/d, scaled by the least lambda clearing denominators, and r_1
+    fixed up so that f has weight 0."""
+    element = match_eta(g)
+    basis = {d: -rho / d for d, rho in element.coeffs.items() if d > 1}
+    lam = lcm(*(v.denominator for v in basis.values()))
+    exps = {d: int(v * lam) for d, v in basis.items() if v}
+    r1 = -sum(exps.values())
+    if r1:
+        exps[1] = exps.get(1, 0) + r1
+    return EtaQuotient(element.level, exps), Fraction(lam)
+
+
+def test_antiderivative_matches_basis_reference():
+    pairs = dual_pairs_prime_power()
+    assert len(pairs) == 12
+    for dp in pairs:
+        assert (dp.f, dp.scalar) == antiderivative_reference(dp.source), dp.source
 
 
 def test_dual_pairs_match_published_list():
