@@ -3,18 +3,23 @@
 Subcommands: expand, eta-order, cusp-expand, search, dual-pairs,
 second-derivative, verify.  Output is deterministic for fixed flags
 (collections sorted, rationals rendered p/q); --json switches from the
-text rendering to machine-readable JSON.  Exit codes: 0 success or
+text rendering to machine-readable JSON, which is exactly
+json.dumps(payload, indent=2, sort_keys=True) plus a newline (ASCII,
+keys sorted) for payloads whose keys are strings, which all of etaq's
+are, so consumers may diff it.  Exit codes: 0 success or
 verified, 1 verification failure (counterexample in the output),
 2 usage error, 3 internal error (a failed certificate: a claim the
 search had selected did not survive its exact series check; a series
 computation that ran out of known precision; or any other arithmetic
-fault).
+fault), 141 when the reader closed stdout before the output ended
+(etaq ... | head), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from functools import cache
@@ -109,9 +114,45 @@ def _list_arg(noun: str, minimum: int, valid=lambda v: True, rule: str = ""):
 
 def _emit(payload, args) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         _emit_text(payload)
+
+
+_ascii = json.encoder.encode_basestring_ascii
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for str-keyed payloads,
+    byte for byte, with the C encoder doing the work that json does in
+    Python whenever indent is set: every string goes through
+    encode_basestring_ascii, and a list of nonempty lists of plain ints
+    (the coeffs triples) is encoded compactly in one call and then laid
+    out (its text holds no string, so "," and "],[" only separate)."""
+    if isinstance(value, str):
+        return _ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= {list, tuple} and all(value) and {type(y) for x in value for y in x} == {int}:
+            deeper = inner + "  "
+            rows = _compact(value)[2:-2].replace(",", ",\n" + deeper)
+            rows = rows.replace(f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
+            return f"[\n{inner}[\n{deeper}{rows}\n{inner}]\n{indent}]"
+        return "[\n" + ",\n".join(inner + _json(x, inner) for x in value) + f"\n{indent}]"
+    if value is None or isinstance(value, bool):
+        return _SCALARS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _compact(value)
 
 
 def _emit_text(payload, indent: str = "") -> None:
@@ -428,7 +469,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit status when the reader closes stdout early (etaq ... | head):
+# 128 + SIGPIPE, what a shell reports for a process that SIGPIPE ended.
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # output that fit the buffer meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # the "Note on SIGPIPE" of the signal docs: point stdout at devnull,
+        # so that the flush at interpreter exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

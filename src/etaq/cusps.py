@@ -218,9 +218,12 @@ def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpans
 
 
 def _default_order_prec(f: EisensteinElement) -> int:
-    # the total number of zeros of a weight-k form is k*mu/12, so the
-    # order at a single cusp can never exceed the Sturm bound
-    return sturm_bound(f.k, f.level) + 10
+    # Valence formula: the orders of a nonzero weight-k form on Gamma0(N),
+    # at the cusps in their local variables and at interior points with
+    # weight 1, 1/2 or 1/3, are nonnegative and sum to k*mu/12.  So its
+    # order at one cusp is an integer at most floor(k*mu/12) =
+    # sturm_bound(k, N), and the exponents 0 .. sturm_bound decide it.
+    return sturm_bound(f.k, f.level) + 1
 
 
 def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> int:

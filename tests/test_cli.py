@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etaq
-from etaq.cli import MAX_COUNT, build_parser, main
+import etaq.cli
+from etaq.cli import EXIT_CLOSED_PIPE, MAX_COUNT, _json, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -432,3 +434,70 @@ def test_one_parser_per_process_keeps_no_state(capsys, monkeypatch):
     for argv, expect in zip(runs + runs, fresh + fresh):
         assert run_cli(capsys, *argv) == expect, argv
     assert build_parser() is build_parser()
+
+
+def reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# strings that would break a textual layout, or need escapes
+AWKWARD = ["", "],[", '","', "[", "]", ",", '"', "\\", "\x00\x1f\x7f", "\n\t", "é", "\u2028", "𝔼₂"]
+texts = st.text() | st.sampled_from(AWKWARD)
+ints = st.integers() | st.integers(-(2**200), 2**200)
+int_lists = st.lists(ints | st.booleans(), max_size=5)
+leaves = (st.none() | st.booleans() | ints | texts | st.floats()
+          | int_lists | st.lists(int_lists, max_size=5) | st.lists(int_lists.map(tuple), max_size=3))
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payloads)
+def test_json_encoder_matches_indented_dumps(payload):
+    """The --json encoder against the json module's own indent=2 output:
+    escapes, bools beside ints, empty containers at every depth, tuples,
+    and lists of int lists with empty or mixed rows."""
+    assert _json(payload) == reference_json(payload)
+
+
+@pytest.mark.parametrize("exps", [
+    {1: -8, 2: 20, 4: -8},
+    {1: -16, 2: 40, 4: -16},
+    {1: 24},
+    {1: -1},
+    {1: 2, 2: -5, 4: 10, 8: -5, 16: 2},
+    {1: -2, 2: 2, 3: -2, 4: 4, 6: 6, 12: -4},
+], ids=str)
+def test_expand_json_is_indented_dumps(capsys, monkeypatch, exps):
+    """The six quotients the expand-deep benchmark expands, at 200
+    q-exponents: stdout is json.dumps(indent=2, sort_keys=True) of the
+    payload, byte for byte."""
+    seen = []
+    emit = etaq.cli._emit
+    monkeypatch.setattr(etaq.cli, "_emit", lambda payload, args: (seen.append(payload), emit(payload, args)))
+    text = "*".join(f"eta({t})^{r}" for t, r in exps.items())
+    code, out, _ = run_cli(capsys, "expand", "--eta", text, "--prec", "200", "--json")
+    assert code == 0 and len(seen[0]["coeffs"]) > 100
+    assert out == reference_json(seen[0]) + "\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that closes stdout early (etaq ... | head -1) ends the
+    run with the documented status and no traceback.  The output, about
+    1.5 MB, outgrows any pipe buffer, so the writer meets the closed end."""
+    src = str(Path(etaq.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = ["expand", "--element", "E4(1)", "--level", "1", "--prec", "20000", "--json"]
+    proc = subprocess.Popen([sys.executable, "-m", "etaq", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (EXIT_CLOSED_PIPE, b"")
+    assert EXIT_CLOSED_PIPE == 141

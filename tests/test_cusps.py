@@ -34,9 +34,10 @@ from etaq.cusps import (
     order_sum_bound,
 )
 from etaq.cyclotomic import CycNumber
-from etaq.eisenstein import EisensteinElement, _constant, match_eta, random_p_element
+from etaq.eisenstein import EisensteinElement, _constant, match_eta, random_p_element, sturm_bound
 from etaq.eta import EtaQuotient
 from etaq.linalg import rref
+from etaq.search import WEIGHT2_CELLS, WEIGHT4_CELLS, enumerate_eta_in_e
 from etaq.series import SeriesDomainError
 
 
@@ -540,6 +541,30 @@ def test_check_order_bound_examples():
 
     with pytest.raises(ValueError):
         check_order_bound(EisensteinElement(4, 4, {1: 1, 2: 1}))  # not IN_P
+
+
+def test_default_order_depth_is_one_past_the_sturm_bound():
+    # By the valence formula a nonzero weight-k form has order at most
+    # sturm_bound(k, N) at any one cusp, so order_at_cusp needs only the
+    # exponents 0 .. sturm_bound.  The default depth must agree with a
+    # window ten exponents deeper, built by expansion_at_cusp.  Some
+    # classified quotient has order exactly sturm_bound at a cusp, so no
+    # shorter default would do.
+    matched = [match_eta(sp.eta) for cell in WEIGHT2_CELLS + WEIGHT4_CELLS
+               for sp in enumerate_eta_in_e(*cell).pairs]
+    assert len(matched) == 16 and None not in matched
+    rng = random.Random(21)
+    drawn = [random_p_element(rng, k, p, m) for k in (2, 4, 6)
+             for p, m in ((2, 1), (2, 2), (2, 3), (3, 2), (5, 1), (7, 1)) for _ in range(4)]
+    attained = False
+    for i, f in enumerate(matched + drawn):
+        bound = sturm_bound(f.k, f.level)
+        for cusp in cusp_reps(f.level):
+            order = order_at_cusp(f, cusp)
+            assert order <= bound, (f, cusp)
+            assert order == expansion_at_cusp(f, cusp, bound + 11).series.valuation(), (f, cusp)
+            attained = attained or (i < len(matched) and order == bound)
+    assert attained
 
 
 def test_check_order_bound_sampled_small():
