@@ -356,52 +356,53 @@ def _check_equal(
     return IdentityCheck(name, weight, level, bound, "mismatch", first_mismatch=mismatch)
 
 
-def _identity_bound(prec: int | None, weight: int, level: int) -> int:
-    return prec if prec is not None else max(50, 2 * sturm_bound(weight, level))
-
-
-def _eta_side(g: EtaQuotient, n: int) -> QSeries:
-    """g through q^n, and at least one q-step past its own offset."""
-    return g.expansion(max(24 * n, g.offset()) + 1)
-
-
-def _identity_sides(prec: int | None):
-    """(name, weight, level, bound, lhs, rhs) for every table identity,
-    both sides known through q^bound, or through their first q-step when
-    that lies beyond q^bound."""
+def _identity_rows():
+    """(name, weight, level, sides) for every table equality, sides(n)
+    giving both sides through q^n.  By the valence formula an eta side's
+    leading exponent, which D keeps, is at most its Sturm bound."""
     for name, (a, b, c, e) in CONVOLUTIONS.items():
-        n = _identity_bound(prec, 4, b)
-        lhs = _combination(2, {a: 1}, n + 1) * _combination(2, {b: 1}, n + 1)
-        rhs = _combination(4, c, n + 1) + _combination(2, e, n + 1).ramanujan_d()
-        yield name, 4, b, n, lhs, rhs
+        yield name, 4, b, lambda n, a=a, b=b, c=c, e=e: (
+            _combination(2, {a: 1}, n + 1) * _combination(2, {b: 1}, n + 1),
+            _combination(4, c, n + 1) + _combination(2, e, n + 1).ramanujan_d(),
+        )
     for name, (level, r, coeffs) in ETA_EISENSTEIN.items():
         g = EtaQuotient(level, r)
         k = int(g.weight())
-        n = _identity_bound(prec, k, level)
-        yield name, k, level, n, _eta_side(g, n), _combination(k, coeffs, n + 1)
+        yield name, k, level, lambda n, g=g, k=k, coeffs=coeffs: (
+            g.expansion(24 * n + 1), _combination(k, coeffs, n + 1)
+        )
     for name, (level, f, g, c) in ETA_DERIVATIVES.items():
         f, g = EtaQuotient(level, f), EtaQuotient(level, g)
-        k = int(g.weight())
-        n = _identity_bound(prec, k, level)
-        yield name, k, level, n, _eta_side(f, n).ramanujan_d(), _eta_side(g, n) * c
+        yield name, int(g.weight()), level, lambda n, f=f, g=g, c=c: (
+            f.expansion(24 * n + 1).ramanujan_d(), g.expansion(24 * n + 1) * c
+        )
 
 
 def verify_identities(prec: int | None = None) -> list[IdentityCheck]:
     """Exact verification of the product-to-sum and differential identities.
 
-    Each table identity is checked coefficient-by-coefficient through
-    max(50, 2*sturm_bound(weight, level)) q-exponents (or ``prec`` if
-    given).  The theta-power rows are expected to leave a remainder and
-    report their constant-term discrepancy instead of an equality.
+    Each table equality is checked coefficient-by-coefficient through
+    max(50, 2*sturm_bound(weight, level)) q-exponents, or through
+    ``prec``, which must reach their largest Sturm bound (ValueError
+    otherwise).  The theta-power rows are expected to leave a remainder:
+    they compare the constant term only (bound 0) and report its
+    discrepancy.
     """
-    out = [_check_equal(*sides) for sides in _identity_sides(prec)]
+    rows = list(_identity_rows())
+    if prec is not None:
+        bound, name = max((sturm_bound(k, level), name) for name, k, level, _ in rows)
+        if prec < bound:
+            raise ValueError(f"prec {prec} lies below the Sturm bound of {name}, {bound} q-exponents")
+    out = []
+    for name, k, level, sides in rows:
+        n = prec if prec is not None else max(50, 2 * sturm_bound(k, level))
+        out.append(_check_equal(name, k, level, n, *sides(n)))
     for name, (level, weight, r, coeffs) in THETA_REMAINDERS.items():
-        bound = _identity_bound(prec, weight, level)
         theta_pow = EtaQuotient(level, r).expansion(1)
         const = theta_pow.coeff(0) - _combination(weight, coeffs, 1).coeff(0)
         status = "remainder" if const == Fraction(1, 2) else "mismatch"
         note = f"non-modular remainder; constant-term discrepancy {const}"
-        out.append(IdentityCheck(name, weight, level, bound, status, note=note))
+        out.append(IdentityCheck(name, weight, level, 0, status, note=note))
     return sorted(out, key=lambda c: c.identity)
 
 

@@ -155,9 +155,6 @@ class EtaQuotient:
             raise ValueError(f"cusp denominator {c} must divide level {self.level}")
         return Fraction(self.order_map24()[c], 24)
 
-    def order_map(self) -> dict[int, Fraction]:
-        return {c: Fraction(v, 24) for c, v in self.order_map24().items()}
-
     def total_cusp_order(self) -> Fraction:
         """Sum of cusp orders with denominator multiplicity; prime-power level."""
         n = self.level
@@ -194,15 +191,6 @@ class EtaQuotient:
         return ModularityReport(self.weight(), self._conditions(), self.order_map24())
 
     # -- transformations ------------------------------------------------------
-
-    def rescale(self, t0: int) -> "EtaQuotient":
-        """z -> t0*z: exponent at t moves to t*t0, level multiplies by t0."""
-        if t0 < 1:
-            raise ValueError("rescale factor must be >= 1")
-        return EtaQuotient(self.level * t0, {t * t0: r for t, r in self.exponents.items()})
-
-    def power(self, e: int) -> "EtaQuotient":
-        return EtaQuotient(self.level, {t: r * e for t, r in self.exponents.items()})
 
     def __mul__(self, other: "EtaQuotient") -> "EtaQuotient":
         if not isinstance(other, EtaQuotient):

@@ -8,35 +8,39 @@ orders of an exponent vector r at the cusp denominators p^i are B r,
 column j of the integer matrix B being EtaQuotient.order_map24 of
 eta(p^j z).  With a lower-triangular (Hermite normal form) basis H = B U,
 U unimodular, the search walks whole orders v_i one at a time, each
-inside its per-cusp cap (2 at the denominator-2 cusp of level 4, else 1)
-and what is left of the weighted total k mu/12: 24 v_i = (H y)_i needs
-only y_0..y_i, and v_i is kept when it fixes an integer y_i.  Each point
-gives the exponent vector U y of weight k.  Its orders at the cusps N
-and 1 are sum t r_t / 24 and sum (N/t) r_t / 24, so their being whole is
-the pair of mod-24 modularity congruences, and only the character is
-left to check before certifying against an Eisenstein combination.  The
-caps make the walk finite; it is complete for nonzero r_1 and r_{p^m}.
+inside its per-cusp cap and what is left of the weighted total k mu/12:
+24 v_i = (H y)_i needs only y_0..y_i, and v_i is kept when it fixes an
+integer y_i.  Each point gives the exponent vector U y of weight k.  Its
+orders at the cusps N and 1 are sum t r_t / 24 and sum (N/t) r_t / 24,
+so their being whole is the pair of mod-24 modularity congruences, and
+only the character is left to check before certifying against an
+Eisenstein combination.  Under the order bound's caps (2 at the
+denominator-2 cusp of level 4, else 1) the walk is complete for nonzero
+r_1 and r_{p^m}; with every cap raised to the total, every quotient.
 
 Also here: antiderivatives pairing weight-2 results with the weight-0
 quotients whose derivative they are, and the bounded search for level-4
-quotients whose second derivative is again an eta quotient.  That
-search tests proportionality in integers: 12 times the ratio vector is
-an integer quadratic form in (r1, r2, r4), and it is a nonzero multiple
-of a target direction scaled to integers exactly when it is nonzero and
-its three 2x2 minors against the target vanish.  With r4 = -2 - r1 - r2
-the minors are quadratics in r2 for each r1, so the candidates are their
-exact integer roots, not every point of the square |r1|, |r2| <= bound.
+quotients whose second derivative is again an eta quotient.  Its targets
+come from the uncapped walk and its ratio from the E_2 convolution
+table, 12 times the ratio being an integer quadratic form in (r1, r2,
+r4).  It tests proportionality in integers: with r4 = -2 - r1 - r2 the
+2x2 minors against a target are quadratics in r2 for each r1, so the
+candidates are their exact integer roots, not every point of the square
+|r1|, |r2| <= bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
+from operator import mul
 
 from .arith import denominator_multiplicity, gamma0_index, prime_power, xgcd
 from .cusps import per_cusp_cap
 from .eisenstein import (
+    CONVOLUTIONS,
     EisensteinElement,
     MembershipTag,
     match_certification_rows,
@@ -131,13 +135,13 @@ def _order_matrix24(p: int, m: int) -> list[list[int]]:
     return [[col[p**i] for col in cols] for i in range(m + 1)]
 
 
-def _integral_exponents(k: int, p: int, m: int):
+def _integral_exponents(k: int, p: int, m: int, caps: list[int]):
     """Yield, in lexicographic order of their cusp-order vectors, the
     integer exponent vectors (r_{p^j})_j whose orders are whole numbers
-    inside the per-cusp caps that sum, with multiplicity, to k mu/12."""
+    v_i <= caps[i] at the denominators p^i that sum, with multiplicity,
+    to k mu/12."""
     n = p**m
     mult = [denominator_multiplicity(n, p**i) for i in range(m + 1)]
-    caps = [per_cusp_cap(n, p**i) for i in range(m + 1)]
     target, rem = divmod(k * gamma0_index(n), 12)
     if rem:
         return
@@ -165,6 +169,14 @@ def _integral_exponents(k: int, p: int, m: int):
     yield from walk(0, target)
 
 
+def _walk_matches(k: int, p: int, m: int, caps: list[int]):
+    """(quotient, its certified Eisenstein match or None) for each point
+    of _integral_exponents: whole orders leave only the character."""
+    for r in _integral_exponents(k, p, m, caps):
+        quotient = EtaQuotient(p**m, {p**j: rj for j, rj in enumerate(r)})
+        yield quotient, match_eta(quotient) if quotient.is_modular() else None
+
+
 def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     """All eta quotients equal to an Eisenstein combination of weight k
     and level p^m whose combination has nonzero r_1 and r_{p^m}.
@@ -180,21 +192,12 @@ def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:
     n = p**m
     pairs: list[SearchPair] = []
     scanned = 0
-    for r in _integral_exponents(k, p, m):
+    caps = [per_cusp_cap(n, p**i) for i in range(m + 1)]
+    for quotient, element in _walk_matches(k, p, m, caps):
         scanned += 1
-        quotient = EtaQuotient(n, {p**j: rj for j, rj in enumerate(r)})
-        if not quotient.is_modular():  # whole orders leave only the character
-            continue
-        element = match_eta(quotient)
-        if element is None:
-            continue
-        if element.classify() is not MembershipTag.IN_P:
-            continue
-        pairs.append(
-            SearchPair(
-                quotient, element, match_certification_rows(k, n), quotient.is_primitive()
-            )
-        )
+        if element is not None and element.classify() is MembershipTag.IN_P:
+            rows = match_certification_rows(k, n)
+            pairs.append(SearchPair(quotient, element, rows, quotient.is_primitive()))
     pairs.sort(key=lambda sp: sp.eta.key())
     return SearchResult(k, p, m, tuple(pairs), scanned)
 
@@ -414,23 +417,36 @@ def dual_pairs_prime_power(certify_rel: int = 480) -> list[DualPair]:
 # ---------------------------------------------------------------------------
 
 
-def _ratio12(r1: int, r2: int, r4: int) -> tuple[int, int, int]:
+@cache
+def _ratio12_form() -> tuple[tuple[int, ...], ...]:
+    """12 s_d, d = 1, 2, 4, over r1^2, r2^2, r4^2, r1 r2, r1 r4, r2 r4.
+    D^2(f)/f = h^2 + D(h) for h = D(f)/f = -sum t r_t E_2(tz); the row
+    E_2(az) E_2(bz) = sum c_d E_4(dz) + sum e_d D(E_2(dz)) of CONVOLUTIONS
+    enters h^2 times (2 - [a = b]) a b r_a r_b, and its D(E_2(dz)) terms
+    must cancel D(h) = (d/2) r_d (r1 + r2 + r4) (on r1 + r2 + r4 = -2)."""
+    rows = {(a, b): (name, c, e) for name, (a, b, c, e) in CONVOLUTIONS.items()}
+    form = []
+    for d in (1, 2, 4):
+        form.append([])
+        for a, b in ((1, 1), (2, 2), (4, 4), (1, 2), (1, 4), (2, 4)):
+            name, c, e = rows[a, b]
+            w = (2 - (a == b)) * a * b
+            coeff = 12 * w * c.get(d, Fraction(0))
+            if w * e.get(d, 0) + Fraction(d, 2) * (d in (a, b)) or coeff.denominator != 1:
+                raise AssertionError(f"{name}: no integer form cancelling D(h) at d = {d}")
+            form[-1].append(int(coeff))
+    return tuple(map(tuple, form))
+
+
+def _ratio12(r1: int, r2: int, r4: int) -> tuple[int, ...]:
     """12 * second_derivative_ratio((r1, r2, r4)), in integers."""
-    return (
-        r1 * (5 * r1 + 4 * r2 + 2 * r4),
-        20 * r2 * r2 + 16 * r1 * r2 + 6 * r1 * r4 + 16 * r2 * r4,
-        16 * r4 * (5 * r4 + 2 * r1 + 4 * r2),
-    )
+    m = (r1 * r1, r2 * r2, r4 * r4, r1 * r2, r1 * r4, r2 * r4)
+    return tuple(sum(map(mul, row, m)) for row in _ratio12_form())
 
 
 def second_derivative_ratio(r: tuple[int, int, int]) -> tuple[Fraction, Fraction, Fraction]:
-    """(s_1, s_2, s_4) with D^2(f)/f = sum s_d E_4(dz) for
-    f = eta(z)^r1 eta(2z)^r2 eta(4z)^r4, valid when r1+r2+r4 = -2.
-
-    Derived by expanding (r1 E_2(z) + 2 r2 E_2(2z) + 4 r4 E_2(4z))^2
-    through the convolution identities of the verify_identities suite;
-    the weight constraint makes every D(E_2(dz)) term cancel.
-    """
+    """(s_1, s_2, s_4) with D^2(f)/f = sum s_d E_4(dz) for f = eta(z)^r1
+    eta(2z)^r2 eta(4z)^r4, r1+r2+r4 = -2: the form of _ratio12_form."""
     if sum(r) != -2:
         raise ValueError("exponents must satisfy r1 + r2 + r4 = -2")
     return tuple(Fraction(x, 12) for x in _ratio12(*r))
@@ -456,21 +472,16 @@ class SecondDerivSolution:
         }
 
 
-def level4_targets() -> list[tuple[EtaQuotient, tuple[Fraction, Fraction, Fraction]]]:
-    """Weight-4 eta quotients available inside level 4 (the classified
-    level-2 quotients, their z -> 2z images, and the level-4 natives),
-    each with its certified E_4-coefficient vector over divisors 1,2,4."""
-    level2 = [e for e in REFERENCE_WEIGHT4 if set(e) <= {1, 2}]
-    quotients = [EtaQuotient(4, e) for e in level2]
-    quotients += [EtaQuotient(2, e).rescale(2) for e in level2]
-    quotients += [EtaQuotient(4, e) for e in REFERENCE_WEIGHT4 if e not in level2]
-    out = []
-    for q in quotients:
-        element = match_eta(q)
-        assert element is not None and element.k == 4
-        s = tuple(element.coeffs.get(d, Fraction(0)) for d in (1, 2, 4))
-        out.append((q, s))
-    return out
+@cache
+def level4_targets() -> tuple[tuple[EtaQuotient, tuple[Fraction, Fraction, Fraction]], ...]:
+    """The six weight-4 eta quotients in the E_4 span at level 4, new or
+    old, with their E_4 vectors over divisors 1, 2, 4: every match of the
+    walk at (4, 2, 2) with each cap raised to the total k mu/12 = 2."""
+    return tuple(
+        (q, tuple(element.coeffs.get(d, Fraction(0)) for d in (1, 2, 4)))
+        for q, element in _walk_matches(4, 2, 2, [4 * gamma0_index(4) // 12] * 3)
+        if element is not None
+    )
 
 
 def _certify_second_derivative(
@@ -534,6 +545,12 @@ def _ratio12_in_r2() -> list[tuple[int, int, int, int, int, int]]:
     return out
 
 
+def _value(poly: tuple[int, ...], r1: int, r2: int) -> int:
+    """The quadratic (a, b0, b1, c0, c1, c2) of _ratio12_in_r2 at (r1, r2)."""
+    a, b0, b1, c0, c1, c2 = poly
+    return (a * r2 + b0 + b1 * r1) * r2 + c0 + (c1 + c2 * r1) * r1
+
+
 def _second_derivative_hits(
     bound: int, directions: list[tuple[int, int, int]]
 ) -> list[tuple[tuple[int, int, int], int]]:
@@ -541,29 +558,25 @@ def _second_derivative_hits(
     whose s = _ratio12(*r) is nonzero and parallel to directions[index],
     with the lowest such index, in increasing order of r.
 
-    With i the first nonzero coordinate of a direction t, s is parallel
-    to t exactly when the minors t_i s_j - t_j s_i (j != i) vanish.  Each
-    minor is an integer quadratic in (r1, r2), its coefficients found
-    once per direction, so for each r1 the first minor not identically
-    zero in r2 has at most two integer roots, and only those are tested.
-    A row where both minors vanish identically is walked in full.
+    With i the first nonzero coordinate of a direction t, s is a nonzero
+    multiple of t exactly when s_i != 0 and the minors t_i s_j - t_j s_i
+    (j != i) vanish.  These are integer quadratics in (r1, r2), found once
+    per direction, so for each r1 the first minor not identically zero in
+    r2 has at most two integer roots, and only those are tested.  A row
+    where both minors vanish identically is walked in full.
     """
     coeffs = _ratio12_in_r2()
     minors = []
     for t in directions:
         i = next(j for j, tj in enumerate(t) if tj)
-        minors.append(
-            [
-                tuple(t[i] * x - t[j] * y for x, y in zip(coeffs[j], coeffs[i]))
-                for j in range(3)
-                if j != i
-            ]
-        )
+        pair = [tuple(t[i] * x - t[j] * y for x, y in zip(coeffs[j], coeffs[i]))
+                for j in range(3) if j != i]
+        minors.append((coeffs[i], pair))
     hits = []
     for r1 in range(-bound, bound + 1):
         lo, hi = max(-bound, -2 - r1 - bound), min(bound, -2 - r1 + bound)
         found: dict[int, int] = {}
-        for index, ((t1, t2, t4), pair) in enumerate(zip(directions, minors)):
+        for index, (lead, pair) in enumerate(minors):
             for a, b0, b1, c0, c1, c2 in pair:
                 roots = _integer_roots(a, b0 + b1 * r1, c0 + (c1 + c2 * r1) * r1, lo, hi)
                 if roots is not None:
@@ -571,11 +584,8 @@ def _second_derivative_hits(
             else:
                 roots = range(lo, hi + 1)
             for r2 in roots:
-                if r2 in found:
-                    continue
-                s1, s2, s4 = _ratio12(r1, r2, -2 - r1 - r2)
-                if (s1 or s2 or s4) and (
-                    s1 * t2 == s2 * t1 and s1 * t4 == s4 * t1 and s2 * t4 == s4 * t2
+                if r2 not in found and _value(lead, r1, r2) and not (
+                    _value(pair[0], r1, r2) or _value(pair[1], r1, r2)
                 ):
                     found[r2] = index
         hits += [((r1, r2, -2 - r1 - r2), found[r2]) for r2 in sorted(found)]
@@ -587,7 +597,8 @@ def classify_second_derivatives_level4(
 ) -> list[SecondDerivSolution]:
     """All integer exponent triples (r1, r2, r4), |r_i| <= bound, with
     r1+r2+r4 = -2 whose second-derivative ratio is a nonzero rational
-    multiple of a weight-4 eta quotient available inside level 4.
+    multiple of a weight-4 eta quotient in the E_4 span at level 4
+    (level4_targets).
 
     The -2 constraint is forced: an eta quotient whose D^2-to-f ratio
     is again an eta quotient must have weight -1 (and the ratio weight

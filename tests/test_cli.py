@@ -358,14 +358,18 @@ def test_verify_identities(capsys):
 
 
 def test_verify_identities_at_every_prec(capsys):
-    # the level-12 derivative pair starts at q^2, past a bound of 1:
-    # each eta side is expanded through its own first q-step
-    for prec in ("1", "2"):
+    # agreement below the largest Sturm bound of the equalities, 4 at
+    # level 12 in weight 2, proves nothing: a usage error
+    for prec in ("1", "2", "3"):
         code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--prec", prec, "--json")
-        assert (code, err) == (0, "")
-        checks = json.loads(out)["identities"]
-        assert {c["status"] for c in checks} <= {"ok", "remainder"}
-        assert {c["bound"] for c in checks} == {int(prec)}
+        assert (code, out) == (2, "")
+        assert err == (f"error: prec {prec} lies below the Sturm bound of "
+                       "williams-table-no24, 4 q-exponents\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--prec", "4", "--json")
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["identities"]
+    assert {c["status"] for c in checks} <= {"ok", "remainder"}
+    assert {c["bound"] for c in checks if c["status"] == "ok"} == {4}
 
 
 def test_verify_order_bounds_small(capsys):

@@ -12,18 +12,21 @@ from hypothesis import example, given, settings, strategies as st
 
 import etaq.search
 from etaq.arith import totient
-from etaq.eisenstein import MembershipTag, match_eta
+from etaq.cusps import per_cusp_cap
+from etaq.eisenstein import CONVOLUTIONS, MembershipTag, match_eta
 from etaq.eta import EtaQuotient
 from etaq.linalg import mat_inverse
 from etaq.search import (
     EXCLUDED_CELLS,
     REFERENCE_ANTIDERIVATIVES,
+    REFERENCE_WEIGHT4,
     WEIGHT2_CELLS,
     WEIGHT4_CELLS,
     _integer_roots,
     _integral_exponents,
     _lower_hnf,
     _order_matrix24,
+    _ratio12_form,
     _second_derivative_hits,
     antiderivative,
     classify_second_derivatives_level4,
@@ -34,6 +37,7 @@ from etaq.search import (
     verify_classification_lists,
 )
 from test_eisenstein import match_eta_reference, match_outcome
+from test_eta import rescale
 
 
 def _freeze(exps):
@@ -118,6 +122,10 @@ def test_lower_hnf():
             assert all(0 <= h[i][j] < h[i][i] for j in range(i))
 
 
+def order_bound_caps(p, m):
+    return [per_cusp_cap(p**m, p**i) for i in range(m + 1)]
+
+
 def grid_walk_exponents(k, p, m, step=1):
     """Reference for the lattice walk: every order vector on the grid
     (step/24)Z under the caps with the valence total, pushed through the
@@ -192,7 +200,7 @@ def test_lattice_walk_matches_grid_walk(cell):
     # search to it loses no pair of the full (1/24)Z grid
     k, p, m = cell
     candidates = grid_walk_exponents(k, p, m, step=24)
-    assert list(_integral_exponents(k, p, m)) == candidates
+    assert list(_integral_exponents(k, p, m, order_bound_caps(p, m))) == candidates
     res = enumerate_eta_in_e(k, p, m)
     assert res.candidates_scanned == len(candidates)
     got = [(sp.eta.key(), sp.element.to_json(), sp.eta_primitive) for sp in res.pairs]
@@ -207,7 +215,7 @@ def test_walked_points_have_weight_k_and_nonnegative_orders(cell):
     k, p, m = cell
     n = p**m
     a = order_matrix(p, m)
-    for r in _integral_exponents(k, p, m):
+    for r in _integral_exponents(k, p, m, order_bound_caps(p, m)):
         assert sum(r) == 2 * k, r
         orders = [sum(x * rj for x, rj in zip(row, r)) for row in a]
         assert all(v >= 0 and v.denominator == 1 for v in orders), r
@@ -442,8 +450,9 @@ def test_second_derivative_ratio_against_series():
 
 
 def fraction_loop_hits(bound):
-    """Reference for the integer proportionality test: the ratio vector
-    divided by each target direction in Fractions, first target wins."""
+    """Reference for the integer proportionality test: the former ratio
+    formula divided by each target direction in Fractions, first target
+    wins."""
     hits = []
     targets = level4_targets()
     for r1 in range(-bound, bound + 1):
@@ -452,7 +461,7 @@ def fraction_loop_hits(bound):
             if abs(r4) > bound:
                 continue
             r = (r1, r2, r4)
-            s = second_derivative_ratio(r)
+            s = second_derivative_ratio_reference(r)
             if all(x == 0 for x in s):
                 continue
             for q, ts in targets:
@@ -484,17 +493,27 @@ def test_integer_proportionality_matches_fraction_loop(bound):
     assert all(type(x) is Fraction for sol in sols for x in (sol.scalar, *sol.s))
 
 
-def square_scan_hits(bound, directions):
+def hand_ratio12(r1, r2, r4):
+    """The former etaq.search._ratio12: 12 times the ratio, derived by
+    hand from the Besge and Huard-Ou-Spearman-Williams identities."""
+    return (
+        r1 * (5 * r1 + 4 * r2 + 2 * r4),
+        20 * r2 * r2 + 16 * r1 * r2 + 6 * r1 * r4 + 16 * r2 * r4,
+        16 * r4 * (5 * r4 + 2 * r1 + 4 * r2),
+    )
+
+
+def square_scan_hits(bound, directions, ratio=hand_ratio12):
     """The square scan _second_derivative_hits replaced: every (r1, r2)
     with |r_i| <= bound, tested against the directions in order by the
-    2x2 minors of etaq.search._ratio12, the first match winning."""
+    2x2 minors of ratio, the first match winning."""
     hits = []
     for r1 in range(-bound, bound + 1):
         for r2 in range(-bound, bound + 1):
             r4 = -2 - r1 - r2
             if abs(r4) > bound:
                 continue
-            s1, s2, s4 = etaq.search._ratio12(r1, r2, r4)
+            s1, s2, s4 = ratio(r1, r2, r4)
             if not (s1 or s2 or s4):
                 continue
             for index, (t1, t2, t4) in enumerate(directions):
@@ -530,7 +549,7 @@ HIT_DIRECTIONS = sorted(
         d
         for r1 in range(-12, 13)
         for r2 in range(-12, 13)
-        if any(s := etaq.search._ratio12(r1, r2, -2 - r1 - r2))
+        if any(s := hand_ratio12(r1, r2, -2 - r1 - r2))
         and max(map(abs, d := _reduced(s))) <= 30
     }
 )
@@ -566,7 +585,7 @@ def test_degenerate_rows_are_walked(monkeypatch):
     monkeypatch.setattr(etaq.search, "_ratio12", ratio)
     directions = [(0, 0, 1), (1, 2, 0), (1, 0, 0), (2, 4, 1)]
     hits = _second_derivative_hits(8, directions)
-    assert hits == square_scan_hits(8, directions)
+    assert hits == square_scan_hits(8, directions, ratio)
     row = [r for r, index in hits if r[0] == 5]
     assert row == [(5, r2, -7 - r2) for r2 in range(-8, 2)]
 
@@ -619,6 +638,52 @@ def test_level4_targets():
     directions = {tuple(Fraction(x) for x in ts) for _, ts in targets}
     assert (Fraction(1), Fraction(-1), Fraction(0)) in directions
     assert (Fraction(0), Fraction(1), Fraction(-1)) in directions
+
+
+def level4_targets_reference():
+    """The former level4_targets: the published weight-4 list's level-2
+    quotients, their z -> 2z images and its level-4 quotients, each
+    with its certified E_4-coefficient vector over divisors 1, 2, 4."""
+    level2 = [e for e in REFERENCE_WEIGHT4 if set(e) <= {1, 2}]
+    quotients = [EtaQuotient(4, e) for e in level2]
+    quotients += [rescale(EtaQuotient(2, e), 2) for e in level2]
+    quotients += [EtaQuotient(4, e) for e in REFERENCE_WEIGHT4 if e not in level2]
+    out = []
+    for q in quotients:
+        element = match_eta(q)
+        assert element is not None and element.k == 4
+        out.append((q, tuple(element.coeffs.get(d, Fraction(0)) for d in (1, 2, 4))))
+    return out
+
+
+def test_walked_targets_match_published_construction():
+    def key(target):
+        return target[0].key()
+
+    assert sorted(level4_targets(), key=key) == sorted(level4_targets_reference(), key=key)
+
+
+def test_second_derivatives_need_no_published_list(monkeypatch):
+    def outcome():
+        sols = classify_second_derivatives_level4(60, certify_rel=48)
+        return [(sol.r, sol.target, sol.scalar, sol.s) for sol in sols]
+
+    expected = outcome()
+    monkeypatch.setattr(etaq.search, "REFERENCE_WEIGHT4", [])
+    level4_targets.cache_clear()
+    try:
+        assert outcome() == expected
+    finally:
+        level4_targets.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(CONVOLUTIONS))
+def test_ratio_form_rejects_a_row_that_does_not_cancel(monkeypatch, name):
+    a, b, c, e = CONVOLUTIONS[name]
+    d = min(e)
+    monkeypatch.setitem(CONVOLUTIONS, name, (a, b, c, {**e, d: e[d] + 1}))
+    with pytest.raises(AssertionError, match=f"^{name}: no integer form cancelling D\\(h\\) at d = {d}$"):
+        _ratio12_form.__wrapped__()
 
 
 def test_classification_second_derivatives():
