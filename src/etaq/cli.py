@@ -34,6 +34,7 @@ from .search import (
     enumerate_eta_in_e,
     verify_classification_lists,
 )
+from .series import SeriesDomainError
 
 DEFAULT_LEVELS = "2,4,8,16,32,3,9,27,5,25,7,49"
 DEFAULT_WEIGHTS = "2,4,6"
@@ -242,20 +243,20 @@ def _parse_cusp(text: str, level: int) -> Cusp:
 def cmd_cusp_expand(args) -> int:
     element = parse_element(args.element, args.level)
     cusp = _parse_cusp(args.cusp, args.level)
-    expansion = expansion_at_cusp(element, cusp, args.prec)
-    order = expansion.series.valuation()
+    series = expansion_at_cusp(element, cusp, args.prec).series
     payload = {
         "element": element.render(),
         "cusp": cusp.label(),
         "width": cusp.width,
-        "cyclotomic_order": expansion.series.cyc_order,
-        "series": expansion.series.render_text(var="w"),
+        "cyclotomic_order": series.cyc_order,
+        "series": series.render_text(var="w"),
     }
-    if order is None:
+    try:
+        payload["order"], lead = series.leading()
+    except SeriesDomainError:  # zero below prec
         payload["order"] = f"zero to precision {args.prec}"
     else:
-        payload["order"] = order
-        payload["leading_coeff"] = expansion.leading_coefficient().render()
+        payload["leading_coeff"] = lead.render()
     _emit(payload, args)
     return 0
 

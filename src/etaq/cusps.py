@@ -28,8 +28,17 @@ The coefficients of a window lo <= e < hi are built by one scatter:
 each term writes its integer contributions only at its own multiples
 e = n * step_t in the window, each nonempty step is normalised once,
 and every empty step is one shared zero.  An expansion is the window
-[0, prec), stored as it is built; an order tests the doubling windows
-[0, 1), [1, 2), [2, 4), ... and stops at the first nonzero step.
+[0, prec), stored as it is built, and its series keeps the scatter's
+integer monomials for its products (see etaq.series); an order tests
+the doubling windows [0, 1), [1, 2), [2, 4), ... and stops at the
+first nonzero step.  check_order_bound computes one order per
+denominator c and reports it under every cusp label with that c.
+
+Two bounded caches hold shapes, never element data or coefficients:
+the per-t triples (step_t, w_t, t'^k) of _cusp_terms, keyed on
+(N, c, d mod L, k), since w_t depends on d only modulo t' | L; and the
+cusp representatives of a level, of which cusp_reps returns a fresh
+list on every call.
 
 arith.denominator_multiplicity(N, c) counts the cusps with denominator
 c; their widths sum to arith.gamma0_index(N).  On elements matched to
@@ -43,10 +52,11 @@ never represented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, Monomial
 from .eisenstein import EisensteinElement, MembershipTag, _constant, sturm_bound
 from .series import QSeries, SeriesDomainError
 
@@ -119,6 +129,11 @@ def cusp_reps(level: int) -> list[Cusp]:
     c modulo gcd(c, level/c), taking the least positive representative
     coprime to c (so a = 1 is always among them).
     """
+    return list(_cusp_reps(level))
+
+
+@lru_cache(maxsize=256)
+def _cusp_reps(level: int) -> tuple[Cusp, ...]:
     out: list[Cusp] = []
     for c in divisors(level):
         g = gcd(c, level // c)
@@ -129,7 +144,7 @@ def cusp_reps(level: int) -> list[Cusp]:
             while gcd(a, c) != 1:
                 a += g
             out.append(Cusp(a, c, level))
-    return sorted(out, key=lambda cu: (cu.c, cu.a))
+    return tuple(sorted(out, key=lambda cu: (cu.c, cu.a)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +157,19 @@ class CuspExpansion:
     cusp: Cusp
     series: QSeries  # offset 0, whole steps of the local variable q_{c,N}
 
-    def leading_coefficient(self) -> CycNumber:
-        _, c = self.series.leading()
-        return c  # type: ignore[return-value]
+
+@lru_cache(maxsize=1024)
+def _cusp_shape(n: int, c: int, d: int, k: int) -> dict[int, tuple[int, int, int]]:
+    """{t: (step_t, w_t, t'^k)} for every t | n at a cusp a/c of
+    Gamma0(n) whose d is d mod L (see _cusp_terms).  Read-only."""
+    order = n // c
+    out = {}
+    for t in divisors(n):
+        ct = gcd(t, c)
+        tprime = t // ct
+        w = d * pow(c // ct, -1, tprime) % tprime * (order // tprime)
+        out[t] = (cusp_step(n, c, t), w, tprime**k)
+    return out
 
 
 def _cusp_terms(f: EisensteinElement, cusp: Cusp) -> tuple[int, int, list[Term]]:
@@ -157,36 +182,37 @@ def _cusp_terms(f: EisensteinElement, cusp: Cusp) -> tuple[int, int, list[Term]]
 
     omega_t = zeta_t'^(-d f) for (e f; g h) in SL2(Z) with e = a t' and
     g = c/gcd(t,c).  As t' | e, e h - f g = 1 gives -f g = 1 (mod t'), so
-    -d f = d g^-1 (mod t') for every such f; t' = 1 gives w_t = 0.
+    -d f = d g^-1 (mod t') for every such f; t' = 1 gives w_t = 0.  As
+    t' | L, the step, w_t and t'^k depend only on (N, c, d mod L, k) and
+    are read from _cusp_shape.
     """
     if cusp.level != f.level:
         raise ValueError(f"cusp lives on Gamma0({cusp.level}) but element on Gamma0({f.level})")
-    n, c, d, k = f.level, cusp.c, cusp.d, f.k
+    n, c, k = f.level, cusp.c, f.k
     order = n // c
+    shape = _cusp_shape(n, c, cusp.d % order, k)
     raw = []
     for t, r in f.coeffs.items():
-        ct = gcd(t, c)
-        tprime = t // ct
-        w = d * pow(c // ct, -1, tprime) % tprime * (order // tprime)
-        pn, pd = r.numerator, r.denominator * tprime**k
+        step, w, tk = shape[t]
+        pn, pd = r.numerator, r.denominator * tk
         g = gcd(pn, pd)
-        raw.append((cusp_step(n, c, t), w, pn // g, pd // g))
+        raw.append((step, w, pn // g, pd // g))
     den = lcm(*(pd for _, _, _, pd in raw))
     return order, den, [(step, w, pn * (den // pd)) for step, w, pn, pd in raw]
 
 
-def _coefficients(
+def _scatter(
     order: int, den: int, terms: list[Term], k: int, prec: int, lo: int = 0
-) -> list[CycNumber]:
-    """Cusp coefficients of q_{c,N}^e for the window lo <= e < prec.
+) -> tuple[list[dict[int, int] | None], int]:
+    """The integer numerators {j: n} of the steps lo <= e < prec, None
+    where no term lands, over their one denominator.
 
     Term t contributes P_t * const at n = 0 and P_t * sigma_{k-1}(n) at
     n = e/step_t >= 1, with const = -B_k/2k.  Over den * den(const)
     those are the integers W_t num(const) and W_t den(const) sigma(n),
     read from one sigma table.  Each term scatters into its own
     multiples e = n * step_t of the window, so no step is visited by a
-    term that misses it; each nonempty step is normalised once and every
-    empty one is the same read-only zero.
+    term that misses it.
     """
     const = _constant(k)
     table = sigma_table(k - 1, prec - 1)
@@ -203,9 +229,22 @@ def _coefficients(
                 accs[i] = {j: scale * table[n]}
             else:
                 acc[j] = acc.get(j, 0) + scale * table[n]
+    return accs, den * const.denominator
+
+
+def _steps(order: int, accs: list[dict[int, int] | None], den: int) -> list[CycNumber]:
+    """Each nonempty step normalised once; every empty one is the same
+    read-only zero."""
     zero = CycNumber.zero(order)
-    den *= const.denominator
     return [zero if acc is None else CycNumber._normal(order, acc, den) for acc in accs]
+
+
+def _coefficients(
+    order: int, den: int, terms: list[Term], k: int, prec: int, lo: int = 0
+) -> list[CycNumber]:
+    """Cusp coefficients of q_{c,N}^e for the window lo <= e < prec."""
+    accs, den = _scatter(order, den, terms, k, prec, lo)
+    return _steps(order, accs, den)
 
 
 def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpansion:
@@ -213,8 +252,11 @@ def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpans
     if prec < 1:
         raise ValueError("prec must be >= 1")
     order, den, terms = _cusp_terms(f, cusp)
-    steps = _coefficients(order, den, terms, f.k, prec)
-    return CuspExpansion(cusp, QSeries._cyclotomic(0, order, steps))
+    accs, den = _scatter(order, den, terms, f.k, prec)
+    # a numerator that cancelled to 0 stays among the monomials and adds nothing
+    monos: list[Monomial] = [(e, j, v) for e, acc in enumerate(accs) if acc for j, v in acc.items()]
+    steps = _steps(order, accs, den)
+    return CuspExpansion(cusp, QSeries._cyclotomic(0, order, steps, (monos, den)))
 
 
 def _default_order_prec(f: EisensteinElement) -> int:
@@ -239,6 +281,8 @@ def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> 
         raise ValueError("order of the zero element is undefined")
     if prec is None:
         prec = _default_order_prec(f)
+    elif prec < 1:
+        raise ValueError("prec must be >= 1")
     order, den, terms = _cusp_terms(f, cusp)
     lo = 0
     while lo < prec:
@@ -305,17 +349,24 @@ class OrderBoundReport:
 def check_order_bound(f: EisensteinElement) -> OrderBoundReport:
     """Verify the strict order-sum bound and per-cusp caps for an element
     classified IN_P at a prime-power level; returns the full order vector
-    and any violated assertion as a counterexample entry."""
+    and any violated assertion as a counterexample entry.
+
+    Orders depend only on the cusp's denominator (module docstring), so
+    one order is computed per c and reported under every label with it.
+    """
     tag = f.classify()
     if tag is not MembershipTag.IN_P:
         raise ValueError(f"bound check needs an IN_P element, got {tag.value}")
     level = f.level
     bound = order_sum_bound(level)
+    by_denominator: dict[int, int] = {}
     orders: dict[str, int] = {}
     violations: list[str] = []
     total = 0
     for cusp in cusp_reps(level):
-        v = order_at_cusp(f, cusp)
+        v = by_denominator.get(cusp.c)
+        if v is None:
+            v = by_denominator[cusp.c] = order_at_cusp(f, cusp)
         orders[cusp.label()] = v
         total += v
         cap = per_cusp_cap(level, cusp.c)

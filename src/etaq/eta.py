@@ -149,12 +149,6 @@ class EtaQuotient:
             for c in divisors(n)
         }
 
-    def order_at_denominator(self, c: int) -> Fraction:
-        """Order of vanishing at any cusp a/c, width-normalized."""
-        if c < 1 or self.level % c:
-            raise ValueError(f"cusp denominator {c} must divide level {self.level}")
-        return Fraction(self.order_map24()[c], 24)
-
     def total_cusp_order(self) -> Fraction:
         """Sum of cusp orders with denominator multiplicity; prime-power level."""
         n = self.level

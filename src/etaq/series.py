@@ -21,14 +21,20 @@ refused).  A product of rational series is one ``kernels.conv_trunc``
 call on the numerators.
 
 A cyclotomic series supports products (with a cyclotomic or rational
-series), powers e >= 0, negation, valuation, ``leading``, ``coeff``,
-truncation and rendering; sums, scalar multiples, D and inversion raise
-TypeError.  Its product lists each operand's nonzero monomials
-(s, j, n) = n * q^s * zeta_L^j below the output precision, over one
-common denominator and in step order, adds all their products into the
-output steps in Z[zeta_L] with one ``cyclotomic._mul_into`` call, and
-normalises each nonempty step once; every empty step is one shared zero.
-Cusp expansions and these products establish the cyclotomic invariant
+series), powers e >= 0, negation, valuation, ``leading``, ``coeff`` and
+rendering; sums, scalar multiples, D and inversion raise TypeError.  It
+keeps, besides its steps, the integer monomials (s, j, n) =
+n * q^s * zeta_L^j of all of them over one denominator, in step order:
+a cusp expansion hands in the accumulators its scatter built the steps
+from, and any other cyclotomic series works them out from its steps on
+its first product.  A product reads both operands' monomials (a
+rational operand's are its nonzero numerators at j = 0), rescaling the
+exponents j only when it lifts to a larger order, adds all their
+products into the output steps in Z[zeta_L] with one
+``cyclotomic._mul_into`` call, and normalises each nonempty step once;
+every empty step is one shared zero.  Normalising makes a step
+independent of the common denominator it was summed over.  Cusp
+expansions and these products establish the cyclotomic invariant
 themselves (one order, den 1, at least one step, normalised steps), so
 they build their series through ``QSeries._cyclotomic`` without the
 checks of the public constructor.
@@ -71,7 +77,7 @@ def _stored_nonzero(c: Coeff) -> bool:
 class QSeries:
     """Immutable q^(offset/24) * sum c_n q^n / den + O(q^(offset/24 + prec))."""
 
-    __slots__ = ("offset", "coeffs", "den", "cyc_order")
+    __slots__ = ("offset", "coeffs", "den", "cyc_order", "_monos")
 
     def __init__(self, offset: int, coeffs: Iterable[Coeff], den: int = 1):
         vec = tuple(coeffs)
@@ -96,32 +102,47 @@ class QSeries:
         self.coeffs = vec
         self.den = den
         self.cyc_order = order
+        self._monos = None
 
     @classmethod
-    def _cyclotomic(cls, offset: int, order: int, coeffs: list[CycNumber]) -> "QSeries":
+    def _cyclotomic(
+        cls,
+        offset: int,
+        order: int,
+        coeffs: list[CycNumber],
+        monos: tuple[list[Monomial], int] | None = None,
+    ) -> "QSeries":
         """A cyclotomic series whose caller guarantees what ``__init__``
         checks: at least one step, each a normalised ``CycNumber`` of
-        this order, over den 1."""
+        this order, over den 1.  monos, when given, is (the monomials
+        of every step in step order, their one denominator): the steps'
+        numerators up to one common factor, zeros allowed."""
         x = object.__new__(cls)
-        x.offset, x.coeffs, x.den, x.cyc_order = offset, tuple(coeffs), 1, order
+        x.offset, x.coeffs, x.den, x.cyc_order, x._monos = offset, tuple(coeffs), 1, order, monos
         return x
 
     @property
     def prec(self) -> int:
         return len(self.coeffs)
 
-    def _cyc_monomials(self, order: int, n: int) -> tuple[list[Monomial], int]:
-        """Nonzero monomials (s, j, num) of the steps s < n, in step order:
-        num * q^s * zeta_order^j over one denominator D, the lcm of those
-        steps' denominators.  A rational step has j = 0."""
+    def _monomials(self, order: int, n: int) -> tuple[list[Monomial], int]:
+        """Monomials (s, j, num) in step order: num * q^s * zeta_order^j
+        over one denominator D.  A rational series lists its nonzero
+        steps s < n at j = 0 over its den; a cyclotomic one lists every
+        step (the product kernel skips those at or past n) from the
+        monomials it keeps, worked out from its steps on the first call."""
         if self.cyc_order is None:
             return [(s, 0, c) for s, c in enumerate(self.coeffs[:n]) if c], self.den
-        step = order // self.cyc_order
-        cs = self.coeffs[:n]
-        den = lcm(*(c.den for c in cs))
-        return [
-            (s, j * step, v * (den // c.den)) for s, c in enumerate(cs) for j, v in c.terms.items()
-        ], den
+        if self._monos is None:
+            den = lcm(*(c.den for c in self.coeffs))
+            self._monos = [
+                (s, j, v * (den // c.den)) for s, c in enumerate(self.coeffs) for j, v in c.terms.items()
+            ], den
+        monos, den = self._monos
+        if order != self.cyc_order:
+            step = order // self.cyc_order
+            monos = [(s, j * step, v) for s, j, v in monos]
+        return monos, den
 
     def _rational_only(self, op: str) -> None:
         if self.cyc_order is not None:
@@ -181,7 +202,7 @@ class QSeries:
             vec += [0] * (n - len(vec))
             return QSeries(offset, vec, x.den * y.den)
         order = lcm(x.cyc_order or 1, y.cyc_order or 1)
-        (xs, dx), (ys, dy) = x._cyc_monomials(order, n), y._cyc_monomials(order, n)
+        (xs, dx), (ys, dy) = x._monomials(order, n), y._monomials(order, n)
         acc: list[dict[int, int]] = [{} for _ in range(n)]
         _mul_into(acc, xs, ys, order)
         den = dx * dy
@@ -257,16 +278,6 @@ class QSeries:
         c = self.coeffs[n]
         return c if self.cyc_order is not None else Fraction(c, self.den)
 
-    def truncate(self, prec: int) -> "QSeries":
-        """The first prec steps."""
-        if prec >= self.prec:
-            return self
-        return QSeries(self.offset, self.coeffs[:prec], self.den)
-
-    def agrees_with(self, other: "QSeries") -> bool:
-        """Exact coefficient agreement over the shared known window."""
-        return (self - other).is_zero_to_prec()
-
     # -- rendering -------------------------------------------------------
 
     def render_text(self, var: str = "q") -> str:
@@ -292,11 +303,14 @@ class QSeries:
         self._rational_only("JSON triples")
         if (self.offset * scale) % 24:
             raise ValueError(f"offset {self.offset}/24 is not a multiple of 1/{scale}")
+        offset, den = self.offset, self.den
+        if den == 1:
+            return [[c, 1, (offset + 24 * n) * scale // 24] for n, c in enumerate(self.coeffs) if c]
         out = []
         for n, c in enumerate(self.coeffs):
             if c:
-                g = gcd(c, self.den)
-                out.append([c // g, self.den // g, (self.offset + 24 * n) * scale // 24])
+                g = gcd(c, den)
+                out.append([c // g, den // g, (offset + 24 * n) * scale // 24])
         return out
 
     def __repr__(self):

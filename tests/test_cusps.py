@@ -9,8 +9,10 @@ unity entering the coefficients; (3) cusps with one denominator have
 the same orders, since changing the numerator applies a Galois
 automorphism to the coefficients.  The roots of unity's closed form in
 cusps._cusp_terms is checked against the auxiliary completion of
-E_k(tz) at a/c, kept here as the reference, and the windowed scatter
-in cusps._coefficients against the gather generator it replaced.
+E_k(tz) at a/c, kept here as the reference, the windowed scatter in
+cusps._coefficients against the gather generator it replaced, and
+check_order_bound, which computes one order per denominator, against
+the order at every cusp.
 """
 
 import random
@@ -21,10 +23,11 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from etaq.arith import bernoulli, denominator_multiplicity, divisors, sigma, sigma_table
+from etaq.arith import bernoulli, denominator_multiplicity, divisors, prime_power, sigma, sigma_table
 from etaq.cusps import (
     Cusp,
     _coefficients,
+    _cusp_shape,
     _cusp_terms,
     check_order_bound,
     cusp_count,
@@ -39,6 +42,7 @@ from etaq.eta import EtaQuotient
 from etaq.linalg import rref
 from etaq.search import WEIGHT2_CELLS, WEIGHT4_CELLS, enumerate_eta_in_e
 from etaq.series import SeriesDomainError
+from test_eta import order_at_denominator
 
 
 def efgh_complete(t: int, a: int, c: int) -> tuple[int, int, int, int]:
@@ -380,6 +384,17 @@ def test_order_errors():
         order_at_cusp(JACOBI_EL, Cusp(1, 2, 4), prec=1)
 
 
+def test_order_at_cusp_checks_prec():
+    # a window below 1 is a usage error, as for expansion_at_cusp, not
+    # an exhausted precision
+    f = EisensteinElement(4, 27, {1: 1, 27: -1})
+    for prec in (0, -3):
+        for call in (order_at_cusp, expansion_at_cusp):
+            with pytest.raises(ValueError, match="prec must be >= 1"):
+                call(f, Cusp(1, 3, 27), prec)
+    assert order_at_cusp(f, Cusp(1, 3, 27), 1) == 0
+
+
 def test_cross_oracle_eta_vs_eisenstein_orders():
     # for matched quotients the Eisenstein-side cusp order equals the
     # eta-side closed form at every numerator
@@ -395,7 +410,7 @@ def test_cross_oracle_eta_vs_eisenstein_orders():
         el = match_eta(q)
         assert el is not None
         for cusp in cusp_reps(q.level):
-            eta_order = q.order_at_denominator(cusp.c)
+            eta_order = order_at_denominator(q, cusp.c)
             assert eta_order.denominator == 1
             assert order_at_cusp(el, cusp) == eta_order
 
@@ -408,7 +423,7 @@ def test_cross_oracle_composite_level():
     orders = {}
     for cusp in cusp_reps(12):
         orders[cusp.label()] = order_at_cusp(el, cusp, prec=10)
-        assert orders[cusp.label()] == q.order_at_denominator(cusp.c)
+        assert orders[cusp.label()] == order_at_denominator(q, cusp.c)
     assert orders == {"1/1": 0, "1/2": 1, "1/3": 0, "1/4": 2, "1/6": 1, "1/12": 0}
 
 
@@ -565,6 +580,98 @@ def test_default_order_depth_is_one_past_the_sturm_bound():
             assert order == expansion_at_cusp(f, cusp, bound + 11).series.valuation(), (f, cusp)
             attained = attained or (i < len(matched) and order == bound)
     assert attained
+
+
+PRIME_POWER_LEVELS = [n for n in range(1, 129) if prime_power(n) is not None]
+
+
+def check_order_bound_reference(f: EisensteinElement) -> dict:
+    """The former check_order_bound: order_at_cusp at every cusp_reps
+    cusp, as its JSON."""
+    level = f.level
+    bound = order_sum_bound(level)
+    orders, violations = {}, []
+    for cusp in cusp_reps(level):
+        v = order_at_cusp(f, cusp)
+        orders[cusp.label()] = v
+        cap = 2 if level == 4 and cusp.c == 2 else 1
+        if v > cap:
+            violations.append(f"order {v} at cusp {cusp.label()} exceeds cap {cap}")
+    total = sum(orders.values())
+    if total >= bound:
+        violations.append(f"total order {total} reaches bound {bound}")
+    return {
+        "element": f.render(),
+        "level": level,
+        "orders": dict(sorted(orders.items())),
+        "total": total,
+        "bound": bound,
+        "ok": not violations,
+        "violations": violations,
+    }
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_check_order_bound_matches_order_at_every_cusp(data):
+    # one order per denominator, reported under each of its labels, is
+    # the order at every cusp: drawn IN_P elements at every prime-power
+    # level <= 128, for k >= 4 often forced to vanish at one denominator
+    # (the constant term there cancels), so that orders above 0 occur
+    k = data.draw(st.sampled_from([2, 4, 6]), label="k")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    seen_positive = False
+    for n in PRIME_POWER_LEVELS:
+        if k == 2 and n == 1:
+            continue  # no weight-2 element at level 1
+        p, m = prime_power(n)
+        f = random_p_element(rng, k, p, m)
+        if k > 2 and n > 1 and rng.random() < 0.7:
+            divs = divisors(n)
+            c0, t0 = rng.choice(divs), rng.choice(divs)
+            weight = {t: Fraction(gcd(t, c0), t) ** k for t in divs}
+            r = {t: f.coeffs.get(t, Fraction(0)) for t in divs}
+            r[t0] = -sum(r[t] * weight[t] for t in divs if t != t0) / weight[t0]
+            if r[1] and r[n]:
+                f = EisensteinElement(k, n, r)
+        report = check_order_bound(f)
+        assert report.to_json() == check_order_bound_reference(f), f
+        seen_positive = seen_positive or report.total > 0
+    assert seen_positive or k == 2
+
+
+def test_cusp_term_cache_is_bounded_and_keyed_on_d_mod_L():
+    # the per-t triples are cached on (N, c, d mod L, k) in a bounded
+    # cache: d and d + L (a valid d whenever c | L) hit one entry and
+    # give the same expansion; d + c, when L does not divide c, is
+    # another entry
+    assert _cusp_shape.cache_info().maxsize is not None
+    for n, a, c in ((27, 1, 3), (32, 3, 4), (49, 1, 7), (125, 2, 5), (8, 1, 1)):
+        order = n // c
+        assert order % c == 0
+        f = EisensteinElement(4, n, {t: t + 1 for t in divisors(n)})
+        base = Cusp(a, c, n)
+        _cusp_shape.cache_clear()
+        want = expansion_at_cusp(f, base, 10).series.coeffs
+        got = expansion_at_cusp(f, Cusp(a, c, n, base.d + order), 10).series.coeffs
+        info = _cusp_shape.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1), (n, a, c)
+        assert [stored(x) for x in got] == [stored(x) for x in want]
+        if c % order:  # d + c is another class mod L
+            expansion_at_cusp(f, Cusp(a, c, n, base.d + c), 10)
+            assert _cusp_shape.cache_info().currsize == 2
+
+
+def test_cusp_reps_returns_a_fresh_list():
+    # the representatives are cached per level; a caller that changes
+    # the list it got does not change the next call's
+    want = [cu.label() for cu in cusp_reps(32)]
+    got = cusp_reps(32)
+    got.pop()
+    got.append(Cusp(3, 4, 32))
+    got.reverse()
+    assert [cu.label() for cu in cusp_reps(32)] == want
+    assert cusp_reps(32) is not cusp_reps(32)
 
 
 def test_check_order_bound_sampled_small():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from etaq.arith import bernoulli, divisors, sigma_range
 from etaq.cusps import Cusp, cusp_reps, expansion_at_cusp
-from etaq.cyclotomic import CycNumber
+from etaq.cyclotomic import CycNumber, _mul_into
 from etaq.eisenstein import EisensteinElement, eisenstein_series
 from etaq.eta import EtaQuotient
 from etaq.series import QSeries, SeriesDomainError
@@ -55,6 +55,19 @@ def substitute_power(x: QSeries, t: int) -> QSeries:
     vec = [0] * (x.prec * t)
     vec[::t] = x.coeffs
     return QSeries(x.offset * t, vec, x.den)
+
+
+def truncate(x: QSeries, prec: int) -> QSeries:
+    """The former QSeries.truncate: the first prec steps."""
+    if prec >= x.prec:
+        return x
+    return QSeries(x.offset, x.coeffs[:prec], x.den)
+
+
+def agrees_with(x: QSeries, y: QSeries) -> bool:
+    """The former QSeries.agrees_with: exact coefficient agreement over
+    the shared known window."""
+    return (x - y).is_zero_to_prec()
 
 
 def series(offset: int, values) -> QSeries:
@@ -181,11 +194,11 @@ def test_ring_axioms_random():
         b, c = rand_series(rng, r), rand_series(rng, r)
         lhs = (a * b) * c
         rhs = a * (b * c)
-        assert lhs.agrees_with(rhs)
+        assert agrees_with(lhs, rhs)
         lhs = a * (b + c)
         rhs = a * b + a * c
-        assert lhs.agrees_with(rhs)
-        assert (a * b).agrees_with(b * a)
+        assert agrees_with(lhs, rhs)
+        assert agrees_with(a * b, b * a)
         assert (b - b).is_zero_to_prec()
 
 
@@ -198,7 +211,7 @@ def test_pow_additivity(ea, eb, data):
         x = QSeries(x.offset, (x.den,) + x.coeffs[1:], x.den)
     lhs = x ** (ea + eb)
     rhs = (x**ea) * (x**eb)
-    assert lhs.agrees_with(rhs)
+    assert agrees_with(lhs, rhs)
 
 
 def test_derivation_rule():
@@ -209,7 +222,7 @@ def test_derivation_rule():
         y = rand_series(rng, rng.randint(0, 23))
         lhs = (x * y).ramanujan_d()
         rhs = x.ramanujan_d() * y + x * y.ramanujan_d()
-        assert lhs.agrees_with(rhs)
+        assert agrees_with(lhs, rhs)
 
 
 def test_d_examples():
@@ -318,6 +331,9 @@ def test_render_and_json():
     assert x.render_text() == "-1/24 + 1*q + O(q^2)"
     assert x.to_json_triples() == [[-1, 24, 0], [1, 1, 24]]
     assert x.to_json_triples(1) == [[-1, 24, 0], [1, 1, 1]]
+    y = QSeries(-24, [0, 3, 0, -2])  # den 1
+    assert y.to_json_triples() == [[3, 1, 0], [-2, 1, 48]]
+    assert y.to_json_triples(1) == [[3, 1, 0], [-2, 1, 2]]
     with pytest.raises(ValueError):
         QSeries(1, [1]).to_json_triples(1)
 
@@ -358,7 +374,7 @@ def test_constructor_rejects_mixed_coefficients(coeffs, den):
 
 def test_truncate_and_coeff_bounds():
     x = QSeries(0, [1, 2, 3, 4])
-    t = x.truncate(2)
+    t = truncate(x, 2)
     assert t.prec == 2
     with pytest.raises(SeriesDomainError):
         t.coeff(3)
@@ -622,3 +638,83 @@ def test_cyclotomic_product_cases():
     prod = z * w
     assert prod.prec == min(z.prec + w._lead(), w.prec + z._lead()) > min(z.prec, w.prec)
     assert_same_representatives(prod, schoolbook_cyc_product(z, w))
+
+
+# ---------------------------------------------------------------------------
+# differential test of the stored monomials against the rebuild per product
+# ---------------------------------------------------------------------------
+
+
+def cyc_monomials_reference(s: QSeries, order: int, n: int):
+    """The former QSeries._cyc_monomials: the nonzero monomials (i, j, num)
+    of the steps i < n, rebuilt for every product over the lcm of those
+    steps' denominators and lifted to order.  A rational step has j = 0."""
+    if s.cyc_order is None:
+        return [(i, 0, c) for i, c in enumerate(s.coeffs[:n]) if c], s.den
+    step = order // s.cyc_order
+    cs = s.coeffs[:n]
+    den = lcm(*(c.den for c in cs))
+    return [(i, j * step, v * (den // c.den)) for i, c in enumerate(cs) for j, v in c.terms.items()], den
+
+
+def rebuilt_product(x: QSeries, y: QSeries) -> QSeries:
+    """The former cyclotomic branch of QSeries.__mul__, on monomial lists
+    rebuilt from both operands' steps."""
+    n = min(x.prec + y._lead(), y.prec + x._lead())
+    order = lcm(x.cyc_order or 1, y.cyc_order or 1)
+    (xs, dx), (ys, dy) = cyc_monomials_reference(x, order, n), cyc_monomials_reference(y, order, n)
+    acc: list[dict[int, int]] = [{} for _ in range(n)]
+    _mul_into(acc, xs, ys, order)
+    zero = CycNumber.zero(order)
+    return QSeries(x.offset + y.offset, [CycNumber._normal(order, a, dx * dy) if a else zero for a in acc])
+
+
+def stored_monomial_products(x: QSeries, y: QSeries, r: QSeries):
+    """(new, reference) pairs: expansions, whose monomials come from the
+    scatter; a product and a series from the public constructor, which
+    work theirs out from their steps; rational operands on either side."""
+    z = QSeries(0, x.coeffs)
+    xy = x * y
+    for a, b in ((x, y), (y, x), (x, x), (r, x), (x, r), (z, y), (xy, x), (y, xy), (z, z)):
+        yield a * b, rebuilt_product(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stored_monomial_products_match_rebuilt_ones(data):
+    # elements with large rational weights (some vanishing at a cusp) at
+    # two cusps of one level, usually of different cyclotomic orders, so
+    # that one side is lifted; every product, also of a product and of a
+    # series that is multiplied more than once, equals the rebuild path
+    # step for step
+    n = data.draw(st.sampled_from([4, 8, 9, 12, 16, 25, 27, 32, 49, 125]), label="level")
+    k = data.draw(st.sampled_from([2, 4, 6, 8]), label="k")
+    series_at = []
+    for _ in range(2):
+        support = data.draw(st.lists(st.sampled_from(divisors(n)), min_size=1, unique=True))
+        element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
+        element.k, element.level = k, n
+        element.coeffs = {
+            t: Fraction(data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(1, 10**3)))
+            for t in support
+        }
+        cusp = data.draw(st.sampled_from(cusp_reps(n)))
+        series_at.append(expansion_at_cusp(element, cusp, data.draw(st.integers(1, 14))).series)
+    values = data.draw(st.lists(st.fractions(max_denominator=30).filter(lambda v: abs(v) < 50), min_size=1, max_size=10))
+    r = series(0, values)
+    for new, ref in stored_monomial_products(*series_at, r):
+        assert_same_representatives(new, ref)
+
+
+def test_stored_monomial_product_cases():
+    # a lift from order 9 to 27, a rational series over den 12 on either
+    # side, and an operand's monomials reused across products
+    f = EisensteinElement(4, 27, {1: 2, 3: -1, 27: 5})
+    g = EisensteinElement(6, 27, {1: 1, 9: Fraction(-7, 3), 27: 4})
+    x = expansion_at_cusp(f, Cusp(1, 1, 27), 8).series
+    y = expansion_at_cusp(g, Cusp(2, 3, 27), 10).series
+    assert (x.cyc_order, y.cyc_order, (x * y).cyc_order) == (27, 9, 27)
+    r = series(24, [Fraction(1, 6), Fraction(-5, 4), 3])
+    assert r.den == 12
+    for new, ref in stored_monomial_products(x, y, r):
+        assert_same_representatives(new, ref)
