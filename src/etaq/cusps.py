@@ -24,15 +24,15 @@ term is held as the integers step_t, w_t (omega_t = zeta_L^w_t) and
 the numerator of r_t (gcd(t,c)/t)^k over one denominator shared by all
 terms.
 
-The coefficients of a window lo <= e < hi are built by one scatter:
+The numerators of a window lo <= e < hi are built by one scatter:
 each term writes its integer contributions only at its own multiples
-e = n * step_t in the window, each nonempty step is normalised once,
-and every empty step is one shared zero.  An expansion is the window
-[0, prec), stored as it is built, and its series keeps the scatter's
-integer monomials for its products (see etaq.series); an order tests
-the doubling windows [0, 1), [1, 2), [2, 4), ... and stops at the
-first nonzero step.  check_order_bound computes one order per
-denominator c and reports it under every cusp label with that c.
+e = n * step_t in the window.  An expansion is the window [0, prec),
+whose numerators the scatter hands to QSeries._cyclotomic (see
+etaq.series); an order tests the doubling windows [0, 1), [1, 2),
+[2, 4), ... straight from the scatter, normalising and zero-testing
+each nonempty step, and stops at the first nonzero one.
+check_order_bound computes one order per denominator c and reports it
+under every cusp label with that c.
 
 Two bounded caches hold shapes, never element data or coefficients:
 the per-t triples (step_t, w_t, t'^k) of _cusp_terms, keyed on
@@ -56,7 +56,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
-from .cyclotomic import CycNumber, Monomial
+from .cyclotomic import CycNumber
 from .eisenstein import EisensteinElement, MembershipTag, _constant, sturm_bound
 from .series import QSeries, SeriesDomainError
 
@@ -232,31 +232,12 @@ def _scatter(
     return accs, den * const.denominator
 
 
-def _steps(order: int, accs: list[dict[int, int] | None], den: int) -> list[CycNumber]:
-    """Each nonempty step normalised once; every empty one is the same
-    read-only zero."""
-    zero = CycNumber.zero(order)
-    return [zero if acc is None else CycNumber._normal(order, acc, den) for acc in accs]
-
-
-def _coefficients(
-    order: int, den: int, terms: list[Term], k: int, prec: int, lo: int = 0
-) -> list[CycNumber]:
-    """Cusp coefficients of q_{c,N}^e for the window lo <= e < prec."""
-    accs, den = _scatter(order, den, terms, k, prec, lo)
-    return _steps(order, accs, den)
-
-
 def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpansion:
     """Expansion of (cz+d)^(-k) f(Mz) in q_{c,N} below exponent prec."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
     order, den, terms = _cusp_terms(f, cusp)
-    accs, den = _scatter(order, den, terms, f.k, prec)
-    # a numerator that cancelled to 0 stays among the monomials and adds nothing
-    monos: list[Monomial] = [(e, j, v) for e, acc in enumerate(accs) if acc for j, v in acc.items()]
-    steps = _steps(order, accs, den)
-    return CuspExpansion(cusp, QSeries._cyclotomic(0, order, steps, (monos, den)))
+    return CuspExpansion(cusp, QSeries._cyclotomic(order, *_scatter(order, den, terms, f.k, prec)))
 
 
 def _default_order_prec(f: EisensteinElement) -> int:
@@ -271,11 +252,11 @@ def _default_order_prec(f: EisensteinElement) -> int:
 def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> int:
     """Order of vanishing of f at the cusp in the q_{c,N} variable.
 
-    Coefficients are built on the doubling windows [0, 1), [1, 2),
-    [2, 4), ... below prec and tested exactly from exponent 0 upward, so
-    a low order costs a short window; raises precision-exhausted if none
-    is nonzero below prec (impossible for nonzero elements once prec
-    exceeds the Sturm bound).
+    The nonempty steps of the doubling windows [0, 1), [1, 2), [2, 4),
+    ... below prec are normalised and tested exactly from exponent 0
+    upward, so a low order costs a short window; raises
+    precision-exhausted if none is nonzero below prec (impossible for
+    nonzero elements once prec exceeds the Sturm bound).
     """
     if f.is_zero():
         raise ValueError("order of the zero element is undefined")
@@ -287,8 +268,9 @@ def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> 
     lo = 0
     while lo < prec:
         hi = min(2 * lo or 1, prec)
-        for e, coeff in enumerate(_coefficients(order, den, terms, f.k, hi, lo), lo):
-            if not coeff.is_zero():
+        accs, d = _scatter(order, den, terms, f.k, hi, lo)
+        for e, acc in enumerate(accs, lo):
+            if acc and not CycNumber._normal(order, acc, d).is_zero():
                 return e
         lo = hi
     raise SeriesDomainError("precision-exhausted", f"no nonzero coefficient below {prec}")

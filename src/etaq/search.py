@@ -533,16 +533,13 @@ def _integer_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int] | None
 def _ratio12_in_r2() -> list[tuple[int, int, int, int, int, int]]:
     """For each component m of s(r1, r2) = _ratio12(r1, r2, -2 - r1 - r2),
     (a, b0, b1, c0, c1, c2) with m = a r2^2 + (b0 + b1 r1) r2 + c0 + c1 r1
-    + c2 r1^2: m has total degree 2, so finite differences of its values
-    at six points give these integers."""
-    points = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-    out = []
-    for f00, f01, f02, f10, f11, f20 in zip(*(_ratio12(x, y, -2 - x - y) for x, y in points)):
-        a = (f02 - 2 * f01 + f00) // 2
-        b0 = f01 - f00 - a
-        c2 = (f20 - 2 * f10 + f00) // 2
-        out.append((a, b0, f11 - f10 - a - b0, f00, f10 - f00 - c2, c2))
-    return out
+    + c2 r1^2, read off its row (q11, q22, q44, q12, q14, q24) of
+    _ratio12_form by substituting r4 = -2 - r1 - r2."""
+    return [
+        (q22 + q44 - q24, 4 * q44 - 2 * q24, q12 + 2 * q44 - q14 - q24,
+         4 * q44, 4 * q44 - 2 * q14, q11 + q44 - q14)
+        for q11, q22, q44, q12, q14, q24 in _ratio12_form()
+    ]
 
 
 def _value(poly: tuple[int, ...], r1: int, r2: int) -> int:

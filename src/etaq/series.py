@@ -8,7 +8,7 @@ A ``QSeries`` is
   quotient, 0 for an Eisenstein combination;
 * ``coeffs`` are dense numerators on whole q-steps: Python ints, or, at
   a cusp, ``CycNumber``s of one cyclotomic order ``cyc_order`` (offset 0
-  in the local variable q_{c,N});
+  in the local variable q_{c,N}, see below);
 * ``den`` is one positive denominator, in lowest terms against the
   numerators; it is 1 for cyclotomic series, whose coefficients carry
   their own denominators;
@@ -20,24 +20,24 @@ two offsets that agree mod 24 (series on different lattices are
 refused).  A product of rational series is one ``kernels.conv_trunc``
 call on the numerators.
 
-A cyclotomic series supports products (with a cyclotomic or rational
-series), powers e >= 0, negation, valuation, ``leading``, ``coeff`` and
-rendering; sums, scalar multiples, D and inversion raise TypeError.  It
-keeps, besides its steps, the integer monomials (s, j, n) =
-n * q^s * zeta_L^j of all of them over one denominator, in step order:
-a cusp expansion hands in the accumulators its scatter built the steps
-from, and any other cyclotomic series works them out from its steps on
-its first product.  A product reads both operands' monomials (a
-rational operand's are its nonzero numerators at j = 0), rescaling the
-exponents j only when it lifts to a larger order, adds all their
-products into the output steps in Z[zeta_L] with one
-``cyclotomic._mul_into`` call, and normalises each nonempty step once;
-every empty step is one shared zero.  Normalising makes a step
-independent of the common denominator it was summed over.  Cusp
-expansions and these products establish the cyclotomic invariant
-themselves (one order, den 1, at least one step, normalised steps), so
-they build their series through ``QSeries._cyclotomic`` without the
-checks of the public constructor.
+A cusp series (cyclotomic coefficients) has one constructor,
+``QSeries._cyclotomic(order, accs, den)``: accs[s] = {j: n} holds the
+integer numerators n of zeta_L^j in step s over the one denominator
+den, None or {} for an empty step.  It normalises each nonempty step
+once into a ``CycNumber`` of ``.coeffs`` (every empty step is one
+shared zero), keeps (accs, den) and lists them as monomials
+(s, j, n) = n * q^s * zeta_L^j on its first product; its offset is 0.
+Normalising makes a step independent of the denominator it was summed
+over.  Cusp expansions and products hand in the numerators their
+scatter or product kernel built; the public constructor is for
+rational series only.  A cusp series is multiplied only by a cusp
+series of the same order, which is the same local variable q_{c,N}:
+one ``cyclotomic._mul_into`` call adds all products of the operands'
+monomials into the output steps in Z[zeta_L], and the result is built
+by ``_cyclotomic``.  It has powers e >= 0 (x ** 0 is the one of x's
+order), valuation, ``leading``, ``coeff`` and rendering; negation,
+sums, scalar multiples, D and inversion raise TypeError, as does a
+product with a rational series or a cusp series of another order.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
@@ -77,22 +77,16 @@ def _stored_nonzero(c: Coeff) -> bool:
 class QSeries:
     """Immutable q^(offset/24) * sum c_n q^n / den + O(q^(offset/24 + prec))."""
 
-    __slots__ = ("offset", "coeffs", "den", "cyc_order", "_monos")
+    __slots__ = ("offset", "coeffs", "den", "cyc_order", "_accs", "_monos")
 
-    def __init__(self, offset: int, coeffs: Iterable[Coeff], den: int = 1):
+    def __init__(self, offset: int, coeffs: Iterable[int], den: int = 1):
         vec = tuple(coeffs)
         if not vec:
             raise SeriesDomainError("precision-exhausted", "series with no known window")
         if den < 1:
             raise ValueError("denominator must be >= 1")
-        # every coefficient a CycNumber of one order over den 1, or none is
-        order = vec[0].order if isinstance(vec[0], CycNumber) else None
-        if order is None:
-            mixed = CycNumber in map(type, vec)
-        else:
-            mixed = den != 1 or any(not isinstance(c, CycNumber) or c.order != order for c in vec)
-        if mixed:
-            raise ValueError("cyclotomic coefficients need one order and denominator 1")
+        if CycNumber in map(type, vec):
+            raise ValueError("cusp series are built by QSeries._cyclotomic, not from CycNumbers")
         if den != 1:
             g = gcd(den, *vec)
             if g != 1:
@@ -101,48 +95,31 @@ class QSeries:
         self.offset = offset
         self.coeffs = vec
         self.den = den
-        self.cyc_order = order
-        self._monos = None
+        self.cyc_order = None
 
     @classmethod
-    def _cyclotomic(
-        cls,
-        offset: int,
-        order: int,
-        coeffs: list[CycNumber],
-        monos: tuple[list[Monomial], int] | None = None,
-    ) -> "QSeries":
-        """A cyclotomic series whose caller guarantees what ``__init__``
-        checks: at least one step, each a normalised ``CycNumber`` of
-        this order, over den 1.  monos, when given, is (the monomials
-        of every step in step order, their one denominator): the steps'
-        numerators up to one common factor, zeros allowed."""
+    def _cyclotomic(cls, order: int, accs: list[dict[int, int] | None], den: int) -> "QSeries":
+        """The cusp series with step s = accs[s] / den in Z[zeta_order]
+        (None or {} for an empty step); accs holds at least one step and
+        is never changed afterwards."""
+        zero = CycNumber.zero(order)
+        normal = CycNumber._normal
         x = object.__new__(cls)
-        x.offset, x.coeffs, x.den, x.cyc_order, x._monos = offset, tuple(coeffs), 1, order, monos
+        x.offset, x.den, x.cyc_order, x._accs, x._monos = 0, 1, order, (accs, den), None
+        x.coeffs = tuple([normal(order, a, den) if a else zero for a in accs])
         return x
 
     @property
     def prec(self) -> int:
         return len(self.coeffs)
 
-    def _monomials(self, order: int, n: int) -> tuple[list[Monomial], int]:
-        """Monomials (s, j, num) in step order: num * q^s * zeta_order^j
-        over one denominator D.  A rational series lists its nonzero
-        steps s < n at j = 0 over its den; a cyclotomic one lists every
-        step (the product kernel skips those at or past n) from the
-        monomials it keeps, worked out from its steps on the first call."""
-        if self.cyc_order is None:
-            return [(s, 0, c) for s, c in enumerate(self.coeffs[:n]) if c], self.den
+    def _monomials(self) -> tuple[list[Monomial], int]:
+        """A cusp series' monomials (s, j, n) in step order over its one
+        denominator, listed from its numerators on the first call."""
         if self._monos is None:
-            den = lcm(*(c.den for c in self.coeffs))
-            self._monos = [
-                (s, j, v * (den // c.den)) for s, c in enumerate(self.coeffs) for j, v in c.terms.items()
-            ], den
-        monos, den = self._monos
-        if order != self.cyc_order:
-            step = order // self.cyc_order
-            monos = [(s, j * step, v) for s, j, v in monos]
-        return monos, den
+            accs, den = self._accs
+            self._monos = [(s, j, n) for s, a in enumerate(accs) if a for j, n in a.items()], den
+        return self._monos
 
     def _rational_only(self, op: str) -> None:
         if self.cyc_order is not None:
@@ -176,6 +153,7 @@ class QSeries:
         return QSeries(offset, [a + b for a, b in zip(xs, ys)], den)
 
     def __neg__(self):
+        self._rational_only("negation")
         return QSeries(self.offset, [-c for c in self.coeffs], self.den)
 
     def __sub__(self, other):
@@ -195,26 +173,25 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         x, y = self, other
-        offset = x.offset + y.offset
+        order = x.cyc_order
+        if order != y.cyc_order:
+            raise TypeError("a product needs two rational series or two cusp series of one order")
         n = min(x.prec + y._lead(), y.prec + x._lead())
-        if x.cyc_order is None and y.cyc_order is None:
+        if order is None:
             vec = conv_trunc(x.coeffs, y.coeffs, n)
             vec += [0] * (n - len(vec))
-            return QSeries(offset, vec, x.den * y.den)
-        order = lcm(x.cyc_order or 1, y.cyc_order or 1)
-        (xs, dx), (ys, dy) = x._monomials(order, n), y._monomials(order, n)
+            return QSeries(x.offset + y.offset, vec, x.den * y.den)
+        (xs, dx), (ys, dy) = x._monomials(), y._monomials()
         acc: list[dict[int, int]] = [{} for _ in range(n)]
         _mul_into(acc, xs, ys, order)
-        den = dx * dy
-        zero = CycNumber.zero(order)
-        return QSeries._cyclotomic(
-            offset, order, [CycNumber._normal(order, a, den) if a else zero for a in acc]
-        )
+        return QSeries._cyclotomic(order, acc, dx * dy)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QSeries":
         if e == 0:
+            if self.cyc_order is not None:
+                return QSeries._cyclotomic(self.cyc_order, [{0: 1}] + [None] * (self.prec - 1), 1)
             return QSeries(0, [1] + [0] * (self.prec - 1))
         if e < 0:
             return self.inverse() ** (-e)

@@ -10,7 +10,7 @@ the same orders, since changing the numerator applies a Galois
 automorphism to the coefficients.  The roots of unity's closed form in
 cusps._cusp_terms is checked against the auxiliary completion of
 E_k(tz) at a/c, kept here as the reference, the windowed scatter in
-cusps._coefficients against the gather generator it replaced, and
+cusps._scatter against the gather generator it replaced, and
 check_order_bound, which computes one order per denominator, against
 the order at every cusp.
 """
@@ -26,9 +26,9 @@ from hypothesis import assume, given, settings, strategies as st
 from etaq.arith import bernoulli, denominator_multiplicity, divisors, prime_power, sigma, sigma_table
 from etaq.cusps import (
     Cusp,
-    _coefficients,
     _cusp_shape,
     _cusp_terms,
+    _scatter,
     check_order_bound,
     cusp_count,
     cusp_reps,
@@ -109,9 +109,15 @@ def coefficient_reference(f, cusp, order: int, terms, e: int) -> CycNumber:
 
 
 def cusp_coefficient(f, cusp, e: int) -> CycNumber:
-    """Coefficient of q_{c,N}^e, from the integer generator."""
-    order, den, terms = _cusp_terms(f, cusp)
-    return list(_coefficients(order, den, terms, f.k, e + 1))[e]
+    """Coefficient of q_{c,N}^e, read off the expansion."""
+    return expansion_at_cusp(f, cusp, e + 1).series.coeffs[e]
+
+
+def window(order: int, den: int, terms, k: int, hi: int, lo: int = 0) -> list[CycNumber]:
+    """The steps lo <= e < hi of one scatter: each nonempty one
+    normalised, as order_at_cusp tests it, and every empty one zero."""
+    accs, den = _scatter(order, den, terms, k, hi, lo)
+    return [CycNumber._normal(order, acc, den) if acc else CycNumber.zero(order) for acc in accs]
 
 
 @settings(max_examples=120, deadline=None)
@@ -139,7 +145,7 @@ def test_integer_coefficients_match_fraction_reference(data):
         r * Fraction(gcd(t, c), t) ** k for t, r in coeffs.items()
     ]
     prec = data.draw(st.integers(1, 40))
-    got = list(_coefficients(order, den, terms, k, prec))
+    got = expansion_at_cusp(element, cusp, prec).series.coeffs
     assert len(got) == prec
     for e, coeff in enumerate(got):
         want = coefficient_reference(element, cusp, order, terms, e)
@@ -211,10 +217,12 @@ def test_windowed_scatter_matches_gather_reference(data):
         want = list(coefficients_reference(order, den, terms, k, prec))
         got = []
         for lo, hi in zip(cuts, cuts[1:]):
-            window = _coefficients(order, den, terms, k, hi, lo)
-            assert len(window) == hi - lo
-            got += window
+            steps = window(order, den, terms, k, hi, lo)
+            assert len(steps) == hi - lo
+            got += steps
         assert [stored(c) for c in got] == [stored(c) for c in want], (n, k, cusp, cuts)
+        expanded = expansion_at_cusp(element, cusp, prec).series.coeffs
+        assert [stored(c) for c in expanded] == [stored(c) for c in want]
         if element.is_zero():
             with pytest.raises(ValueError):
                 order_at_cusp(element, cusp, prec)
@@ -761,14 +769,15 @@ def test_cusp_code_does_no_cyclotomic_number_arithmetic(monkeypatch, capsys):
     g = EisensteinElement(4, 9, {1: 1, 9: -1})  # vanishes at 1/9
     bound_elements = [JACOBI_EL, random_p_element(random.Random(5), 4, 3, 3)]
     argv = ["cusp-expand", "--element", "E4(1)-2*E4(9)+E4(27)", "--level", "27", "--cusp", "2/3"]
-    rational = EisensteinElement(4, 1, {1: 1}).expansion(8)
+    h = EisensteinElement(6, 27, {1: 1, 9: Fraction(-7, 3), 27: 4})
 
     def run():
         x = expansion_at_cusp(f, Cusp(1, 1, 27), 8).series
         y = expansion_at_cusp(f, Cusp(2, 3, 27), 8).series
         z = expansion_at_cusp(g, Cusp(1, 9, 9), 6).series
         assert (x.cyc_order, y.cyc_order) == (27, 9)
-        series = [x, y, z, x * y, y * x, rational * y, z * z]
+        hx, hy = (expansion_at_cusp(h, cusp, 8).series for cusp in (Cusp(1, 1, 27), Cusp(2, 3, 27)))
+        series = [x, y, z, x * hx, hy * y, x * hx * x, z * z]
         out = [[(c.order, c.terms, c.den) for c in s.coeffs] for s in series]
         out += [(s.valuation(), s.leading()[1].render(), s.render_text(var="w")) for s in series]
         out += [order_at_cusp(f, cusp) for cusp in cusp_reps(27)]

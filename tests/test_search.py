@@ -26,8 +26,11 @@ from etaq.search import (
     _integral_exponents,
     _lower_hnf,
     _order_matrix24,
+    _ratio12,
     _ratio12_form,
+    _ratio12_in_r2,
     _second_derivative_hits,
+    _value,
     antiderivative,
     classify_second_derivatives_level4,
     dual_pairs_prime_power,
@@ -583,7 +586,13 @@ def test_degenerate_rows_are_walked(monkeypatch):
     def ratio(r1, r2, r4):
         return (r2 * r2 + 1, 2 * r2 * r2 + 2 + (r1 - 5) * r2, (r1 - 5) * r2)
 
-    monkeypatch.setattr(etaq.search, "_ratio12", ratio)
+    # its quadratics (a, b0, b1, c0, c1, c2) in (r1, r2), as _ratio12_in_r2 gives them
+    rows = [(1, 0, 0, 1, 0, 0), (2, -5, 1, 2, 0, 0), (0, -5, 1, 0, 0, 0)]
+    assert all(
+        tuple(_value(row, r1, r2) for row in rows) == ratio(r1, r2, -2 - r1 - r2)
+        for r1 in range(-3, 4) for r2 in range(-3, 4)
+    )
+    monkeypatch.setattr(etaq.search, "_ratio12_in_r2", lambda: rows)
     directions = [(0, 0, 1), (1, 2, 0), (1, 0, 0), (2, 4, 1)]
     hits = _second_derivative_hits(8, directions)
     assert hits == square_scan_hits(8, directions, ratio)
@@ -685,6 +694,13 @@ def test_ratio_form_rejects_a_row_that_does_not_cancel(monkeypatch, name):
     monkeypatch.setitem(CONVOLUTIONS, name, (a, b, c, {**e, d: e[d] + 1}))
     with pytest.raises(AssertionError, match=f"^{name}: no integer form cancelling D\\(h\\) at d = {d}$"):
         _ratio12_form.__wrapped__()
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_ratio_in_r2_is_the_form_on_the_plane(r1, r2):
+    # the quadratics read off the form rows are _ratio12 on the plane
+    # r1 + r2 + r4 = -2, component by component
+    assert tuple(_value(row, r1, r2) for row in _ratio12_in_r2()) == _ratio12(r1, r2, -2 - r1 - r2)
 
 
 def test_classification_second_derivatives():

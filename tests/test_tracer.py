@@ -7,7 +7,9 @@ from pathlib import Path
 
 import etaq.eisenstein
 import etaq.search
+from etaq.cusps import Cusp, expansion_at_cusp
 from etaq.cyclotomic import CycNumber
+from etaq.series import QSeries
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,3 +40,25 @@ def test_tracer_install_and_uninstall_restore_every_attribute(monkeypatch):
         (CycNumber, "inverse"),
     ]:
         assert (owner, name) in wrapped, name
+
+
+def test_tracer_splits_products_by_coefficient_domain(monkeypatch):
+    # the tracer reads cyc_order on both operands of QSeries.__mul__: a
+    # product of two expansions at one cusp is one series.cyc_mul call,
+    # a product of two rational series one series.mul call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    cusp = Cusp(2, 3, 27)
+    f = etaq.eisenstein.EisensteinElement(4, 27, {1: 2, 3: -1, 27: 5})
+    g = etaq.eisenstein.EisensteinElement(6, 27, {1: 1, 9: -2, 27: 4})
+    x, y = (expansion_at_cusp(e, cusp, 6).series for e in (f, g))
+    r = QSeries(0, [1, 2, 3])
+    tracer = Tracer()
+    try:
+        tracer.install()
+        _ = x * y
+        _ = r * r
+    finally:
+        tracer.uninstall()
+    assert (tracer.calls["series.cyc_mul"], tracer.calls["series.mul"]) == (1, 1)
