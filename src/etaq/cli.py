@@ -24,16 +24,11 @@ import random
 import sys
 from functools import cache
 
+# Module level holds what parsing, error mapping, expand --eta and
+# eta-order run; a handler that needs eisenstein, cusps or search
+# imports it where it runs, so a command never loads what it never calls.
 from .arith import prime_power
-from .cusps import Cusp, check_order_bound, expansion_at_cusp
-from .eisenstein import parse_element, random_p_element, verify_identities
 from .eta import parse_eta
-from .search import (
-    classify_second_derivatives_level4,
-    dual_pairs_prime_power,
-    enumerate_eta_in_e,
-    verify_classification_lists,
-)
 from .series import SeriesDomainError
 
 DEFAULT_LEVELS = "2,4,8,16,32,3,9,27,5,25,7,49"
@@ -194,6 +189,8 @@ def cmd_expand(args) -> int:
             "scale": 24,
         }
     elif args.element:
+        from .eisenstein import parse_element
+
         element = parse_element(args.element, args.level)
         series = element.expansion(prec)
         payload = {
@@ -229,7 +226,9 @@ def cmd_eta_order(args) -> int:
     return 0
 
 
-def _parse_cusp(text: str, level: int) -> Cusp:
+def _parse_cusp(text: str, level: int):
+    from .cusps import Cusp
+
     try:
         a, c = (int(x) for x in text.split("/"))
     except ValueError:
@@ -241,6 +240,9 @@ def _parse_cusp(text: str, level: int) -> Cusp:
 
 
 def cmd_cusp_expand(args) -> int:
+    from .cusps import expansion_at_cusp
+    from .eisenstein import parse_element
+
     element = parse_element(args.element, args.level)
     cusp = _parse_cusp(args.cusp, args.level)
     series = expansion_at_cusp(element, cusp, args.prec).series
@@ -262,6 +264,8 @@ def cmd_cusp_expand(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import enumerate_eta_in_e
+
     pp = prime_power(args.level)
     if pp is None:
         raise UsageError(f"search level must be a prime power, got {args.level}")
@@ -284,6 +288,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_dual_pairs(args) -> int:
+    from .search import dual_pairs_prime_power
+
     pairs = dual_pairs_prime_power()
     if args.json:
         payload = {"count": len(pairs), "pairs": [dp.to_json() for dp in pairs]}
@@ -297,6 +303,8 @@ def cmd_dual_pairs(args) -> int:
 
 
 def cmd_second_derivative(args) -> int:
+    from .search import classify_second_derivatives_level4
+
     solutions = classify_second_derivatives_level4()
     if args.json:
         payload = {
@@ -319,17 +327,24 @@ def cmd_second_derivative(args) -> int:
 
 
 def _suite_identities(args) -> tuple[dict, bool]:
+    from .eisenstein import verify_identities
+
     checks = verify_identities(args.prec)
     ok = all(c.status in ("ok", "remainder") for c in checks)
     return {"identities": [c.to_json() for c in checks]}, ok
 
 
 def _suite_classification(args) -> tuple[dict, bool]:
+    from .search import verify_classification_lists
+
     report = verify_classification_lists()
     return {"classification": report.to_json()}, report.ok
 
 
 def _suite_order_bounds(args) -> tuple[dict, bool]:
+    from .cusps import check_order_bound
+    from .eisenstein import random_p_element
+
     failures = []
     checked = 0
     for k in args.weights:
@@ -355,6 +370,8 @@ def _suite_order_bounds(args) -> tuple[dict, bool]:
 
 
 def _suite_second_derivative(args) -> tuple[dict, bool]:
+    from .search import classify_second_derivatives_level4
+
     # verifies the published uniqueness claim: the only solution family
     # should be r = (-4, 2, 0) and its rescalings.  The claim fails:
     # the extra certified solutions are emitted as counterexamples.

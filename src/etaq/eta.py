@@ -113,8 +113,9 @@ class EtaQuotient:
 
         q^(-offset/24) * f is F = prod_t prod_m (1 - q^(tm))^(r_t) =
         sum c_n q^n, whose logarithmic derivative D(F)/F (D = q d/dq) is
-        sum_k b_k q^k with b_k = sum_{t | k} (-t r_t) sigma(k/t), the
-        coefficients of log_derivative() times those of sum sigma(m) q^(tm).
+        sum_k b_k q^k with b_k = sum_{t | k} (-t r_t) sigma(k/t): the
+        integer weights -t r_t of log_derivative() times the coefficients
+        of sum sigma(m) q^(tm).
         Comparing coefficients in D(F) = F * (D(F)/F) gives the recurrence
         n c_n = sum_{k=1}^{n} b_k c_(n-k); the c_n are integers, so every
         division by n is exact.  They are returned as they come, on the
@@ -126,8 +127,8 @@ class EtaQuotient:
         n = -(-(prec - off) // 24)
         sig = sigma_table(1, n)
         b = [0] * n
-        for t, lt in self.log_derivative().coeffs.items():
-            lt = int(lt)
+        for t, r in self.exponents.items():
+            lt = -t * r
             for m in range(1, (n - 1) // t + 1):
                 b[t * m] += lt * sig[m]
         c = [1] + [0] * (n - 1)

@@ -159,6 +159,8 @@ class QSeries:
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
+        self._rational_only("a difference")
+        other._rational_only("a difference")
         return self + (-other)
 
     def scalar_mul(self, v: Scalar) -> "QSeries":

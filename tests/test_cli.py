@@ -274,7 +274,7 @@ def test_verify_rejects_weight2_at_level1_before_any_suite(capsys, monkeypatch, 
     def refuse(*args, **kwargs):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(etaq.cli, "verify_identities", refuse)
+    monkeypatch.setattr(etaq.eisenstein, "verify_identities", refuse)
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--weights", "4,2",
                              "--levels", "4,1")
     assert code == 2 and out == ""
