@@ -177,10 +177,9 @@ def _emit_text(payload, indent: str = "") -> None:
 
 
 def cmd_expand(args) -> int:
-    prec = args.prec
     if args.eta:
         quotient = parse_eta(args.eta, args.level)
-        series = quotient.expansion(24 * prec + quotient.offset())
+        series = quotient.expansion(args.prec)
         payload = {
             "input": quotient.render(),
             "level": quotient.level,
@@ -192,7 +191,7 @@ def cmd_expand(args) -> int:
         from .eisenstein import parse_element
 
         element = parse_element(args.element, args.level)
-        series = element.expansion(prec)
+        series = element.expansion(args.prec)
         payload = {
             "input": element.render(),
             "level": element.level,
@@ -433,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--eta", help="eta quotient, e.g. 'eta(2)^20*eta(1)^-8*eta(4)^-8'")
     source.add_argument("--element", help="Eisenstein combination, e.g. '8*E2(1)-32*E2(4)'")
     p.add_argument("--level", type=_level_arg, default=None)
-    p.add_argument("--prec", type=_prec_arg, default=10, help="number of q-exponents")
+    p.add_argument("--prec", type=_prec_arg, default=10, help="q-steps from the leading exponent")
     common(p)
     p.set_defaults(func=cmd_expand)
 

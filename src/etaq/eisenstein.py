@@ -35,6 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import index
 
 from .arith import bernoulli, divisors, gamma0_index, prime_power, sigma_table
 from .eta import EtaQuotient
@@ -53,7 +54,7 @@ __all__ = [
 
 
 def eisenstein_series(k: int, prec: int) -> QSeries:
-    """E_k to precision prec (in q units): -B_k/2k + sum sigma_{k-1}(n) q^n."""
+    """E_k through prec q-steps from q^0: -B_k/2k + sum sigma_{k-1}(n) q^n."""
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be even >= 2, got {k}")
     if prec < 1:
@@ -110,13 +111,19 @@ class EisensteinElement:
             raise ValueError("level must be >= 1")
         clean: dict[int, Fraction] = {}
         for t, r in coeffs.items():
+            if not isinstance(r, (int, Fraction)):
+                raise TypeError(f"{r!r}*E{k}({t!r}): the coefficient must be an int or Fraction")
+            try:
+                t = index(t)
+            except TypeError:
+                raise TypeError(f"{r!r}*E{k}({t!r}): t must be an integer") from None
             if t < 1:
                 raise ValueError(f"the t in E{k}(t) must be at least 1, got {t}")
             if level % t:
                 raise ValueError(f"divisor {t} does not divide level {level}")
             r = Fraction(r)
             if r:
-                clean[int(t)] = r
+                clean[t] = r
         if k == 2:
             balance = sum(r / t for t, r in clean.items())
             if balance != 0:
@@ -139,7 +146,7 @@ class EisensteinElement:
         return hash((self.k, self.level, tuple(self.coeffs.items())))
 
     def expansion(self, prec: int) -> QSeries:
-        """q-expansion at infinity to precision prec in q units."""
+        """q-expansion at infinity through prec q-steps from q^0."""
         return _combination(self.k, self.coeffs, prec)
 
     def classify(self) -> MembershipTag:
@@ -260,11 +267,12 @@ def match_eta(g: EtaQuotient) -> EisensteinElement | None:
         raise ValueError(f"matching needs even integer weight >= 2, got {k}")
     n = g.level
     rows = match_certification_rows(k, n)
-    exp = g.expansion(24 * rows + 1)
     # b[j] = exp.den * [q^j] g for j = 0..rows; the modularity criteria
-    # make the offset a multiple of 24 (sum t*r_t = 0 mod 24), and
+    # make g's leading exponent a whole number (sum t*r_t = 0 mod 24), and
     # holomorphy at infinity makes it nonnegative
-    b = [0] * (g.offset() // 24) + list(exp.coeffs)
+    lead = g.offset() // 24
+    exp = g.expansion(rows + 1 - lead)
+    b = [0] * lead + list(exp.coeffs)
     sig = sigma_table(k - 1, n)
     x: dict[int, int] = {}  # exp.den * r_t
     for t in divisors(n):
@@ -359,7 +367,7 @@ def _check_equal(
 def _identity_rows():
     """(name, weight, level, sides) for every table equality, sides(n)
     giving both sides through q^n.  By the valence formula an eta side's
-    leading exponent, which D keeps, is at most its Sturm bound."""
+    leading exponent, which D keeps, is at most its Sturm bound (0 in ETA_EISENSTEIN)."""
     for name, (a, b, c, e) in CONVOLUTIONS.items():
         yield name, 4, b, lambda n, a=a, b=b, c=c, e=e: (
             _combination(2, {a: 1}, n + 1) * _combination(2, {b: 1}, n + 1),
@@ -369,12 +377,13 @@ def _identity_rows():
         g = EtaQuotient(level, r)
         k = int(g.weight())
         yield name, k, level, lambda n, g=g, k=k, coeffs=coeffs: (
-            g.expansion(24 * n + 1), _combination(k, coeffs, n + 1)
+            g.expansion(n + 1), _combination(k, coeffs, n + 1)
         )
     for name, (level, f, g, c) in ETA_DERIVATIVES.items():
         f, g = EtaQuotient(level, f), EtaQuotient(level, g)
-        yield name, int(g.weight()), level, lambda n, f=f, g=g, c=c: (
-            f.expansion(24 * n + 1).ramanujan_d(), g.expansion(24 * n + 1) * c
+        lead = f.offset() // 24  # of both sides: D(f) = c g
+        yield name, int(g.weight()), level, lambda n, f=f, g=g, c=c, lead=lead: (
+            f.expansion(n + 1 - lead).ramanujan_d(), g.expansion(n + 1 - lead) * c
         )
 
 

@@ -17,14 +17,13 @@ is the one place those orders are computed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
-from .series import QSeries, SeriesDomainError
+from .series import QSeries
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
 
@@ -41,8 +40,7 @@ class LogDerivative(NamedTuple):
     weight_zero: bool
 
 
-@dataclass(frozen=True)
-class ModularityReport:
+class ModularityReport(NamedTuple):
     weight: Fraction
     conditions: tuple[tuple[str, bool], ...]
     order_map24: dict[int, int]  # EtaQuotient.order_map24, 1/24 units
@@ -76,12 +74,16 @@ class EtaQuotient:
             raise ValueError("level must be >= 1")
         exps = {}
         for t, r in exponents.items():
+            try:
+                t, r = index(t), index(r)
+            except TypeError:
+                raise TypeError(f"eta({t!r})^{r!r}: t and the exponent must be integers") from None
             if t < 1:
                 raise ValueError(f"the t in eta(t) must be at least 1, got {t}")
             if level % t:
                 raise ValueError(f"divisor {t} does not divide level {level}")
             if r:
-                exps[int(t)] = int(r)
+                exps[t] = r
         self.level = level
         self.exponents = dict(sorted(exps.items()))
 
@@ -108,8 +110,8 @@ class EtaQuotient:
 
     # -- expansion ---------------------------------------------------------
 
-    def expansion(self, prec: int) -> QSeries:
-        """Exact q-expansion through every exponent below prec/24.
+    def expansion(self, steps: int) -> QSeries:
+        """The exact q-expansion through ``steps`` q-steps from q^(offset/24).
 
         q^(-offset/24) * f is F = prod_t prod_m (1 - q^(tm))^(r_t) =
         sum c_n q^n, whose logarithmic derivative D(F)/F (D = q d/dq) is
@@ -118,26 +120,23 @@ class EtaQuotient:
         of sum sigma(m) q^(tm).
         Comparing coefficients in D(F) = F * (D(F)/F) gives the recurrence
         n c_n = sum_{k=1}^{n} b_k c_(n-k); the c_n are integers, so every
-        division by n is exact.  They are returned as they come, on the
-        ceil((prec - offset)/24) q-steps the bound covers.
+        division by n is exact.  They are returned as they come.
         """
-        off = self.offset()
-        if prec <= off:
-            raise SeriesDomainError("precision-exhausted", f"prec {prec} <= offset {off}")
-        n = -(-(prec - off) // 24)
-        sig = sigma_table(1, n)
-        b = [0] * n
+        if steps < 1:
+            raise ValueError("prec must be >= 1")
+        sig = sigma_table(1, steps)
+        b = [0] * steps
         for t, r in self.exponents.items():
             lt = -t * r
-            for m in range(1, (n - 1) // t + 1):
+            for m in range(1, (steps - 1) // t + 1):
                 b[t * m] += lt * sig[m]
-        c = [1] + [0] * (n - 1)
-        for j in range(1, n):
+        c = [1] + [0] * (steps - 1)
+        for j in range(1, steps):
             s = sum(map(mul, b[1 : j + 1], c[j - 1 :: -1]))
             c[j], rem = divmod(s, j)
             if rem:
                 raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
-        return QSeries(off, c)
+        return QSeries(self.offset(), c)
 
     # -- orders at cusps ----------------------------------------------------
 

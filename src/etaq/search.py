@@ -381,7 +381,8 @@ def antiderivative(g: EtaQuotient, certify_rel: int = 480) -> DualPair:
     positive integer that makes every r_t integral; the weight-2 balance
     sum rho_t/t = 0 makes f of weight 0.  The identity D(f) =
     lambda * (f*g) is certified by exact series arithmetic through
-    certify_rel exponent steps past the offset.
+    certify_rel 1/24 q-units past the leading exponent, so
+    ceil(certify_rel/24) q-steps: 20 by default.
     """
     element = match_eta(g)
     if element is None:
@@ -395,16 +396,19 @@ def antiderivative(g: EtaQuotient, certify_rel: int = 480) -> DualPair:
     f = EtaQuotient(n, exps)
     g_der = f * g
 
-    prec = max(f.offset(), g_der.offset()) + certify_rel
-    lhs = f.expansion(prec).ramanujan_d()
-    rhs = g_der.expansion(prec) * Fraction(lam)
+    steps = -(-certify_rel // 24)
+    # f*g starts g's leading exponent after f, so f runs that much longer
+    lhs = f.expansion(steps + g.offset() // 24).ramanujan_d()
+    rhs = g_der.expansion(steps) * Fraction(lam)
     if not (lhs - rhs).is_zero_to_prec():
         raise AssertionError(f"antiderivative certification failed for g = {g.render()}")
     return DualPair(f, g_der, Fraction(lam), g)
 
 
 def dual_pairs_prime_power(certify_rel: int = 480) -> list[DualPair]:
-    """Antiderivatives of every weight-2 search result (expected: 12)."""
+    """Antiderivatives of every weight-2 search result (expected: 12),
+    each certified through certify_rel 1/24 q-units past the leading
+    exponent, so ceil(certify_rel/24) q-steps: 20 by default."""
     out = []
     for k, p, m in WEIGHT2_CELLS:
         for sp in enumerate_eta_in_e(k, p, m).pairs:
@@ -489,17 +493,17 @@ def _certify_second_derivative(
     s: tuple[Fraction, Fraction, Fraction],
     target: EtaQuotient,
     scalar: Fraction,
-    certify_rel: int,
+    steps: int,
 ) -> SecondDerivSolution:
     f = EtaQuotient(4, {1: r[0], 2: r[1], 4: r[2]})
-    prec = max(f.offset(), 0) + certify_rel
-    ef = f.expansion(prec)
+    # steps past q^0 when f starts below it, else past f's leading exponent
+    ef = f.expansion(steps - min(f.offset(), 0) // 24)
     lhs = ef.ramanujan_d().ramanujan_d()
     combo = EisensteinElement(4, 4, {1: s[0], 2: s[1], 4: s[2]})
-    rhs = ef * combo.expansion(-(-certify_rel // 24) + 1)
+    rhs = ef * combo.expansion(steps + 1)
     if not (lhs - rhs).is_zero_to_prec():
         raise AssertionError(f"second-derivative ratio certification failed for r = {r}")
-    rhs2 = ef * target.expansion(target.offset() + certify_rel) * scalar
+    rhs2 = ef * target.expansion(steps) * scalar
     if not (lhs - rhs2).is_zero_to_prec():
         raise AssertionError(
             f"second-derivative target certification failed for r = {r}, "
@@ -603,9 +607,11 @@ def classify_second_derivatives_level4(
     ratio against each target direction, quadratics in r2 for each r1
     (_second_derivative_hits): O(bound * targets) root solves, not a
     scan of the (2 bound + 1)^2 square.  Each hit is certified by exact
-    series arithmetic through certify_rel exponent steps.  Output is
+    series arithmetic through certify_rel 1/24 q-units past the leading
+    exponent, so ceil(certify_rel/24) q-steps: 10 by default.  Output is
     deterministic: sorted by exponent triple.
     """
+    steps = -(-certify_rel // 24)
     targets = level4_targets()
     directions = []
     for _, ts in targets:
@@ -616,5 +622,5 @@ def classify_second_derivatives_level4(
         q, ts = targets[index]
         s = second_derivative_ratio(r)
         scalar = next(sv / tv for sv, tv in zip(s, ts) if tv)
-        solutions.append(_certify_second_derivative(r, s, q, scalar, certify_rel))
+        solutions.append(_certify_second_derivative(r, s, q, scalar, steps))
     return solutions

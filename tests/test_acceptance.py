@@ -128,12 +128,12 @@ def test_criterion_3_excluded_cells(capsys):
 
 
 def test_criterion_4_dual_pairs(capsys):
-    pairs = dual_pairs_prime_power(certify_rel=2400)  # 100 q-exponents past offset
+    pairs = dual_pairs_prime_power(certify_rel=2400)  # 2400/24 = 100 q-steps
     ok = len(pairs) == 12
     for dp in pairs:
-        prec = max(dp.f.offset(), dp.g.offset()) + 2400
-        lhs = dp.f.expansion(prec).ramanujan_d()
-        rhs = dp.g.expansion(prec) * dp.scalar
+        # 100 q-steps past g's leading exponent, which is at most one step after f's
+        lhs = dp.f.expansion(101).ramanujan_d()
+        rhs = dp.g.expansion(100) * dp.scalar
         ok = ok and (lhs - rhs).is_zero_to_prec()
     by_f = {_freeze(dp.f.exponents): dp for dp in pairs}
     key = _freeze({1: -8, 4: 8})
@@ -256,9 +256,8 @@ def test_criterion_8_known_identity_certified(capsys):
         # D^2(eta(2)^2/eta(1)^4) = 4 eta(2)^18/eta(1)^12 through exponent 100
         f = EtaQuotient(4, {1: -4, 2: 2})
         g = EtaQuotient(4, {1: -12, 2: 18})
-        prec = g.offset() + 2400
-        lhs = f.expansion(prec).ramanujan_d().ramanujan_d()
-        rhs = g.expansion(prec) * 4
+        lhs = f.expansion(101).ramanujan_d().ramanujan_d()  # from q^0
+        rhs = g.expansion(100) * 4  # from q^1
         ok = ok and (lhs - rhs).is_zero_to_prec()
     with capsys.disabled():
         _report("8a", ok, "D^2(eta(2)^2/eta(1)^4) = 4*eta(2)^18/eta(1)^12 through exponent 100")
@@ -326,7 +325,7 @@ def test_criterion_9_property_suites(capsys):
 
     # (b) the eta expansion against the naive product, 500 q-exponents
     prec_q = 500
-    series = EtaQuotient(1, {1: 1}).expansion(24 * prec_q + 1)
+    series = EtaQuotient(1, {1: 1}).expansion(prec_q)
     naive = [0] * (prec_q + 1)
     naive[0] = 1
     for n in range(1, prec_q + 1):

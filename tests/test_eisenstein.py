@@ -70,6 +70,16 @@ def test_eisenstein_weight_validation():
         eisenstein_series(0, 5)
 
 
+def test_inexact_coefficients_are_rejected():
+    # 0.1 was stored as 3602879701896397/36028797018963968; only int and
+    # Fraction coefficients and integer t are read, and the error names the term
+    for coeffs, term in (({1: 0.1}, "0.1*E4(1)"), ({2.0: 1}, "1*E4(2.0)"),
+                         ({1: "1/2"}, "'1/2'*E4(1)")):
+        with pytest.raises(TypeError, match=re.escape(term)):
+            EisensteinElement(4, 4, coeffs)
+    assert EisensteinElement(4, 4, {1: Fraction(1, 10), 2: 3}).coeffs == {1: Fraction(1, 10), 2: 3}
+
+
 def test_weight2_balance_enforced():
     EisensteinElement(2, 4, {1: 8, 4: -32})  # 8 - 8 = 0, fine
     with pytest.raises(ValueError):
@@ -147,7 +157,7 @@ def test_match_round_trip():
         q = EtaQuotient(level, exps)
         el = match_eta(q)
         assert el is not None
-        lhs = q.expansion(24 * 12 + 1)
+        lhs = q.expansion(13)
         rhs = el.expansion(13)
         assert agrees_with(lhs, rhs)
 
@@ -208,8 +218,8 @@ def match_eta_reference(g: EtaQuotient) -> EisensteinElement | None:
     rows = match_certification_rows(k, n)
     if g.offset() % 24:
         raise AssertionError("integral-exponent expansion expected for modular quotient")
-    exp = g.expansion(24 * rows + 1)
     lead = g.offset() // 24
+    exp = g.expansion(rows + 1 - lead)
 
     a = [[eisenstein_coefficient(k, j, t) for t in divs] for j in range(rows + 1)]
     b = [exp.coeff(j - lead) for j in range(rows + 1)]
@@ -373,8 +383,8 @@ DERIV12_INPUT = {1: -4, 2: 3, 4: -2, 6: -3, 12: 6}
 DERIV12_OUTPUT = {1: -6, 2: 5, 3: -2, 4: 2, 6: 3, 12: 2}
 
 
-def _quotient_series(exps: dict[int, int], level: int, prec_q: int) -> QSeries:
-    return EtaQuotient(level, exps).expansion(24 * prec_q + 1)
+def _quotient_series(exps: dict[int, int], level: int, steps: int) -> QSeries:
+    return EtaQuotient(level, exps).expansion(steps)
 
 
 def identity_sides_reference(prec):
@@ -396,14 +406,16 @@ def identity_sides_reference(prec):
         n = bound(w, lvl)
         lhs, rhs, _, _ = _convolution_sides(name, n + 1)
         out[name] = (w, lvl, n, lhs, rhs)
+    # every eta side runs through q^n: the four-squares and Williams
+    # quotients start at q^0, the derivative ones at q^1 and q^2
     n = bound(2, 4)
     out["jacobi-four-squares"] = (
-        2, 4, n, _quotient_series(JACOBI_QUOTIENT, 4, n),
+        2, 4, n, _quotient_series(JACOBI_QUOTIENT, 4, n + 1),
         EisensteinElement(2, 4, JACOBI_ELEMENT).expansion(n + 1),
     )
     n = bound(2, 12)
     out["williams-table-no24"] = (
-        2, 12, n, _quotient_series(WILLIAMS_QUOTIENT, 12, n),
+        2, 12, n, _quotient_series(WILLIAMS_QUOTIENT, 12, n + 1),
         EisensteinElement(2, 12, WILLIAMS_ELEMENT).expansion(n + 1),
     )
     n = bound(2, 4)
@@ -412,8 +424,8 @@ def identity_sides_reference(prec):
     )
     n = bound(2, 12)
     out["eta-derivative-level12"] = (
-        2, 12, n, _d(_quotient_series(DERIV12_INPUT, 12, n)),
-        _quotient_series(DERIV12_OUTPUT, 12, n) * 2,
+        2, 12, n, _d(_quotient_series(DERIV12_INPUT, 12, n - 1)),
+        _quotient_series(DERIV12_OUTPUT, 12, n - 1) * 2,
     )
     return out
 
@@ -480,7 +492,7 @@ def _theta_power_remainder(k: int, prec: int) -> Fraction:
     this returns the constant-term discrepancy (expected 1/2).
     """
     theta_pow, element = theta_power_sides(k)
-    lhs = theta_pow.expansion(24 * prec + 1)
+    lhs = theta_pow.expansion(prec + 1)
     rhs = element.expansion(prec)
     return (lhs - rhs).coeff(0)
 

@@ -18,7 +18,9 @@ from etaq.cli import main
 SRC = str(Path(etaq.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
-# prints the sorted etaq modules loaded after each statement
+# prints the sorted etaq modules loaded after each statement, and
+# whether the eta expansion loaded dataclasses (with inspect, about a
+# fifth of the CLI's import time)
 PROBE = """
 import contextlib, io, json, sys
 
@@ -32,7 +34,7 @@ steps.append(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     code = etaq.cli.main(["expand", "--eta", "eta(1)^24", "--prec", "30", "--json"])
 steps.append(loaded())
-print(json.dumps([code, steps]))
+print(json.dumps([code, steps, "dataclasses" in sys.modules]))
 """
 
 CLI_MODULES = ["etaq", "etaq.arith", "etaq.cli", "etaq.cyclotomic", "etaq.eta", "etaq.kernels",
@@ -43,10 +45,10 @@ def test_each_import_loads_only_what_it_runs():
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=ENV,
                           check=False)
     assert (done.returncode, done.stderr) == (0, "")
-    code, (package, cli, expand) = json.loads(done.stdout)
+    code, (package, cli, expand), dataclasses = json.loads(done.stdout)
     assert package == ["etaq"]
     assert cli == CLI_MODULES
-    assert (code, expand) == (0, CLI_MODULES)
+    assert (code, expand, dataclasses) == (0, CLI_MODULES, False)
 
 
 # (argv, exit code): the second-derivative suite exits 1 because the

@@ -16,6 +16,7 @@ from etaq.cusps import per_cusp_cap
 from etaq.eisenstein import CONVOLUTIONS, MembershipTag, match_eta
 from etaq.eta import EtaQuotient
 from etaq.linalg import mat_inverse
+from etaq.series import QSeries
 from etaq.search import (
     EXCLUDED_CELLS,
     REFERENCE_ANTIDERIVATIVES,
@@ -400,6 +401,56 @@ def test_dual_pair_log_derivative_round_trip():
         }
 
 
+def difference_windows(monkeypatch, run) -> list[tuple[int, int, int]]:
+    """(x.offset, y.offset, end) for every difference x - y that run()
+    takes, end being the first exponent the difference does not know;
+    all three in 1/24 units."""
+    seen = []
+    sub = QSeries.__sub__
+
+    def spy(x, y):
+        d = sub(x, y)
+        seen.append((x.offset, y.offset, d.offset + 24 * d.prec))
+        return d
+
+    with monkeypatch.context() as m:
+        m.setattr(QSeries, "__sub__", spy)
+        run()
+    return seen
+
+
+@pytest.mark.parametrize("certify_rel", [480, 720])
+def test_dual_pair_certification_depth(monkeypatch, certify_rel):
+    # D(f) = lambda f g is compared through exactly ceil(certify_rel/24)
+    # q-steps past the later leading exponent; f*g starts one step after
+    # f for some pairs, and then f's side is one step longer
+    n = -(-certify_rel // 24)
+    windows = difference_windows(monkeypatch, lambda: dual_pairs_prime_power(certify_rel))
+    assert len(windows) == 12
+    assert all(end == max(x, y) + 24 * n for x, y, end in windows)
+    assert {(end - min(x, y)) // 24 for x, y, end in windows} == {n, n + 1}
+
+
+@pytest.mark.parametrize("certify_rel", [48, 240, 360])
+def test_second_derivative_certification_depth(monkeypatch, certify_rel):
+    # each solution takes two differences, both starting at f's leading
+    # exponent x.  The one against the E_4 combination compares exactly the
+    # exponents of f's lattice below max(x, 0) + ceil(certify_rel/24): one
+    # step more when f starts below q^0.  The one against the target
+    # compares ceil(certify_rel/24) q-steps past x, fewer past the target's
+    # leading exponent when the target starts later.
+    n = -(-certify_rel // 24)
+    windows = difference_windows(
+        monkeypatch, lambda: classify_second_derivatives_level4(60, certify_rel)
+    )
+    assert len(windows) == 12
+    for (x, _, end), (x2, _, end2) in zip(windows[::2], windows[1::2]):
+        b = max(x, 0) + 24 * n
+        assert (end - x) % 24 == 0 and end - 24 < b <= end
+        assert x2 == x and end2 == x + 24 * n
+    assert any(x < 0 for x, _, _ in windows) and any(y > x for x, y, _ in windows)
+
+
 def test_second_derivative_ratio_examples():
     assert second_derivative_ratio((-4, 2, 0)) == (4, -4, 0)
     assert second_derivative_ratio((0, -2, 0)) == (0, Fraction(20, 3), 0)
@@ -446,7 +497,7 @@ def test_second_derivative_ratio_against_series():
         s = second_derivative_ratio((r1, r2, r4))
         f = EtaQuotient(4, {1: r1, 2: r2, 4: r4})
         prec_q = 60
-        ef = f.expansion(f.offset() + 24 * prec_q)
+        ef = f.expansion(prec_q)
         lhs = ef.ramanujan_d().ramanujan_d()
         combo = EisensteinElement(4, 4, {1: s[0], 2: s[1], 4: s[2]})
         rhs = ef * combo.expansion(prec_q + 1)

@@ -456,7 +456,7 @@ def random_operand(rng, residue: int) -> QSeries:
     shift = (residue - EtaQuotient(level, exps).offset()) % 24
     exps[1] += shift - 24 if shift > 12 else shift  # offset = residue mod 24
     f = EtaQuotient(level, exps)
-    return f.expansion(f.offset() + rng.randint(1, 30 * 24))
+    return f.expansion(rng.randint(1, 30))
 
 
 @settings(max_examples=60, deadline=None)
