@@ -2,9 +2,10 @@
 
 Everything here is pure and deterministic: Bernoulli numbers by the
 defining recurrence, divisor power sums, elementary number theory
-helpers, and the exponent steps of E_k(tz) and eta(tz) at the cusps
-a/c of Gamma0(N).  A cusp carries its own d with a d = 1 (mod c)
-(cusps.Cusp), so no SL2(Z) matrix is built here.  Rational values are
+helpers, the exponent steps of E_k(tz) and eta(tz) at the cusps a/c of
+Gamma0(N), and the per-cusp order caps of the order bound, which the
+searches read without loading the cusp code.  A cusp carries its own d
+with a d = 1 (mod c) (cusps.Cusp), so no SL2(Z) matrix is built here.  Rational values are
 ``fractions.Fraction`` throughout; nothing in this module (or anywhere
 in the certified computation path) touches floating point.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "gamma0_index",
     "cusp_step",
     "denominator_multiplicity",
+    "per_cusp_cap",
     "factorize",
     "prime_power",
     "xgcd",
@@ -154,6 +156,14 @@ def denominator_multiplicity(level: int, c: int) -> int:
     if level % c:
         raise ValueError(f"{c} does not divide {level}")
     return totient(gcd(c, level // c))
+
+
+def per_cusp_cap(level: int, c: int) -> int:
+    """Per-cusp ceiling on the order: 1 everywhere, except 2 at the
+    denominator-2 cusp of level 4."""
+    if level == 4 and c == 2:
+        return 2
+    return 1
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -55,7 +55,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
+from .arith import (
+    cusp_step,
+    denominator_multiplicity,
+    divisors,
+    per_cusp_cap,
+    prime_power,
+    sigma_table,
+)
 from .cyclotomic import CycNumber
 from .eisenstein import EisensteinElement, MembershipTag, _constant, sturm_bound
 from .series import QSeries, SeriesDomainError
@@ -237,7 +244,8 @@ def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpans
     if prec < 1:
         raise ValueError("prec must be >= 1")
     order, den, terms = _cusp_terms(f, cusp)
-    return CuspExpansion(cusp, QSeries._cyclotomic(order, *_scatter(order, den, terms, f.k, prec)))
+    accs, d = _scatter(order, den, terms, f.k, prec)
+    return CuspExpansion(cusp, QSeries._cyclotomic(CycNumber, order, accs, d))
 
 
 def _default_order_prec(f: EisensteinElement) -> int:
@@ -293,14 +301,6 @@ def order_sum_bound(level: int) -> int:
     if level == 4:
         return 4
     return cusp_count(level)
-
-
-def per_cusp_cap(level: int, c: int) -> int:
-    """Per-cusp ceiling on the order: 1 everywhere, except 2 at the
-    denominator-2 cusp of level 4."""
-    if level == 4 and c == 2:
-        return 2
-    return 1
 
 
 @dataclass(frozen=True)

@@ -12,31 +12,34 @@ so that division is done exactly in Z.  This is the entire mechanism by
 which vanishing of cusp-expansion coefficients is certified; no
 coefficient ever leaves exact arithmetic.
 
-The layer has one algebra: the sparse product ``_mul_into`` on integer
-monomials (s, j, n) = n * q^s * zeta_L^j, which CycNumber products (all
-at s = 0) and the cusp series products in ``etaq.series`` share, and
-the one reduction mod Phi_L.  Results are put in normal form by
-``CycNumber._normal``, which takes a one-entry dict (nearly every cusp
-step is a single power of zeta_L) with one gcd and no rebuild.  Phi_L
-itself is built from the Moebius product over 1 - x^d by in-place
-integer updates, and an inverse is the product of the element's other
-Galois conjugates over its norm, a rational number.
+The layer has one algebra: the sparse product ``kernels._mul_into`` on
+integer monomials (s, j, n) = n * q^s * zeta_L^j, which CycNumber
+products (all at s = 0) and the cusp series products in ``etaq.series``
+share, and the one reduction mod Phi_L.  Only the cusp code
+(``etaq.cusps``) imports this module; rational series, eta quotients,
+Eisenstein matching and the searches never load it.  Results are put
+in normal form by ``CycNumber._normal``, which takes a one-entry dict
+(nearly every cusp step is a single power of zeta_L) with one gcd and
+no rebuild.  Phi_L itself is built from the Moebius product over
+1 - x^d by in-place integer updates, and an inverse is the product of
+the element's other Galois conjugates over its norm, a rational
+number.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from math import gcd, lcm
 from typing import Union
 
 from .arith import divisors, factorize, totient
+from .kernels import _mul_into
 
 __all__ = ["CycNumber", "cyclotomic_polynomial"]
 
 Scalar = Union[int, Fraction]
-Monomial = tuple[int, int, int]  # (s, j, n): n * q^s * zeta^j, see _mul_into
 
 _ZERO = Fraction(0)
 
@@ -74,32 +77,6 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
         result = tuple(poly)
         _phi_cache[order] = result
         return result
-
-
-def _mul_into(
-    out: list[dict[int, int]], xs: Iterable[Monomial], ys: Sequence[Monomial], order: int
-) -> None:
-    """out[s] += the q^s part of xs * ys, for s < len(out).
-
-    A monomial (s, j, n) is n * q^s * zeta_order^j with 0 <= j < order,
-    and out[s] holds the integer numerators {j: n} of step s in
-    Z[x]/(x^order - 1).  ys must be sorted by s, so the inner loop stops
-    at the first product past the last step.  This is the one product
-    kernel of the cyclotomic layer: CycNumber products (one step,
-    monomials at s = 0) and cusp series products both accumulate through
-    it, and normalise each step once.
-    """
-    size = len(out)
-    for s, i, x in xs:
-        room = size - s
-        for t, j, y in ys:
-            if t >= room:
-                break
-            k = i + j
-            if k >= order:
-                k -= order
-            step = out[s + t]
-            step[k] = step.get(k, 0) + x * y
 
 
 def _mobius(n: int) -> int:

@@ -57,8 +57,6 @@ def eisenstein_series(k: int, prec: int) -> QSeries:
     """E_k through prec q-steps from q^0: -B_k/2k + sum sigma_{k-1}(n) q^n."""
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be even >= 2, got {k}")
-    if prec < 1:
-        raise ValueError("prec must be >= 1")
     return _combination(k, {1: 1}, prec)
 
 
@@ -87,6 +85,8 @@ def _numerators(k: int, weights: dict[int, int], prec: int) -> list[int]:
 def _combination(k: int, coeffs: dict[int, Fraction | int], prec: int) -> QSeries:
     """sum_t coeffs[t] E_k(tz) below q^prec, over L * den(-B_k/2k) with
     L the lcm of the coefficient denominators."""
+    if prec < 1:
+        raise ValueError("prec must be >= 1")
     lden = lcm(*(r.denominator for r in coeffs.values()))
     vec = _numerators(k, {t: int(r * lden) for t, r in coeffs.items()}, prec)
     return QSeries(0, vec, lden * _constant(k).denominator)

@@ -1,15 +1,23 @@
-"""Convolution kernels for dense integer coefficient lists.
+"""Multiplication kernels on Python ints.
 
-These are the inner loops of series multiplication.  Two regimes:
+These are the inner loops of every product etaq takes.  Three kernels:
 
-* schoolbook convolution, skipping zero coefficients, for small or
-  sparse inputs;
-* Kronecker substitution for large dense inputs: each operand is packed
-  into one big integer with fixed-width digits and the product is a
-  single CPython big-int multiplication (subquadratic), after which the
+* ``conv_trunc``, the truncated product of two dense integer
+  coefficient lists (rational series).  It has two regimes: schoolbook
+  convolution, skipping zero coefficients, for small or sparse inputs;
+  and Kronecker substitution for large dense inputs, where each operand
+  is packed into one big integer with fixed-width digits, the product
+  is a single CPython big-int multiplication (subquadratic), and the
   digits are sliced back out.  Signs are handled by splitting each
   operand into positive and negative parts, so all packed digits stay
-  nonnegative and carry-free.
+  nonnegative and carry-free;
+* ``pow_trunc``, binary powering through ``conv_trunc``;
+* ``_mul_into``, the sparse product of integer monomials
+  (s, j, n) = n * q^s * zeta_L^j accumulated into steps of
+  Z[x]/(x^L - 1).  ``CycNumber`` products (one step, all monomials at
+  s = 0) and cusp series products (``etaq.series``) both go through it.
+  It never reduces mod Phi_L, so it lives here and not in
+  ``etaq.cyclotomic``, which only the cusp code loads.
 
 Coefficients must be Python ints.  ``BACKEND`` (exported as
 ``etaq.KERNEL_BACKEND``, and written into benchmark result files) names
@@ -18,6 +26,8 @@ this plain-Python implementation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 __all__ = ["BACKEND", "conv_trunc", "pow_trunc"]
 
 # Crossover between schoolbook and Kronecker, in units of object
@@ -25,6 +35,8 @@ __all__ = ["BACKEND", "conv_trunc", "pow_trunc"]
 _SCHOOLBOOK_WORK_LIMIT = 6000
 
 BACKEND = "python"
+
+Monomial = tuple[int, int, int]  # (s, j, n): n * q^s * zeta^j, see _mul_into
 
 
 def conv_trunc(xs: list, ys: list, nout: int) -> list:
@@ -110,3 +122,27 @@ def pow_trunc(xs: list, e: int, nout: int) -> list:
         if e:
             base = conv_trunc(base, base, nout)
     return out
+
+
+def _mul_into(
+    out: list[dict[int, int]], xs: Iterable[Monomial], ys: Sequence[Monomial], order: int
+) -> None:
+    """out[s] += the q^s part of xs * ys, for s < len(out).
+
+    A monomial (s, j, n) is n * q^s * zeta_order^j with 0 <= j < order,
+    and out[s] holds the integer numerators {j: n} of step s in
+    Z[x]/(x^order - 1).  ys must be sorted by s, so the inner loop stops
+    at the first product past the last step.  Callers normalise each
+    step once afterwards.
+    """
+    size = len(out)
+    for s, i, x in xs:
+        room = size - s
+        for t, j, y in ys:
+            if t >= room:
+                break
+            k = i + j
+            if k >= order:
+                k -= order
+            step = out[s + t]
+            step[k] = step.get(k, 0) + x * y

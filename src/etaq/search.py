@@ -37,8 +37,7 @@ from functools import cache
 from math import isqrt, lcm
 from operator import mul
 
-from .arith import denominator_multiplicity, gamma0_index, prime_power, xgcd
-from .cusps import per_cusp_cap
+from .arith import denominator_multiplicity, gamma0_index, per_cusp_cap, prime_power, xgcd
 from .eisenstein import (
     CONVOLUTIONS,
     EisensteinElement,
@@ -500,7 +499,8 @@ def _certify_second_derivative(
     ef = f.expansion(steps - min(f.offset(), 0) // 24)
     lhs = ef.ramanujan_d().ramanujan_d()
     combo = EisensteinElement(4, 4, {1: s[0], 2: s[1], 4: s[2]})
-    rhs = ef * combo.expansion(steps + 1)
+    # the combination as deep as ef, so the ratio check keeps ef's window
+    rhs = ef * combo.expansion(ef.prec)
     if not (lhs - rhs).is_zero_to_prec():
         raise AssertionError(f"second-derivative ratio certification failed for r = {r}")
     rhs2 = ef * target.expansion(steps) * scalar

@@ -21,23 +21,27 @@ refused).  A product of rational series is one ``kernels.conv_trunc``
 call on the numerators.
 
 A cusp series (cyclotomic coefficients) has one constructor,
-``QSeries._cyclotomic(order, accs, den)``: accs[s] = {j: n} holds the
-integer numerators n of zeta_L^j in step s over the one denominator
-den, None or {} for an empty step.  It normalises each nonempty step
-once into a ``CycNumber`` of ``.coeffs`` (every empty step is one
-shared zero), keeps (accs, den) and lists them as monomials
-(s, j, n) = n * q^s * zeta_L^j on its first product; its offset is 0.
-Normalising makes a step independent of the denominator it was summed
-over.  Cusp expansions and products hand in the numerators their
-scatter or product kernel built; the public constructor is for
-rational series only.  A cusp series is multiplied only by a cusp
-series of the same order, which is the same local variable q_{c,N}:
-one ``cyclotomic._mul_into`` call adds all products of the operands'
-monomials into the output steps in Z[zeta_L], and the result is built
-by ``_cyclotomic``.  It has powers e >= 0 (x ** 0 is the one of x's
-order), valuation, ``leading``, ``coeff`` and rendering; negation,
-sums, scalar multiples, D and inversion raise TypeError, as does a
-product with a rational series or a cusp series of another order.
+``QSeries._cyclotomic(num, order, accs, den)``: accs[s] = {j: n} holds
+the integer numerators n of zeta_L^j in step s over the one
+denominator den, None or {} for an empty step, and num is the
+coefficient class, ``CycNumber``, which ``etaq.cusps`` hands in.  It
+normalises each nonempty step once into a num of ``.coeffs`` (every
+empty step is one shared zero), keeps num and (accs, den), and lists
+the numerators as monomials (s, j, n) = n * q^s * zeta_L^j on its
+first product; its offset is 0.  Normalising makes a step independent
+of the denominator it was summed over.  Cusp expansions and products
+hand in the numerators their scatter or product kernel built; the
+public constructor takes ints only and is for rational series.  A cusp
+series is multiplied only by a cusp series of the same order, which
+is the same local variable q_{c,N}: one ``kernels._mul_into`` call adds
+all products of the operands' monomials into the output steps in
+Z[zeta_L], and the result is built by ``_cyclotomic`` with the stored
+num.  It has powers e >= 0 (x ** 0 is the one of x's order),
+valuation, ``leading``, ``coeff`` and rendering; negation, sums,
+scalar multiples, D and inversion raise TypeError, as does a product
+with a rational series or a cusp series of another order.  Every step
+a cusp series builds is a num, so this module never imports
+``etaq.cyclotomic`` and a rational computation never loads it.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
@@ -49,14 +53,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-from .cyclotomic import CycNumber, Monomial, _mul_into
-from .kernels import conv_trunc
+from .kernels import Monomial, _mul_into, conv_trunc
+
+if TYPE_CHECKING:
+    from .cyclotomic import CycNumber
+
+    Coeff = Union[int, CycNumber]
 
 __all__ = ["QSeries", "SeriesDomainError"]
 
-Coeff = Union[int, CycNumber]
 Scalar = Union[int, Fraction]
 
 
@@ -77,7 +84,7 @@ def _stored_nonzero(c: Coeff) -> bool:
 class QSeries:
     """Immutable q^(offset/24) * sum c_n q^n / den + O(q^(offset/24 + prec))."""
 
-    __slots__ = ("offset", "coeffs", "den", "cyc_order", "_accs", "_monos")
+    __slots__ = ("offset", "coeffs", "den", "cyc_order", "_num", "_accs", "_monos")
 
     def __init__(self, offset: int, coeffs: Iterable[int], den: int = 1):
         vec = tuple(coeffs)
@@ -85,8 +92,8 @@ class QSeries:
             raise SeriesDomainError("precision-exhausted", "series with no known window")
         if den < 1:
             raise ValueError("denominator must be >= 1")
-        if CycNumber in map(type, vec):
-            raise ValueError("cusp series are built by QSeries._cyclotomic, not from CycNumbers")
+        if not set(map(type, vec)) <= {int}:
+            raise ValueError("coefficients must be ints; cusp series are built by QSeries._cyclotomic")
         if den != 1:
             g = gcd(den, *vec)
             if g != 1:
@@ -98,14 +105,17 @@ class QSeries:
         self.cyc_order = None
 
     @classmethod
-    def _cyclotomic(cls, order: int, accs: list[dict[int, int] | None], den: int) -> "QSeries":
+    def _cyclotomic(
+        cls, num: type[CycNumber], order: int, accs: list[dict[int, int] | None], den: int
+    ) -> "QSeries":
         """The cusp series with step s = accs[s] / den in Z[zeta_order]
-        (None or {} for an empty step); accs holds at least one step and
-        is never changed afterwards."""
-        zero = CycNumber.zero(order)
-        normal = CycNumber._normal
+        (None or {} for an empty step), each step a ``num``; accs holds
+        at least one step and is never changed afterwards."""
+        zero = num.zero(order)
+        normal = num._normal
         x = object.__new__(cls)
-        x.offset, x.den, x.cyc_order, x._accs, x._monos = 0, 1, order, (accs, den), None
+        x.offset, x.den, x.cyc_order, x._num = 0, 1, order, num
+        x._accs, x._monos = (accs, den), None
         x.coeffs = tuple([normal(order, a, den) if a else zero for a in accs])
         return x
 
@@ -186,14 +196,16 @@ class QSeries:
         (xs, dx), (ys, dy) = x._monomials(), y._monomials()
         acc: list[dict[int, int]] = [{} for _ in range(n)]
         _mul_into(acc, xs, ys, order)
-        return QSeries._cyclotomic(order, acc, dx * dy)
+        return QSeries._cyclotomic(x._num, order, acc, dx * dy)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QSeries":
         if e == 0:
             if self.cyc_order is not None:
-                return QSeries._cyclotomic(self.cyc_order, [{0: 1}] + [None] * (self.prec - 1), 1)
+                return QSeries._cyclotomic(
+                    self._num, self.cyc_order, [{0: 1}] + [None] * (self.prec - 1), 1
+                )
             return QSeries(0, [1] + [0] * (self.prec - 1))
         if e < 0:
             return self.inverse() ** (-e)
@@ -253,7 +265,7 @@ class QSeries:
         if n >= self.prec:
             raise SeriesDomainError("precision-exhausted", f"step {n} >= prec {self.prec}")
         if n < 0:
-            return Fraction(0) if self.cyc_order is None else CycNumber.zero(self.cyc_order)
+            return Fraction(0) if self.cyc_order is None else self._num.zero(self.cyc_order)
         c = self.coeffs[n]
         return c if self.cyc_order is not None else Fraction(c, self.den)
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etaq.arith import factorize, totient
-from etaq.cyclotomic import CycNumber, _mul_into, cyclotomic_polynomial
+from etaq.cyclotomic import CycNumber, cyclotomic_polynomial
+from etaq.kernels import _mul_into
 
 
 def to_complex(x: CycNumber) -> complex:

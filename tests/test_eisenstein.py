@@ -70,6 +70,15 @@ def test_eisenstein_weight_validation():
         eisenstein_series(0, 5)
 
 
+@pytest.mark.parametrize("prec", [0, -1])
+def test_expansion_count_validation(prec):
+    # an element refuses an empty window the way eisenstein_series does
+    with pytest.raises(ValueError, match="prec must be >= 1"):
+        EisensteinElement(4, 1, {1: 1}).expansion(prec)
+    with pytest.raises(ValueError, match="prec must be >= 1"):
+        eisenstein_series(4, prec)
+
+
 def test_inexact_coefficients_are_rejected():
     # 0.1 was stored as 3602879701896397/36028797018963968; only int and
     # Fraction coefficients and integer t are read, and the error names the term

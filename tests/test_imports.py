@@ -37,8 +37,7 @@ steps.append(loaded())
 print(json.dumps([code, steps, "dataclasses" in sys.modules]))
 """
 
-CLI_MODULES = ["etaq", "etaq.arith", "etaq.cli", "etaq.cyclotomic", "etaq.eta", "etaq.kernels",
-               "etaq.series"]
+CLI_MODULES = ["etaq", "etaq.arith", "etaq.cli", "etaq.eta", "etaq.kernels", "etaq.series"]
 
 
 def test_each_import_loads_only_what_it_runs():
@@ -49,6 +48,34 @@ def test_each_import_loads_only_what_it_runs():
     assert package == ["etaq"]
     assert cli == CLI_MODULES
     assert (code, expand, dataclasses) == (0, CLI_MODULES, False)
+
+
+# prints a command's exit code and the sorted etaq modules loaded after it
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+import etaq.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = etaq.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m == "etaq" or m.startswith("etaq."))]))
+"""
+
+# (argv, modules loaded besides CLI_MODULES): only the commands that
+# compute at a cusp load the cusp code and the cyclotomic layer
+COMMAND_MODULES = [
+    (["search", "--weight", "2", "--level", "9"], ["etaq.eisenstein", "etaq.search"]),
+    (["cusp-expand", "--element", "8*E2(1)-32*E2(4)", "--level", "4", "--cusp", "1/2", "--prec", "5"],
+     ["etaq.cusps", "etaq.cyclotomic", "etaq.eisenstein"]),
+    (["verify", "--suite", "maingen", "--samples", "1", "--levels", "4,9", "--weights", "2,4"],
+     ["etaq.cusps", "etaq.cyclotomic", "etaq.eisenstein"]),
+]
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_command_loads_only_what_it_runs(argv, extra):
+    done = subprocess.run([sys.executable, "-c", COMMAND_PROBE, json.dumps(argv)], capture_output=True,
+                          text=True, env=ENV, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [0, sorted(CLI_MODULES + extra)]
 
 
 # (argv, exit code): the second-derivative suite exits 1 because the

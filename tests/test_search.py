@@ -30,6 +30,7 @@ from etaq.search import (
     _ratio12,
     _ratio12_form,
     _ratio12_in_r2,
+    _certify_second_derivative,
     _second_derivative_hits,
     _value,
     antiderivative,
@@ -449,6 +450,21 @@ def test_second_derivative_certification_depth(monkeypatch, certify_rel):
         assert (end - x) % 24 == 0 and end - 24 < b <= end
         assert x2 == x and end2 == x + 24 * n
     assert any(x < 0 for x, _, _ in windows) and any(y > x for x, y, _ in windows)
+
+
+def test_second_derivative_ratio_check_keeps_f_window(monkeypatch):
+    # f = eta(z)^6 eta(4z)^-8 starts at q^(-26/24), two steps below q^0,
+    # so 10 steps past q^0 are 12 steps of f, through q^(262/24); the
+    # check against the E_4 combination compares all of them.  eta(2z)^12
+    # is not D^2(f)/f, so the target check after it fails.
+    r = (6, 0, -8)
+
+    def run():
+        with pytest.raises(AssertionError, match="target certification failed"):
+            _certify_second_derivative(r, second_derivative_ratio(r), EtaQuotient(4, {2: 12}),
+                                       Fraction(1), 10)
+
+    assert difference_windows(monkeypatch, run)[0] == (-26, -26, 262)
 
 
 def test_second_derivative_ratio_examples():

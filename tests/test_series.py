@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from etaq.arith import bernoulli, divisors, sigma_range
 from etaq.cusps import Cusp, cusp_reps, expansion_at_cusp
-from etaq.cyclotomic import CycNumber, _mul_into
+from etaq.cyclotomic import CycNumber
 from etaq.eisenstein import EisensteinElement, eisenstein_series
 from etaq.eta import EtaQuotient
+from etaq.kernels import _mul_into
 from etaq.series import QSeries, SeriesDomainError
 from qseries_reference import QSeries as OldQSeries, assert_matches_reference, to_reference
 
@@ -83,7 +84,8 @@ def cusp_series(steps) -> QSeries:
     denominator; each normalised step comes back as it went in."""
     [order] = {c.order for c in steps}
     den = lcm(*(c.den for c in steps))
-    return QSeries._cyclotomic(order, [{j: n * (den // c.den) for j, n in c.terms.items()} for c in steps], den)
+    accs = [{j: n * (den // c.den) for j, n in c.terms.items()} for c in steps]
+    return QSeries._cyclotomic(CycNumber, order, accs, den)
 
 
 def rand_series(rng, residue: int = 0, maxlen: int = 8) -> QSeries:
@@ -376,11 +378,15 @@ def test_constructor_normal_form():
         ([CycNumber.root_of_unity(4), CycNumber.root_of_unity(3)], 1),
         ([CycNumber.root_of_unity(4)], 2),
         ([CycNumber.root_of_unity(4)], 1),
+        ([CycNumber.zero(3)], 1),
+        ([Fraction(1, 2)], 1),
+        ([1, Fraction(2)], 2),
+        ([1, 2.0], 1),
     ],
 )
 def test_constructor_rejects_mixed_coefficients(coeffs, den):
     # a series is rational (ints over den) or cyclotomic (CycNumbers of
-    # one order over 1), never a mixture
+    # one order over 1), never a mixture; the constructor takes ints only
     with pytest.raises(ValueError, match="built by QSeries._cyclotomic"):
         QSeries(0, coeffs, den)
 
