@@ -5,9 +5,10 @@ defining recurrence, divisor power sums, elementary number theory
 helpers, the exponent steps of E_k(tz) and eta(tz) at the cusps a/c of
 Gamma0(N), and the per-cusp order caps of the order bound, which the
 searches read without loading the cusp code.  A cusp carries its own d
-with a d = 1 (mod c) (cusps.Cusp), so no SL2(Z) matrix is built here.  Rational values are
-``fractions.Fraction`` throughout; nothing in this module (or anywhere
-in the certified computation path) touches floating point.
+with a d = 1 (mod c) (cusps.Cusp), so no SL2(Z) matrix is built here.
+Rational values are ``fractions.Fraction`` throughout; nothing in this
+module (or anywhere in the certified computation path) touches
+floating point.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ class QSeries:
         if den < 1:
             raise ValueError("denominator must be >= 1")
         if not set(map(type, vec)) <= {int}:
-            raise ValueError("coefficients must be ints; cusp series are built by QSeries._cyclotomic")
+            raise ValueError("ints only: cusp series are built by QSeries._cyclotomic")
         if den != 1:
             g = gcd(den, *vec)
             if g != 1:
