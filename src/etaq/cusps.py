@@ -13,32 +13,31 @@ with step_t = gcd(t,c)^2 N / (t gcd(c^2, N)) = arith.cusp_step(N, c, t)
 (24 times the order of eta(tz) at a/c), the rational prefactors
 a_0 = (gcd(t,c)/t)^k (-B_k/2k) and a_n = (gcd(t,c)/t)^k sigma_{k-1}(n),
 and omega_t = zeta_t'^(d g^-1 mod t'), with t' = t/gcd(t,c) and
-g = c/gcd(t,c), read off the cusp's d (see _cusp_terms).
+g = c/gcd(t,c), read off the cusp's d (see _omega).
 Coefficients therefore live in Q(zeta_L) with L = N/c, the lcm of the
 t' over t | N; vanishing is decided by the exact cyclotomic zero test,
 and the computed order of vanishing must be independent of d (shifting
 d by a multiple of c rotates omega_t but not the order).  It depends
 on c alone: once d and d' are shifted to units mod L, d' = u d, so the
-coefficients at a'/c are those at a/c under zeta_L -> zeta_L^u.  Each
-term is held as the integers step_t, w_t (omega_t = zeta_L^w_t) and
-the numerator of r_t (gcd(t,c)/t)^k over one denominator shared by all
-terms.
+coefficients at a'/c are those at a/c under zeta_L -> zeta_L^u.
 
-The numerators of a window lo <= e < hi are built by one scatter:
-each term writes its integer contributions only at its own multiples
-e = n * step_t in the window.  An expansion is the window [0, prec),
-whose numerators the scatter hands to QSeries._cyclotomic (see
-etaq.series); an order tests the doubling windows [0, 1), [1, 2),
-[2, 4), ... straight from the scatter, normalising and zero-testing
-each nonempty step, and stops at the first nonzero one.
+The element enters only through its scalars r_t (gcd(t,c)/t)^k, held
+as integers W_t over one denominator D.  The rest is the integer map
+of the cusp, _cusp_map: for each t | N, t'^k and a column of
+(e, j, sigma_{k-1}(n)) for the steps e = n * step_t below prec, with
+omega_t^n = zeta_L^j.  A window lo <= e < hi applies it to the W_t,
+each term writing only into the slice of its column in the window.
+An expansion is the window [0, prec), whose numerators go to
+QSeries._cyclotomic over their one denominator (see etaq.series); an
+order zero-tests the nonempty steps of the doubling windows [0, 1),
+[1, 2), [2, 4), ... and stops at the first nonzero one.
 check_order_bound computes one order per denominator c and reports it
 under every cusp label with that c.
 
 Two bounded caches hold shapes, never element data or coefficients:
-the per-t triples (step_t, w_t, t'^k) of _cusp_terms, keyed on
-(N, c, d mod L, k), since w_t depends on d only modulo t' | L; and the
-cusp representatives of a level, of which cusp_reps returns a fresh
-list on every call.
+the maps, keyed on (N, c, d mod L, k, prec), since w_t depends on d
+only modulo t' | L; and the cusp representatives of a level, of which
+cusp_reps returns a fresh list on every call.
 
 arith.denominator_multiplicity(N, c) counts the cusps with denominator
 c; their widths sum to arith.gamma0_index(N).  On elements matched to
@@ -79,7 +78,8 @@ __all__ = [
     "check_order_bound",
 ]
 
-Term = tuple[int, int, int]  # (step_t, w_t, W_t), see _cusp_terms
+Column = tuple[tuple[int, int, int], ...]  # (e, j, s) per step, see _cusp_map
+Term = tuple[int, int, Column]  # (W_t, step_t, column_t), see _cusp_scalars
 
 
 @dataclass(frozen=True)
@@ -165,77 +165,73 @@ class CuspExpansion:
     series: QSeries  # offset 0, whole steps of the local variable q_{c,N}
 
 
-@lru_cache(maxsize=1024)
-def _cusp_shape(n: int, c: int, d: int, k: int) -> dict[int, tuple[int, int, int]]:
-    """{t: (step_t, w_t, t'^k)} for every t | n at a cusp a/c of
-    Gamma0(n) whose d is d mod L (see _cusp_terms).  Read-only."""
-    order = n // c
-    out = {}
-    for t in divisors(n):
-        ct = gcd(t, c)
-        tprime = t // ct
-        w = d * pow(c // ct, -1, tprime) % tprime * (order // tprime)
-        out[t] = (cusp_step(n, c, t), w, tprime**k)
-    return out
-
-
-def _cusp_terms(f: EisensteinElement, cusp: Cusp) -> tuple[int, int, list[Term]]:
-    """(L, D, terms) with one term (step_t, w_t, W_t) per t: the exponent
-    step, omega_t = zeta_L^w_t, and P_t = r_t (gcd(t,c)/t)^k = W_t / D
-    over the one denominator D, the lcm of the P_t denominators.
-
-    L = lcm over t | N of t' = t/gcd(t,c) is N/c: t' divides N/c, since
-    v_p(t) - min(v_p(t), v_p(c)) <= v_p(N) - v_p(c), and t = N gives N/c.
+def _omega(n: int, c: int, d: int, t: int) -> int:
+    """w_t with omega_t = zeta_L^w_t, L = n/c, for E_k(tz) at a cusp a/c
+    of Gamma0(n) with this d.  t' = t/gcd(t,c) divides L, since
+    v_p(t) - min(v_p(t), v_p(c)) <= v_p(N) - v_p(c), and t = N gives L.
 
     omega_t = zeta_t'^(-d f) for (e f; g h) in SL2(Z) with e = a t' and
     g = c/gcd(t,c).  As t' | e, e h - f g = 1 gives -f g = 1 (mod t'), so
     -d f = d g^-1 (mod t') for every such f; t' = 1 gives w_t = 0.  As
-    t' | L, the step, w_t and t'^k depend only on (N, c, d mod L, k) and
-    are read from _cusp_shape.
+    t' | L, w_t depends on d only modulo L.
     """
+    ct = gcd(t, c)
+    tprime = t // ct
+    return d * pow(c // ct, -1, tprime) % tprime * (n // c // tprime)
+
+
+@lru_cache(maxsize=1024)
+def _cusp_map(n: int, c: int, d: int, k: int, prec: int) -> dict[int, tuple[int, int, Column]]:
+    """{t: (t'^k, step_t, column_t)} for every t | n at a cusp a/c of
+    Gamma0(n) whose d is d mod L, L = n/c: column_t lists, for
+    m = 1, 2, ... with e = m step_t < prec, the triple (e, j, s) with
+    omega_t^m = zeta_L^j and s = sigma_{k-1}(m).  Read-only."""
+    order = n // c
+    table = sigma_table(k - 1, prec - 1)
+    out = {}
+    for t in divisors(n):
+        step, w = cusp_step(n, c, t), _omega(n, c, d, t)
+        column = tuple((m * step, m * w % order, table[m]) for m in range(1, (prec - 1) // step + 1))
+        out[t] = (t // gcd(t, c)) ** k, step, column
+    return out
+
+
+def _cusp_scalars(f: EisensteinElement, cusp: Cusp, prec: int) -> tuple[int, list[Term], int]:
+    """(L, terms, D) with one term (W_t, step_t, column_t) per t of f,
+    read from the cusp's map below prec: P_t = r_t (gcd(t,c)/t)^k =
+    r_t / t'^k is W_t / D over the one denominator D."""
     if cusp.level != f.level:
         raise ValueError(f"cusp lives on Gamma0({cusp.level}) but element on Gamma0({f.level})")
-    n, c, k = f.level, cusp.c, f.k
-    order = n // c
-    shape = _cusp_shape(n, c, cusp.d % order, k)
-    raw = []
-    for t, r in f.coeffs.items():
-        step, w, tk = shape[t]
-        pn, pd = r.numerator, r.denominator * tk
-        g = gcd(pn, pd)
-        raw.append((step, w, pn // g, pd // g))
-    den = lcm(*(pd for _, _, _, pd in raw))
-    return order, den, [(step, w, pn * (den // pd)) for step, w, pn, pd in raw]
+    order = f.level // cusp.c
+    shape = _cusp_map(f.level, cusp.c, cusp.d % order, f.k, prec)
+    raw = [(r.numerator, r.denominator * shape[t][0], shape[t]) for t, r in f.coeffs.items()]
+    den = lcm(*(pd for _, pd, _ in raw))
+    return order, [(pn * (den // pd), step, column) for pn, pd, (_, step, column) in raw], den
 
 
-def _scatter(
-    order: int, den: int, terms: list[Term], k: int, prec: int, lo: int = 0
+def _window(
+    terms: list[Term], den: int, k: int, lo: int, hi: int
 ) -> tuple[list[dict[int, int] | None], int]:
-    """The integer numerators {j: n} of the steps lo <= e < prec, None
+    """The integer numerators {j: n} of the steps lo <= e < hi, None
     where no term lands, over their one denominator.
 
-    Term t contributes P_t * const at n = 0 and P_t * sigma_{k-1}(n) at
-    n = e/step_t >= 1, with const = -B_k/2k.  Over den * den(const)
-    those are the integers W_t num(const) and W_t den(const) sigma(n),
-    read from one sigma table.  Each term scatters into its own
-    multiples e = n * step_t of the window, so no step is visited by a
-    term that misses it.
+    Term t contributes P_t * const at e = 0 and P_t * sigma_{k-1}(m) at
+    e = m * step_t, with const = -B_k/2k.  Over D * den(const) those are
+    the integers W_t num(const) and W_t den(const) s, where (e, j, s)
+    runs over the slice of column_t inside the window.
     """
     const = _constant(k)
-    table = sigma_table(k - 1, prec - 1)
-    accs: list[dict[int, int] | None] = [None] * (prec - lo)
-    if lo == 0:  # every term's n = 0 lands on zeta^0 at e = 0
-        accs[0] = {0: const.numerator * sum(num for _, _, num in terms)}
-    for step, w, num in terms:
+    accs: list[dict[int, int] | None] = [None] * (hi - lo)
+    if lo == 0:  # every term's m = 0 lands on zeta^0 at e = 0
+        accs[0] = {0: const.numerator * sum(num for num, _, _ in terms)}
+    for num, step, column in terms:
         scale = num * const.denominator
-        for n in range(max(-(-lo // step), 1), (prec - 1) // step + 1):
-            i = n * step - lo
-            j = n * w % order
-            acc = accs[i]
+        for e, j, s in column[max(-(-lo // step), 1) - 1 : (hi - 1) // step]:
+            acc = accs[e - lo]
             if acc is None:
-                accs[i] = {j: scale * table[n]}
+                accs[e - lo] = {j: scale * s}
             else:
-                acc[j] = acc.get(j, 0) + scale * table[n]
+                acc[j] = acc.get(j, 0) + scale * s
     return accs, den * const.denominator
 
 
@@ -243,43 +239,41 @@ def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpans
     """Expansion of (cz+d)^(-k) f(Mz) in q_{c,N} below exponent prec."""
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    order, den, terms = _cusp_terms(f, cusp)
-    accs, d = _scatter(order, den, terms, f.k, prec)
+    order, terms, den = _cusp_scalars(f, cusp, prec)
+    accs, d = _window(terms, den, f.k, 0, prec)
     return CuspExpansion(cusp, QSeries._cyclotomic(CycNumber, order, accs, d))
-
-
-def _default_order_prec(f: EisensteinElement) -> int:
-    # Valence formula: the orders of a nonzero weight-k form on Gamma0(N),
-    # at the cusps in their local variables and at interior points with
-    # weight 1, 1/2 or 1/3, are nonnegative and sum to k*mu/12.  So its
-    # order at one cusp is an integer at most floor(k*mu/12) =
-    # sturm_bound(k, N), and the exponents 0 .. sturm_bound decide it.
-    return sturm_bound(f.k, f.level) + 1
 
 
 def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> int:
     """Order of vanishing of f at the cusp in the q_{c,N} variable.
 
     The nonempty steps of the doubling windows [0, 1), [1, 2), [2, 4),
-    ... below prec are normalised and tested exactly from exponent 0
-    upward, so a low order costs a short window; raises
-    precision-exhausted if none is nonzero below prec (impossible for
-    nonzero elements once prec exceeds the Sturm bound).
+    ... below prec are tested exactly from exponent 0 upward, so a low
+    order costs a short window; raises precision-exhausted if none is
+    nonzero below prec (impossible for nonzero elements once prec
+    exceeds the Sturm bound).
     """
     if f.is_zero():
         raise ValueError("order of the zero element is undefined")
     if prec is None:
-        prec = _default_order_prec(f)
+        # Valence formula: the orders of a nonzero weight-k form on
+        # Gamma0(N), at the cusps in their local variables and at interior
+        # points with weight 1, 1/2 or 1/3, are nonnegative and sum to
+        # k*mu/12.  So its order at one cusp is an integer at most
+        # floor(k*mu/12) = sturm_bound(k, N), which exponents 0 .. prec - 1
+        # decide.
+        prec = sturm_bound(f.k, f.level) + 1
     elif prec < 1:
         raise ValueError("prec must be >= 1")
-    order, den, terms = _cusp_terms(f, cusp)
+    order, terms, den = _cusp_scalars(f, cusp, prec)
     lo = 0
     while lo < prec:
         hi = min(2 * lo or 1, prec)
-        accs, d = _scatter(order, den, terms, f.k, hi, lo)
-        for e, acc in enumerate(accs, lo):
-            if acc and not CycNumber._normal(order, acc, d).is_zero():
-                return e
+        accs, d = _window(terms, den, f.k, lo, hi)
+        steps = CycNumber._steps(order, accs, d)
+        for e, acc in enumerate(accs):
+            if acc and not steps[e].is_zero():
+                return lo + e
         lo = hi
     raise SeriesDomainError("precision-exhausted", f"no nonzero coefficient below {prec}")
 

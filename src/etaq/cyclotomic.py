@@ -3,8 +3,8 @@
 An element is stored on the non-reduced group-ring basis
 {zeta_L^j : 0 <= j < L}, i.e. as a polynomial in zeta_L taken modulo
 x^L - 1, written as sparse integer numerators over one positive common
-denominator: (1/den) * sum_j n_j zeta_L^j with only the nonzero n_j kept
-and gcd(den, n_j) = 1.  Sums and products therefore run on Python ints.
+denominator: (1/den) * sum_j n_j zeta_L^j with only the nonzero n_j
+kept.  Sums and products therefore run on Python ints.
 The representation is not unique, but zero is decidable: the element
 vanishes iff the numerator polynomial is divisible by the L-th
 cyclotomic polynomial Phi_L.  Phi_L is monic with integer coefficients,
@@ -17,19 +17,21 @@ integer monomials (s, j, n) = n * q^s * zeta_L^j, which CycNumber
 products (all at s = 0) and the cusp series products in ``etaq.series``
 share, and the one reduction mod Phi_L.  Only the cusp code
 (``etaq.cusps``) imports this module; rational series, eta quotients,
-Eisenstein matching and the searches never load it.  Results are put
-in normal form by ``CycNumber._normal``, which takes a one-entry dict
-(nearly every cusp step is a single power of zeta_L) with one gcd and
-no rebuild.  Phi_L itself is built from the Moebius product over
-1 - x^d by in-place integer updates, and an inverse is the product of
-the element's other Galois conjugates over its norm, a rational
-number.
+Eisenstein matching and the searches never load it.  Results of
+CycNumber arithmetic are reduced by ``CycNumber._normal``; the steps
+of a cusp series are not: ``CycNumber._steps`` keeps the one
+denominator they were summed over, since every reader (``coeffs``,
+``reduced``, ``render``, ``rational_value``) divides through
+``Fraction`` anyway and the zero test ignores it.  Phi_L itself is
+built from the Moebius product over 1 - x^d by in-place integer
+updates, and an inverse is the product of the element's other Galois
+conjugates over its norm, a rational number.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache
 from collections.abc import Iterable, Mapping
 from math import gcd, lcm
 from typing import Union
@@ -43,12 +45,10 @@ Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
-_phi_cache: dict[int, tuple[int, ...]] = {}
-_phi_lock = threading.Lock()
 
-
+@cache
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Coefficients of Phi_order, constant term first.
+    """Coefficients of Phi_order, constant term first, built once.
 
     For L > 1, Phi_L = prod_{d | L} (1 - x^d)^mu(L/d) as a power series,
     and it has degree phi(L), so the product truncated past x^phi(L) is
@@ -58,25 +58,19 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    with _phi_lock:
-        if order in _phi_cache:
-            return _phi_cache[order]
-        if order == 1:
-            poly = [-1, 1]
-        else:
-            deg = totient(order)
-            poly = [1] + [0] * deg
-            for d in divisors(order):
-                mu = _mobius(order // d)
-                if mu == 1:
-                    for i in range(deg, d - 1, -1):
-                        poly[i] -= poly[i - d]
-                elif mu == -1:
-                    for i in range(d, deg + 1):
-                        poly[i] += poly[i - d]
-        result = tuple(poly)
-        _phi_cache[order] = result
-        return result
+    if order == 1:
+        return (-1, 1)
+    deg = totient(order)
+    poly = [1] + [0] * deg
+    for d in divisors(order):
+        mu = _mobius(order // d)
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        elif mu == -1:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
+    return tuple(poly)
 
 
 def _mobius(n: int) -> int:
@@ -90,8 +84,8 @@ class CycNumber:
     """Element of Q(zeta_order) as (1/den) * sum terms[j] * zeta_order^j.
 
     ``terms`` maps exponents 0 <= j < order to nonzero integer
-    numerators, ``den`` is positive, and gcd(den, all numerators) = 1.
-    Both are read-only.
+    numerators and ``den`` is positive; they need not be coprime.  Both
+    are read-only.
     """
 
     __slots__ = ("order", "terms", "den")
@@ -116,36 +110,42 @@ class CycNumber:
 
     @classmethod
     def _normal(cls, order: int, terms: dict[int, int], den: int) -> "CycNumber":
-        """Drop zero numerators and divide out gcd(den, numerators).
-
-        A one-entry dict, nearly every cusp step, takes one gcd and
-        neither scans for zeros nor rebuilds the dict unless it divides.
-        """
-        if len(terms) == 1:
-            [(j, n)] = terms.items()
-            if not n:
-                terms, den = {}, 1
-            elif den != 1:
-                g = gcd(den, n)
-                if g != 1:
-                    den //= g
-                    terms = {j: n // g}
-        else:
-            if 0 in terms.values():
-                terms = {j: n for j, n in terms.items() if n}
-            if not terms:
-                den = 1
-            elif den != 1:
-                g = gcd(den, *terms.values())
-                if g != 1:
-                    den //= g
-                    terms = {j: n // g for j, n in terms.items()}
+        """Drop zero numerators and divide out gcd(den, numerators)."""
+        if 0 in terms.values():
+            terms = {j: n for j, n in terms.items() if n}
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {j: n // g for j, n in terms.items()}
         x = object.__new__(cls)
         x.order, x.terms, x.den = order, terms, den
         return x
 
     @classmethod
+    def _steps(
+        cls, order: int, accs: list[dict[int, int] | None], den: int
+    ) -> tuple["CycNumber", ...]:
+        """accs[s] / den for each step s, all over den, keeping each dict
+        unless it holds a zero numerator, which is dropped; no gcd is
+        divided out.  Empty and all-zero steps are the one zero."""
+        zero, new, out = cls.zero(order), object.__new__, []
+        for terms in accs:
+            if terms and 0 in terms.values():
+                terms = {j: n for j, n in terms.items() if n}
+            x = zero
+            if terms:
+                x = new(cls)
+                x.order, x.terms, x.den = order, terms, den
+            out.append(x)
+        return tuple(out)
+
+    @classmethod
+    @cache
     def zero(cls, order: int = 1) -> "CycNumber":
+        """The zero of Q(zeta_order), one shared instance per order."""
         if order < 1:
             raise ValueError("order must be >= 1")
         return cls._normal(order, {}, 1)

@@ -23,25 +23,21 @@ call on the numerators.
 A cusp series (cyclotomic coefficients) has one constructor,
 ``QSeries._cyclotomic(num, order, accs, den)``: accs[s] = {j: n} holds
 the integer numerators n of zeta_L^j in step s over the one
-denominator den, None or {} for an empty step, and num is the
-coefficient class, ``CycNumber``, which ``etaq.cusps`` hands in.  It
-normalises each nonempty step once into a num of ``.coeffs`` (every
-empty step is one shared zero), keeps num and (accs, den), and lists
-the numerators as monomials (s, j, n) = n * q^s * zeta_L^j on its
-first product; its offset is 0.  Normalising makes a step independent
-of the denominator it was summed over.  Cusp expansions and products
-hand in the numerators their scatter or product kernel built; the
-public constructor takes ints only and is for rational series.  A cusp
-series is multiplied only by a cusp series of the same order, which
-is the same local variable q_{c,N}: one ``kernels._mul_into`` call adds
-all products of the operands' monomials into the output steps in
-Z[zeta_L], and the result is built by ``_cyclotomic`` with the stored
-num.  It has powers e >= 0 (x ** 0 is the one of x's order),
-valuation, ``leading``, ``coeff`` and rendering; negation, sums,
-scalar multiples, D and inversion raise TypeError, as does a product
-with a rational series or a cusp series of another order.  Every step
-a cusp series builds is a num, so this module never imports
-``etaq.cyclotomic`` and a rational computation never loads it.
+denominator den (None or {} for an empty step), and num is the
+coefficient class, ``CycNumber``, which ``etaq.cusps`` hands in.  Each
+step of ``.coeffs`` is num's wrap of accs[s] over den itself, with no
+per-step gcd (``CycNumber._steps``); the series keeps (accs, den) and
+lists them as monomials (s, j, n) = n * q^s * zeta_L^j on its first
+product.  The numerators come from the cusp map's window or from a
+product; the public constructor takes ints only.  A cusp series is
+multiplied only by a cusp series of the same order, the same local
+variable q_{c,N}: one ``kernels._mul_into`` call adds all products of
+the operands' monomials into the output steps over dx * dy.  It has
+powers e >= 0 (x ** 0 is the one of x's order), valuation,
+``leading``, ``coeff`` and rendering; negation, sums, scalar multiples,
+D and inversion raise TypeError, as does a product with a rational
+series or a cusp series of another order.  Every step is built by num,
+so this module never imports ``etaq.cyclotomic``.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate
@@ -111,12 +107,10 @@ class QSeries:
         """The cusp series with step s = accs[s] / den in Z[zeta_order]
         (None or {} for an empty step), each step a ``num``; accs holds
         at least one step and is never changed afterwards."""
-        zero = num.zero(order)
-        normal = num._normal
         x = object.__new__(cls)
         x.offset, x.den, x.cyc_order, x._num = 0, 1, order, num
         x._accs, x._monos = (accs, den), None
-        x.coeffs = tuple([normal(order, a, den) if a else zero for a in accs])
+        x.coeffs = num._steps(order, accs, den)
         return x
 
     @property

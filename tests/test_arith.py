@@ -5,10 +5,11 @@ here from scratch rather than trusting the library path)."""
 import sys
 import threading
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import etaq.arith
 from etaq.arith import (
@@ -27,8 +28,10 @@ from etaq.arith import (
 )
 
 
+@cache
 def bernoulli_oracle(limit: int) -> list[Fraction]:
-    # independent implementation of sum_{j<=n} C(n+1, j) B_j = 0
+    # the former arith.bernoulli, independent of the tangent numbers:
+    # the defining recurrence sum_{j<=n} C(n+1, j) B_j = 0
     out = [Fraction(1)]
     for n in range(1, limit + 1):
         s = sum(comb(n + 1, j) * out[j] for j in range(n))
@@ -40,6 +43,22 @@ def test_bernoulli_against_recurrence_oracle():
     oracle = bernoulli_oracle(30)
     for k in range(0, 31, 2):
         assert bernoulli(k) == oracle[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 150), min_size=1, max_size=4))
+def test_bernoulli_from_tangent_numbers_matches_recurrence(halves):
+    # every even k <= 300, asked for in a drawn order on an emptied
+    # cache, so that it is built cold and rebuilt longer
+    oracle = bernoulli_oracle(300)
+    built = etaq.arith._bernoulli_cache
+    saved = built[:]
+    try:
+        del built[1:]
+        for n in halves:
+            assert bernoulli(2 * n) == oracle[2 * n], 2 * n
+    finally:
+        built[:] = saved
 
 
 def test_bernoulli_frozen_values():
@@ -171,7 +190,7 @@ def test_cusp_step_is_an_integer():
 
 def test_root_of_unity_order_at_a_cusp_is_level_over_denominator():
     # lcm over t | N of t / gcd(t, c) is N / c for every c | N: each term
-    # divides N / c, and t = N attains it.  cusps._cusp_terms takes the
+    # divides N / c, and t = N attains it.  cusps._cusp_map takes the
     # cyclotomic order of the coefficients at a/c from this identity
     for n in range(1, 2001):
         divs = divisors(n)

@@ -8,27 +8,38 @@ order, for every numerator; (2) orders must be invariant under the
 unity entering the coefficients; (3) cusps with one denominator have
 the same orders, since changing the numerator applies a Galois
 automorphism to the coefficients.  The roots of unity's closed form in
-cusps._cusp_terms is checked against the auxiliary completion of
-E_k(tz) at a/c, kept here as the reference, the windowed scatter in
-cusps._scatter against the gather generator it replaced, and
+cusps._omega is checked against the auxiliary completion of E_k(tz) at
+a/c, kept here as the reference; expansions and orders read from the
+per-cusp integer map cusps._cusp_map against the per-element scatter
+they replaced (cusp_terms_reference and scatter_reference) and, window
+by window, against the gather generator before it; and
 check_order_bound, which computes one order per denominator, against
 the order at every cusp.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from etaq.arith import bernoulli, denominator_multiplicity, divisors, prime_power, sigma, sigma_table
+from etaq.arith import (
+    bernoulli,
+    cusp_step,
+    denominator_multiplicity,
+    divisors,
+    prime_power,
+    sigma,
+    sigma_table,
+)
 from etaq.cusps import (
     Cusp,
-    _cusp_shape,
-    _cusp_terms,
-    _scatter,
+    _cusp_map,
+    _cusp_scalars,
+    _omega,
+    _window,
     check_order_bound,
     cusp_count,
     cusp_reps,
@@ -90,11 +101,60 @@ def test_efgh_determinant_property(t, a, c):
     assert e * h - f * g == 1
 
 
+def cusp_terms_reference(f, cusp) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """The former cusps._cusp_terms, with the per-t triples of the former
+    cusps._cusp_shape computed in place: (L, D, terms) with one term
+    (step_t, w_t, W_t) per t, omega_t = zeta_L^w_t, and P_t =
+    r_t (gcd(t,c)/t)^k = W_t / D over the lcm D of the P_t denominators."""
+    n, c, k = f.level, cusp.c, f.k
+    order = n // c
+    raw = []
+    for t, r in f.coeffs.items():
+        ct = gcd(t, c)
+        tprime = t // ct
+        w = cusp.d % order * pow(c // ct, -1, tprime) % tprime * (order // tprime)
+        pn, pd = r.numerator, r.denominator * tprime**k
+        g = gcd(pn, pd)
+        raw.append((cusp_step(n, c, t), w, pn // g, pd // g))
+    den = lcm(*(pd for _, _, _, pd in raw))
+    return order, den, [(step, w, pn * (den // pd)) for step, w, pn, pd in raw]
+
+
+def scatter_reference(order: int, den: int, terms, k: int, prec: int, lo: int = 0):
+    """The former cusps._scatter: the integer numerators {j: n} of the
+    steps lo <= e < prec, None where no term lands, over their one
+    denominator, each term scattered into its own multiples of step_t."""
+    const = _constant(k)
+    table = sigma_table(k - 1, prec - 1)
+    accs: list[dict[int, int] | None] = [None] * (prec - lo)
+    if lo == 0:
+        accs[0] = {0: const.numerator * sum(num for _, _, num in terms)}
+    for step, w, num in terms:
+        scale = num * const.denominator
+        for n in range(max(-(-lo // step), 1), (prec - 1) // step + 1):
+            i = n * step - lo
+            j = n * w % order
+            acc = accs[i]
+            if acc is None:
+                accs[i] = {j: scale * table[n]}
+            else:
+                acc[j] = acc.get(j, 0) + scale * table[n]
+    return accs, den * const.denominator
+
+
+def reference_steps(f, cusp, prec: int) -> list[CycNumber]:
+    """Steps 0 .. prec-1 at the cusp by the former per-element path: one
+    scatter over the former terms, each nonempty step normalised."""
+    order, den, terms = cusp_terms_reference(f, cusp)
+    accs, d = scatter_reference(order, den, terms, f.k, prec)
+    return [CycNumber._normal(order, acc, d) if acc else CycNumber.zero(order) for acc in accs]
+
+
 def coefficient_reference(f, cusp, order: int, terms, e: int) -> CycNumber:
     """The former cusps._coefficient: one Fraction r_t (gcd(t,c)/t)^k per
     term, read from the element, sigma by factorisation, turned into
     integers by the CycNumber constructor.  Only the exponent steps and
-    the roots of unity come from _cusp_terms."""
+    the roots of unity come from cusp_terms_reference."""
     k = f.k
     acc: dict[int, Fraction] = {}
     const = Fraction(-bernoulli(k), 2 * k)
@@ -113,11 +173,12 @@ def cusp_coefficient(f, cusp, e: int) -> CycNumber:
     return expansion_at_cusp(f, cusp, e + 1).series.coeffs[e]
 
 
-def window(order: int, den: int, terms, k: int, hi: int, lo: int = 0) -> list[CycNumber]:
-    """The steps lo <= e < hi of one scatter: each nonempty one
-    normalised, as order_at_cusp tests it, and every empty one zero."""
-    accs, den = _scatter(order, den, terms, k, hi, lo)
-    return [CycNumber._normal(order, acc, den) if acc else CycNumber.zero(order) for acc in accs]
+def window(f, cusp, prec: int, hi: int, lo: int = 0) -> list[CycNumber]:
+    """The steps lo <= e < hi of the map below prec applied to f, as
+    order_at_cusp tests them."""
+    order, terms, den = _cusp_scalars(f, cusp, prec)
+    accs, den = _window(terms, den, f.k, lo, hi)
+    return list(CycNumber._steps(order, accs, den))
 
 
 @settings(max_examples=120, deadline=None)
@@ -136,20 +197,21 @@ def test_integer_coefficients_match_fraction_reference(data):
     element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
     element.k, element.level, element.coeffs = k, n, coeffs
     cusp = data.draw(st.sampled_from(cusp_reps(n)))
-    order, den, terms = _cusp_terms(element, cusp)
+    prec = data.draw(st.integers(1, 40))
+    order, scalars, den = _cusp_scalars(element, cusp, prec)
     c = cusp.c
-    assert [step for step, _, _ in terms] == [
+    assert [step for _, step, _ in scalars] == [
         gcd(t, c) ** 2 * n // (t * gcd(c * c, n)) for t in coeffs
     ]
-    assert [Fraction(num, den) for _, _, num in terms] == [
+    assert [Fraction(num, den) for num, _, _ in scalars] == [
         r * Fraction(gcd(t, c), t) ** k for t, r in coeffs.items()
     ]
-    prec = data.draw(st.integers(1, 40))
+    _, _, terms = cusp_terms_reference(element, cusp)
     got = expansion_at_cusp(element, cusp, prec).series.coeffs
     assert len(got) == prec
     for e, coeff in enumerate(got):
         want = coefficient_reference(element, cusp, order, terms, e)
-        assert (coeff.order, coeff.terms, coeff.den) == (want.order, want.terms, want.den), (e, cusp)
+        assert (coeff.order, coeff.coeffs) == (want.order, want.coeffs), (e, cusp)
 
 
 def test_cusp_terms_keep_rational_denominators():
@@ -160,12 +222,13 @@ def test_cusp_terms_keep_rational_denominators():
     r = {1: Fraction(3, 7), 2: Fraction(-5, 4), 4: Fraction(8, 9), 12: Fraction(1, 6)}
     f = EisensteinElement(4, 12, r)
     cusp = Cusp(1, 2, 12)
-    order, den, terms = _cusp_terms(f, cusp)
+    order, scalars, den = _cusp_scalars(f, cusp, 8)
     assert (order, den) == (6, 54432)
-    assert [(step, num) for step, _, num in terms] == [(3, 23328), (6, -68040), (3, 3024), (1, 7)]
+    assert [(step, num) for num, step, _ in scalars] == [(3, 23328), (6, -68040), (3, 3024), (1, 7)]
+    _, _, terms = cusp_terms_reference(f, cusp)
     for e in range(8):
         got, want = cusp_coefficient(f, cusp, e), coefficient_reference(f, cusp, order, terms, e)
-        assert (got.order, got.terms, got.den) == (want.order, want.terms, want.den), e
+        assert (got.order, got.coeffs) == (want.order, want.coeffs), e
 
 
 def coefficients_reference(order: int, den: int, terms, k: int, prec: int):
@@ -187,7 +250,9 @@ def coefficients_reference(order: int, den: int, terms, k: int, prec: int):
 
 
 def stored(c: CycNumber) -> tuple:
-    return (c.order, c.terms, c.den)
+    # exact coordinates on the zeta_L^j basis; a cusp series' steps are
+    # not reduced, so their (terms, den) depend on the path that built them
+    return (c.order, c.coeffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -195,9 +260,10 @@ def stored(c: CycNumber) -> tuple:
 def test_windowed_scatter_matches_gather_reference(data):
     # every cusp of a level <= 128, small integer r (some forced to make
     # the constant term vanish at one cusp denominator, so orders above 0
-    # occur), windows split at random points: the concatenated windows
-    # equal the gather reference step for step, and order_at_cusp finds
-    # its first exactly nonzero step or raises at the same prec
+    # occur), windows of the map split at random points: the
+    # concatenated windows equal the gather reference step for step, and
+    # order_at_cusp finds its first exactly nonzero step or raises at the
+    # same prec
     n = data.draw(st.integers(1, 128))
     k = data.draw(st.sampled_from([2, 4, 6]))
     divs = divisors(n)
@@ -213,11 +279,11 @@ def test_windowed_scatter_matches_gather_reference(data):
     prec = data.draw(st.integers(1, 40))
     cuts = sorted(set(data.draw(st.lists(st.integers(0, prec), max_size=4))) | {0, prec})
     for cusp in cusp_reps(n):
-        order, den, terms = _cusp_terms(element, cusp)
+        order, den, terms = cusp_terms_reference(element, cusp)
         want = list(coefficients_reference(order, den, terms, k, prec))
         got = []
         for lo, hi in zip(cuts, cuts[1:]):
-            steps = window(order, den, terms, k, hi, lo)
+            steps = window(element, cusp, prec, hi, lo)
             assert len(steps) == hi - lo
             got += steps
         assert [stored(c) for c in got] == [stored(c) for c in want], (n, k, cusp, cuts)
@@ -233,6 +299,52 @@ def test_windowed_scatter_matches_gather_reference(data):
                 order_at_cusp(element, cusp, prec)
         else:
             assert order_at_cusp(element, cusp, prec) == first, (n, k, cusp, prec)
+
+
+def reference_order(f, cusp, prec: int) -> int | None:
+    """The first exactly nonzero step below prec on the former path."""
+    return next((e for e, c in enumerate(reference_steps(f, cusp, prec)) if not c.is_zero()), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cusp_map_matches_scatter_reference(data):
+    # expansions and orders read from the per-cusp map against the
+    # per-element scatter they replaced, at every cusp of prime-power
+    # levels up to 125 and weights up to 14: drawn rational r_t (with a
+    # drawn flag, r is set to cancel the constant term at one
+    # denominator, so that orders above 0 occur), step for step on the
+    # exact coordinates, and orders at a drawn depth and the default one
+    n = data.draw(st.sampled_from([4, 8, 9, 16, 25, 27, 32, 49, 125]), label="level")
+    k = data.draw(st.sampled_from([2, 4, 6, 14]), label="k")
+    divs = divisors(n)
+    support = data.draw(st.lists(st.sampled_from(divs), min_size=1, unique=True), label="support")
+    r = {
+        t: Fraction(data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(1, 10**3)))
+        for t in support
+    }
+    if len(r) > 1 and data.draw(st.booleans(), label="cancel"):
+        # sum_t r_t (gcd(t, c0)/t)^k = 0: the q^0 coefficient vanishes at c0
+        c0 = data.draw(st.sampled_from(divs), label="c0")
+        t0, *rest = support
+        weight = {t: Fraction(gcd(t, c0), t) ** k for t in support}
+        r[t0] = -sum(r[t] * weight[t] for t in rest) / weight[t0]
+    element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
+    element.k, element.level, element.coeffs = k, n, {t: v for t, v in r.items() if v}
+    prec = data.draw(st.integers(1, 24), label="prec")
+    for cusp in cusp_reps(n):
+        got = expansion_at_cusp(element, cusp, prec).series.coeffs
+        want = reference_steps(element, cusp, prec)
+        assert [stored(c) for c in got] == [stored(c) for c in want], cusp
+        if element.is_zero():
+            continue
+        for depth in (prec, sturm_bound(k, n) + 1):
+            want = reference_order(element, cusp, depth)
+            if want is None:
+                with pytest.raises(SeriesDomainError, match="precision-exhausted"):
+                    order_at_cusp(element, cusp, depth)
+            else:
+                assert order_at_cusp(element, cusp, depth) == want, (cusp, depth)
 
 
 def nullspace(a) -> list[list[Fraction]]:
@@ -457,8 +569,9 @@ def test_order_independent_of_completions():
             for _ in range(50):
                 j = rng.randint(-20, 20)
                 shifted_cusp = _shifted(cusp.a, cusp.c, el.level, j)
-                order, _, terms = _cusp_terms(el, shifted_cusp)
-                for t, (_, w, _) in zip(el.coeffs, terms, strict=True):
+                order = el.level // cusp.c
+                for t in el.coeffs:
+                    w = _omega(el.level, cusp.c, shifted_cusp.d, t)
                     assert w == efgh_exponent(t, shifted_cusp, order, rng, 20), (t, shifted_cusp)
                 assert order_at_cusp(el, shifted_cusp) == reference
 
@@ -472,15 +585,13 @@ def test_cusp_roots_of_unity_match_auxiliary_completion():
     numerators = range(-50, 51)
     for n in range(1, 501):
         divs = divisors(n)
-        element = EisensteinElement.__new__(EisensteinElement)  # no weight-2 balance needed
-        element.k, element.level, element.coeffs = 4, n, {t: Fraction(1) for t in divs}
         for c in divs:
             coprime = [a for a in numerators if gcd(a, c) == 1]
             for a in rng.sample(coprime, 3):
                 cusp = _shifted(a, c, n, rng.randint(-1000, 1000))
-                order, _, terms = _cusp_terms(element, cusp)
-                assert order == n // c
-                for t, (_, w, _) in zip(divs, terms, strict=True):
+                order = n // c
+                for t in divs:
+                    w = _omega(n, c, cusp.d, t)
                     assert w == efgh_exponent(t, cusp, order, rng, 1000), (n, cusp, t)
 
 
@@ -649,25 +760,25 @@ def test_check_order_bound_matches_order_at_every_cusp(data):
 
 
 def test_cusp_term_cache_is_bounded_and_keyed_on_d_mod_L():
-    # the per-t triples are cached on (N, c, d mod L, k) in a bounded
-    # cache: d and d + L (a valid d whenever c | L) hit one entry and
-    # give the same expansion; d + c, when L does not divide c, is
+    # the per-cusp maps are cached on (N, c, d mod L, k, prec) in a
+    # bounded cache: d and d + L (a valid d whenever c | L) hit one entry
+    # and give the same expansion; d + c, when L does not divide c, is
     # another entry
-    assert _cusp_shape.cache_info().maxsize is not None
+    assert _cusp_map.cache_info().maxsize is not None
     for n, a, c in ((27, 1, 3), (32, 3, 4), (49, 1, 7), (125, 2, 5), (8, 1, 1)):
         order = n // c
         assert order % c == 0
         f = EisensteinElement(4, n, {t: t + 1 for t in divisors(n)})
         base = Cusp(a, c, n)
-        _cusp_shape.cache_clear()
+        _cusp_map.cache_clear()
         want = expansion_at_cusp(f, base, 10).series.coeffs
         got = expansion_at_cusp(f, Cusp(a, c, n, base.d + order), 10).series.coeffs
-        info = _cusp_shape.cache_info()
+        info = _cusp_map.cache_info()
         assert (info.currsize, info.hits, info.misses) == (1, 1, 1), (n, a, c)
         assert [stored(x) for x in got] == [stored(x) for x in want]
         if c % order:  # d + c is another class mod L
             expansion_at_cusp(f, Cusp(a, c, n, base.d + c), 10)
-            assert _cusp_shape.cache_info().currsize == 2
+            assert _cusp_map.cache_info().currsize == 2
 
 
 def test_cusp_reps_returns_a_fresh_list():
@@ -759,7 +870,7 @@ def test_forced_double_vanishing_kills_new_elements():
 
 def test_cusp_code_does_no_cyclotomic_number_arithmetic(monkeypatch, capsys):
     # cusp expansions are built from integer steps, multiplied as integer
-    # monomial lists by one cyclotomic._mul_into call, and only
+    # monomial lists by one kernels._mul_into call, and only
     # normalised, zero-tested and rendered:
     # with CycNumber sums, products, lifts and inverses disabled, every
     # cusp computation still runs and gives the same result
