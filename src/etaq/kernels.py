@@ -1,16 +1,18 @@
 """Multiplication kernels on Python ints.
 
-These are the inner loops of every product etaq takes.  Three kernels:
+These are the inner loops of every product etaq takes.  Four kernels,
+the first two of which share one packing routine:
 
 * ``conv_trunc``, the truncated product of two dense integer
   coefficient lists (rational series).  It has two regimes: schoolbook
   convolution, skipping zero coefficients, for small or sparse inputs;
-  and Kronecker substitution for large dense inputs, where each operand
-  is packed into one big integer with fixed-width digits, the product
-  is a single CPython big-int multiplication (subquadratic), and the
-  digits are sliced back out.  Signs are handled by splitting each
-  operand into positive and negative parts, so all packed digits stay
-  nonnegative and carry-free;
+  and Kronecker substitution (``_kronecker``) for large dense inputs;
+* ``middle_product``, the coefficients lo..hi-1 of a product, which
+  ``EtaQuotient.expansion`` takes as the history sums of each block of
+  its recurrence.  It packs while the packed digit is at most
+  _PACKED_DIGIT_BITS = 256 bits wide.  Past that, CPython's big-int
+  product (Karatsuba, never FFT) loses to one C-level dot product
+  (``sum(map(mul, ...))``) per coefficient, which it takes instead;
 * ``pow_trunc``, binary powering through ``conv_trunc``;
 * ``_mul_into``, the sparse product of integer monomials
   (s, j, n) = n * q^s * zeta_L^j accumulated into steps of
@@ -18,6 +20,14 @@ These are the inner loops of every product etaq takes.  Three kernels:
   s = 0) and cusp series products (``etaq.series``) both go through it.
   It never reduces mod Phi_L, so it lives here and not in
   ``etaq.cyclotomic``, which only the cusp code loads.
+
+The packing (``_kronecker``) writes each operand as one big integer
+with fixed-width digits, each digit biased by half the digit base so
+that every signed coefficient packs as a nonnegative digit; the packed
+run of biases is subtracted again.  One big-int multiplication forms
+the product.  Adding the bias to each of its low digits makes them
+nonnegative and carry-free, and the digits lo..hi-1, less the bias, are
+read back; conv_trunc reads from lo = 0.
 
 Coefficients must be Python ints.  ``BACKEND`` (exported as
 ``etaq.KERNEL_BACKEND``, and written into benchmark result files) names
@@ -27,12 +37,18 @@ this plain-Python implementation.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import mul
 
-__all__ = ["BACKEND", "conv_trunc", "pow_trunc"]
+__all__ = ["BACKEND", "conv_trunc", "middle_product", "pow_trunc"]
 
 # Crossover between schoolbook and Kronecker, in units of object
 # multiplications actually performed; tests/test_kernels.py pins its boundary.
 _SCHOOLBOOK_WORK_LIMIT = 6000
+
+# Widest packed digit, in bits, for which middle_product packs: CPython
+# multiplies big ints by Karatsuba only, and past this width the
+# C-level dot products win; tests/test_kernels.py pins its boundary.
+_PACKED_DIGIT_BITS = 256
 
 BACKEND = "python"
 
@@ -72,39 +88,72 @@ def _schoolbook(xs: list, ys: list, n: int) -> list:
 
 
 def _digit_width(xs: list, ys: list) -> int:
-    mx = max(abs(v) for v in xs)
-    my = max(abs(v) for v in ys)
+    """Bytes per packed digit: every coefficient of xs * ys is below
+    2^(8 * width - 1) in absolute value, and so is every operand entry."""
+    mx = max(map(abs, xs))
+    my = max(map(abs, ys))
     bits = mx.bit_length() + my.bit_length() + min(len(xs), len(ys)).bit_length() + 2
     return (bits + 7) // 8
 
 
-def _pack(xs: list, width: int, positive: bool) -> int:
-    if positive:
-        parts = [(v if v > 0 else 0).to_bytes(width, "little") for v in xs]
-    else:
-        parts = [(-v if v < 0 else 0).to_bytes(width, "little") for v in xs]
-    return int.from_bytes(b"".join(parts), "little")
+def _pack(xs: list, width: int, half: int) -> int:
+    """sum_i xs[i] * 2^(8 * width * i), packed from the nonnegative
+    digits xs[i] + half."""
+    packed = b"".join([(v + half).to_bytes(width, "little") for v in xs])
+    return int.from_bytes(packed, "little") - _halves(half, width, len(xs))
 
 
-def _kronecker(xs: list, ys: list, n: int) -> list:
+def _halves(half: int, width: int, n: int) -> int:
+    """sum_{i < n} half * 2^(8 * width * i)."""
+    return int.from_bytes(half.to_bytes(width, "little") * n, "little")
+
+
+def _kronecker(xs: list, ys: list, hi: int, lo: int = 0) -> list:
+    """Coefficients lo..hi-1 of xs * ys by one big-int product, for
+    nonempty operands and lo <= hi <= len(xs) + len(ys) - 1.
+
+    Each operand is packed from biased digits v + half, half =
+    2^(8 * width - 1), which are nonnegative, and the packed run of half
+    is subtracted again.  Every coefficient of the product is below half
+    in absolute value, so adding half to each of its low hi digits makes
+    them nonnegative and carry-free: read mod 2^(8 * width * hi), digit
+    k less half is coefficient k.
+    """
     width = _digit_width(xs, ys)
-    xp = _pack(xs, width, True)
-    xm = _pack(xs, width, False)
-    yp = _pack(ys, width, True)
-    ym = _pack(ys, width, False)
-    pos = xp * yp + xm * ym
-    neg = xp * ym + xm * yp
-    buf_len = width * n
-    pos_b = pos.to_bytes(max(buf_len, (pos.bit_length() + 7) // 8), "little")
-    neg_b = neg.to_bytes(max(buf_len, (neg.bit_length() + 7) // 8), "little")
+    half = 1 << (8 * width - 1)
+    z = _pack(xs, width, half) * _pack(ys, width, half)
+    z = (z + _halves(half, width, hi)) & ((1 << (8 * width * hi)) - 1)
+    buf = z.to_bytes(width * hi, "little")
+    return [
+        int.from_bytes(buf[i : i + width], "little") - half
+        for i in range(width * lo, width * hi, width)
+    ]
+
+
+def _dots(xs: list, ys: list, lo: int, hi: int) -> list:
+    """Coefficients lo..hi-1 of xs * ys, each one C-level dot product."""
+    lx, ly = len(xs), len(ys)
+    rys = ys[::-1]  # ys[k - i] = rys[ly - 1 - k + i]
     out = []
-    for k in range(n):
-        lo = k * width
-        out.append(
-            int.from_bytes(pos_b[lo : lo + width], "little")
-            - int.from_bytes(neg_b[lo : lo + width], "little")
-        )
+    for k in range(lo, hi):
+        i0, i1 = max(0, k - ly + 1), min(lx, k + 1)
+        out.append(sum(map(mul, xs[i0:i1], rys[ly - 1 - k + i0 : ly - 1 - k + i1])))
     return out
+
+
+def middle_product(xs: list, ys: list, lo: int, hi: int) -> list:
+    """Coefficients lo..hi-1 of xs * ys, fewer if hi passes the product's
+    last coefficient: one packed product (``_kronecker``) while its digit
+    is at most _PACKED_DIGIT_BITS wide, else a dot product per
+    coefficient."""
+    xs = xs[:hi]
+    ys = ys[:hi]
+    hi = min(hi, len(xs) + len(ys) - 1)
+    if lo >= hi or not xs or not ys:
+        return []
+    if 8 * _digit_width(xs, ys) > _PACKED_DIGIT_BITS:
+        return _dots(xs, ys, lo, hi)
+    return _kronecker(xs, ys, hi, lo)
 
 
 def pow_trunc(xs: list, e: int, nout: int) -> list:

@@ -6,11 +6,13 @@ import random
 import re
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etaq.arith import divisors
+from etaq import eta as eta_module, kernels
+from etaq.arith import divisors, sigma_range
 from etaq.eisenstein import EisensteinElement
 from etaq.eta import EtaQuotient, ModularityReport, parse_eta
 from qseries_reference import QSeries as OldQSeries, assert_matches_reference, eta_series as old_eta_series
@@ -112,6 +114,81 @@ def test_expansion_matches_product_reference():
         got = f.expansion(steps)
         assert (got.offset, got.prec) == (f.offset(), steps), f
         assert_matches_reference(got, product_expansion(f, steps))
+
+
+def recurrence_expansion(f: EtaQuotient, steps: int) -> list[int]:
+    """Reference: the former EtaQuotient.expansion, which summed the
+    recurrence n c_n = sum_{k=1}^{n} b_k c_(n-k) over the whole history
+    at every step."""
+    sig = sigma_range(1, steps)
+    b = [0] * steps
+    for t, r in f.exponents.items():
+        for m in range(1, (steps - 1) // t + 1):
+            b[t * m] += -t * r * sig[m]
+    c = [1] + [0] * (steps - 1)
+    for j in range(1, steps):
+        s = sum(map(mul, b[1 : j + 1], c[j - 1 :: -1]))
+        c[j], rem = divmod(s, j)
+        assert not rem
+    return c
+
+
+def test_expansion_matches_recurrence_reference_across_blocks():
+    # steps on both sides of every block boundary that 200 and 333 steps
+    # cross (blocks of _BLOCK steps, the last one running to the end)
+    block = eta_module._BLOCK
+    sizes = [1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1,
+             3 * block - 1, 3 * block, 200, 333]
+    rng = random.Random(29)
+    for steps in sizes:
+        for n in (1, 2, 4, 6, 12, 16, 25):
+            f = EtaQuotient(n, {t: rng.randint(-12, 12) for t in divisors(n)})
+            got = f.expansion(steps)
+            assert (got.offset, got.den) == (f.offset(), 1)
+            assert list(got.coeffs) == recurrence_expansion(f, steps), (f, steps)
+
+
+def test_expansion_blocks_are_pinned(monkeypatch):
+    # blocks start at 1 and at the multiples of max(48, steps // 8) that
+    # leave a whole block after them; the first block reads the b_j
+    # directly, every later one takes its head from one middle product
+    assert (eta_module._BLOCK, eta_module._BLOCKS) == (48, 8)
+    calls = []
+    real = eta_module.middle_product
+    monkeypatch.setattr(
+        eta_module, "middle_product", lambda xs, ys, lo, hi: calls.append((lo, hi)) or real(xs, ys, lo, hi)
+    )
+    f = EtaQuotient(1, {1: 24})
+    expected = {
+        95: [],
+        96: [(48, 96)],
+        200: [(48, 96), (96, 144), (144, 200)],
+        800: [(100, 200), (200, 300), (300, 400), (400, 500), (500, 600), (600, 700), (700, 800)],
+        803: [(100, 200), (200, 300), (300, 400), (400, 500), (500, 600), (600, 700), (700, 803)],
+    }
+    for steps, heads in expected.items():
+        calls.clear()
+        f.expansion(steps)
+        assert calls == heads, steps
+
+
+@pytest.mark.parametrize(
+    "text, steps, regimes",
+    [
+        ("eta(1)^-24", 600, {"kronecker", "dots"}),  # digits pass 256 bits on the way
+        ("eta(2)^40*eta(1)^-16*eta(4)^-16", 1000, {"kronecker"}),  # theta^8
+    ],
+)
+def test_deep_expansions_match_recurrence_reference(monkeypatch, text, steps, regimes):
+    used = set()
+    for name in ("kronecker", "dots"):
+        real = getattr(kernels, f"_{name}")
+        monkeypatch.setattr(
+            kernels, f"_{name}", lambda *a, real=real, name=name: used.add(name) or real(*a)
+        )
+    f = parse_eta(text)
+    assert list(f.expansion(steps).coeffs) == recurrence_expansion(f, steps)
+    assert used == regimes
 
 
 def test_expansion_matches_eisenstein_combination():

@@ -1,6 +1,7 @@
 """The convolution kernel against a straightforward reference, in both
 the schoolbook and the Kronecker-substitution regime and across the
-switch between them."""
+switch between them, and the middle product on both sides of its digit
+width switch."""
 
 import random
 
@@ -150,6 +151,86 @@ def test_boundary_cases_straddle_the_switch(monkeypatch, xs, ys, nout, regime):
     got = kernels.conv_trunc(xs, ys, nout)
     assert used == [regime]
     assert got == conv_reference(xs, ys, nout)
+
+
+# -- middle products: one packed product or a dot per coefficient -------------
+#
+# middle_product(xs, ys, lo, hi) returns coefficients lo..hi-1 of xs * ys
+# (fewer past the product's end).  It packs while _digit_width is at most
+# _PACKED_DIGIT_BITS // 8 bytes and takes a dot product per coefficient
+# past that; the cases below reach both sides, from 1-bit to 2048-bit
+# entries.
+
+
+@st.composite
+def middle_cases(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    bits = st.sampled_from([1, 8, 32, 100, 125, 126, 128, 200, 512, 2048])
+    signs = st.sampled_from(["mixed", "negative", "positive"])
+    xs = _operand(rng, draw(st.integers(1, 60)), draw(bits), draw(signs), "dense")
+    ys = _operand(rng, draw(st.integers(1, 60)), draw(bits), draw(signs), "dense")
+    if draw(st.booleans()):
+        xs = [0] * len(xs) if draw(st.booleans()) else xs
+        ys = [0] * len(ys) if draw(st.booleans()) else ys
+    full = len(xs) + len(ys) - 1
+    hi = draw(st.one_of(st.integers(1, full), st.integers(full + 1, full + 5)))
+    lo = draw(st.one_of(st.just(0), st.just(hi - 1), st.integers(0, hi)))
+    return xs, ys, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(middle_cases())
+def test_middle_product_matches_reference_slices(case):
+    xs, ys, lo, hi = case
+    assert kernels.middle_product(xs, ys, lo, hi) == conv_reference(xs, ys, hi)[lo:]
+
+
+def test_kronecker_reads_any_window():
+    rng = random.Random(3)
+    for _ in range(50):
+        xs = _operand(rng, rng.randint(1, 40), rng.choice([1, 20, 90]), "mixed", "dense")
+        ys = _operand(rng, rng.randint(1, 40), rng.choice([1, 20, 90]), "mixed", "dense")
+        hi = rng.randint(1, len(xs) + len(ys) - 1)
+        lo = rng.randint(0, hi)
+        assert kernels._kronecker(xs, ys, hi, lo) == conv_reference(xs, ys, hi)[lo:]
+
+
+def _top(seed, length, bits, sign="mixed"):
+    """Entries below 2^bits in absolute value, the first exactly bits wide."""
+    vals = _operand(random.Random(seed), length, bits - 1, sign, "dense")
+    vals[0] = -(1 << (bits - 1)) if sign == "negative" else 1 << (bits - 1)
+    return vals
+
+
+# (xs, ys, lo, hi, regime middle_product must pick); the packed digit has
+# xs bits + ys bits + min(len(xs), len(ys)).bit_length() + 2 bits, rounded
+# up to whole bytes
+WIDTH_CASES = [
+    (_top(1, 10, 125), _top(2, 10, 125), 3, 12, "kronecker"),  # 256 bits
+    (_top(3, 10, 125), _top(4, 10, 126), 3, 12, "dots"),  # 257 -> 264 bits
+    (_top(5, 10, 125, "negative"), _top(6, 12, 125, "negative"), 0, 21, "kronecker"),
+    (_top(7, 10, 126, "negative"), _top(8, 12, 125, "positive"), 0, 21, "dots"),
+    (_top(9, 200, 16), _top(10, 300, 230), 200, 300, "kronecker"),  # 256 bits
+    (_top(11, 200, 17), _top(12, 300, 230), 200, 300, "dots"),  # 257 -> 264 bits
+    (_top(13, 50, 2048), _top(14, 60, 1), 49, 60, "dots"),
+]
+
+
+@pytest.mark.parametrize("xs, ys, lo, hi, regime", WIDTH_CASES, ids=range(len(WIDTH_CASES)))
+def test_width_cases_straddle_the_switch(monkeypatch, xs, ys, lo, hi, regime):
+    used = []
+    for name in ("kronecker", "dots"):
+        real = getattr(kernels, f"_{name}")
+        monkeypatch.setattr(
+            kernels, f"_{name}", lambda *a, real=real, name=name: used.append(name) or real(*a)
+        )
+    got = kernels.middle_product(xs, ys, lo, hi)
+    assert used == [regime]
+    assert got == conv_reference(xs, ys, hi)[lo:]
+
+
+def test_packed_digit_limit_is_pinned():
+    assert kernels._PACKED_DIGIT_BITS == 256
 
 
 def test_pow_trunc():

@@ -15,7 +15,7 @@ from etaq.cyclotomic import CycNumber
 from etaq.eisenstein import EisensteinElement, eisenstein_series
 from etaq.eta import EtaQuotient
 from etaq.kernels import _mul_into
-from etaq.series import QSeries, SeriesDomainError
+from etaq.series import QSeries, SeriesDomainError, _power
 from qseries_reference import QSeries as OldQSeries, assert_matches_reference, to_reference
 
 
@@ -361,6 +361,43 @@ def test_render_skips_exactly_zero_cusp_steps():
     y = cusp_series([z, CycNumber.root_of_unity(3), z])
     assert y.render_text(var="w") == "(zeta3)*w + O(w^3)"
     assert cusp_series([z]).render_text() == "0 + O(q)"
+
+
+def render_per_term(x: QSeries, var: str = "q") -> str:
+    """Reference: the former QSeries.render_text, one _power call (a gcd
+    and its branches) per term."""
+    parts = []
+    for n, c in enumerate(x.coeffs):
+        if x.cyc_order is not None:
+            if not c.terms or c.is_zero():
+                continue
+            cs = f"({c.render()})"
+        elif not c:
+            continue
+        else:
+            cs = str(c) if x.den == 1 else str(Fraction(c, x.den))
+        e = x.offset + 24 * n
+        parts.append(cs if e == 0 else f"{cs}*{_power(var, e)}")
+    body = " + ".join(parts) if parts else "0"
+    return f"{body} + O({_power(var, x.offset + 24 * x.prec)})"
+
+
+def test_render_matches_per_term_powers():
+    # offsets -100..100 reach every gcd with 24 and put the exponents 0
+    # and 1 (q^0 and q^1, written without a power) inside and outside the
+    # window; denominators 1, 2 and 3 show integer and fraction terms
+    rng = random.Random(29)
+    for offset in range(-100, 101):
+        for den in (1, 2, 3):
+            coeffs = [rng.choice([0, 0, 1, -1, rng.randint(-50, 50)]) for _ in range(rng.randint(1, 9))]
+            x = QSeries(offset, [1, *coeffs], den)
+            for var in ("q", "w"):
+                assert x.render_text(var) == render_per_term(x, var), (offset, den)
+    for level, element in ((9, EisensteinElement(4, 9, {1: 1, 3: 2, 9: -1})),
+                           (8, EisensteinElement(2, 8, {1: 1, 2: -4, 8: 8}))):
+        for cusp in cusp_reps(level):
+            x = expansion_at_cusp(element, cusp, 7).series
+            assert x.render_text(var="w") == render_per_term(x, "w"), cusp
 
 
 def test_constructor_normal_form():
