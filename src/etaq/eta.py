@@ -137,12 +137,11 @@ class EtaQuotient:
         history is c_0 = 1, so its sums are the b_j themselves, with no
         product: an expansion of fewer than 96 steps takes none.  The
         middle product packs while its digit is at most 256 bits wide and
-        takes a dot product per step past that.  Measured on one head of
-        ~lo/7 steps against 17-bit b (dots ms / packed ms, Python 3.11.7
-        on 2 shared CPUs): 32-bit c
-        gave 3.5x at lo = 150 and 11.5x at lo = 4000, 128-bit c 1.5x to
-        4.0x, 256-bit c (a 290-bit digit) 0.8x to 1.8x, 512-bit c 0.3x
-        to 0.6x.
+        takes a dot product per step past that.  One head of about lo/7
+        steps against 17-bit b_k, dots time over packed time (Python
+        3.11.7, 2 shared CPUs): 32-bit c_i gave 3.5x at lo = 150 and 11.5x
+        at lo = 4000, 128-bit c_i 1.5x to 4.0x, 256-bit c_i (a 290-bit
+        digit) 0.8x to 1.8x, and 512-bit c_i 0.3x to 0.6x.
         """
         if steps < 1:
             raise ValueError("prec must be >= 1")
@@ -157,7 +156,7 @@ class EtaQuotient:
         los = [1, *range(block, steps - block + 1, block)]
         for lo, hi in zip(los, [*los[1:], steps]):
             # the sums over c_0..c_(lo-1) for lo <= j < hi; c = [1] gives b_j
-            head = b[lo:hi] if lo == 1 else middle_product(c[:lo], b[:hi], lo, hi)
+            head = b[lo:hi] if lo == 1 else middle_product(c[:lo], b, lo, hi)
             for j in range(lo, hi):
                 s = head[j - lo] + sum(map(mul, b[1 : j - lo + 1], c[j - 1 : lo - 1 : -1]))
                 c[j], rem = divmod(s, j)

@@ -134,8 +134,9 @@ def recurrence_expansion(f: EtaQuotient, steps: int) -> list[int]:
 
 
 def test_expansion_matches_recurrence_reference_across_blocks():
-    # steps on both sides of every block boundary that 200 and 333 steps
-    # cross (blocks of _BLOCK steps, the last one running to the end)
+    # step counts on both sides of the first two block boundaries (blocks
+    # of _BLOCK steps, the last one running to the end), and two counts
+    # that end in a longer last block
     block = eta_module._BLOCK
     sizes = [1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1,
              3 * block - 1, 3 * block, 200, 333]
