@@ -110,15 +110,10 @@ def _halves(half: int, width: int, n: int) -> int:
 
 def _kronecker(xs: list, ys: list, hi: int, lo: int = 0) -> list:
     """Coefficients lo..hi-1 of xs * ys by one big-int product, for
-    nonempty operands and lo <= hi <= len(xs) + len(ys) - 1.
-
-    Each operand is packed from biased digits v + half, half =
-    2^(8 * width - 1), which are nonnegative, and the packed run of half
-    is subtracted again.  Every coefficient of the product is below half
-    in absolute value, so adding half to each of its low hi digits makes
-    them nonnegative and carry-free: read mod 2^(8 * width * hi), digit
-    k less half is coefficient k.
-    """
+    nonempty operands and lo <= hi <= len(xs) + len(ys) - 1.  Every
+    coefficient is below half = 2^(8 * width - 1) in absolute value, so
+    the product plus half in each of its low hi digits, read mod
+    2^(8 * width * hi), has digit k = coefficient k + half."""
     width = _digit_width(xs, ys)
     half = 1 << (8 * width - 1)
     z = _pack(xs, width, half) * _pack(ys, width, half)
