@@ -153,15 +153,19 @@ class EtaQuotient:
                 b[t * m] += lt * sig[m]
         c = [1] + [0] * (steps - 1)
         block = max(_BLOCK, steps // _BLOCKS)
-        los = [1, *range(block, steps - block + 1, block)]
-        for lo, hi in zip(los, [*los[1:], steps]):
+        lo = 1
+        while lo < steps:
+            hi = lo - lo % block + block
+            if hi > steps - block:
+                hi = steps
             # the sums over c_0..c_(lo-1) for lo <= j < hi; c = [1] gives b_j
             head = b[lo:hi] if lo == 1 else middle_product(c[:lo], b, lo, hi)
-            for j in range(lo, hi):
-                s = head[j - lo] + sum(map(mul, b[1 : j - lo + 1], c[j - 1 : lo - 1 : -1]))
+            for j, h in zip(range(lo, hi), head):
+                s = sum(map(mul, c[lo:j], b[j - lo : 0 : -1]), h)
                 c[j], rem = divmod(s, j)
                 if rem:
                     raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
+            lo = hi
         return QSeries(self.offset(), c)
 
     # -- orders at cusps ----------------------------------------------------
