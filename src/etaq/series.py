@@ -266,26 +266,26 @@ class QSeries:
     # -- rendering -------------------------------------------------------
 
     def render_text(self, var: str = "q") -> str:
-        if self.cyc_order is not None:
-            shown = [
-                (n, f"({c.render()})") for n, c in enumerate(self.coeffs) if c.terms and not c.is_zero()
-            ]
-        elif self.den == 1:
-            shown = [(n, str(c)) for n, c in enumerate(self.coeffs) if c]
-        else:
-            shown = [(n, str(Fraction(c, self.den))) for n, c in enumerate(self.coeffs) if c]
         # every exponent (offset + 24n)/24 has the denominator den =
         # 24/gcd(offset, 24) in lowest terms and the numerator base + den*n,
-        # so the terms come out as _power writes them without a gcd each
+        # so each term is written as _power writes it, with no gcd per term;
+        # exponents 0 and 1 are written without a power
         g = gcd(self.offset, 24)
         den, base = 24 // g, self.offset // g
-        if den > 1:
-            parts = [f"{cs}*{var}^({base + den * n}/{den})" for n, cs in shown]
-        else:
-            parts = [
-                cs if n == -base else f"{cs}*{var}" if n == 1 - base else f"{cs}*{var}^{base + n}"
-                for n, cs in shown
-            ]
+        pre, post = (f"*{var}^(", f"/{den})") if den > 1 else (f"*{var}^", "")
+        short = {} if den > 1 else {-base: "", 1 - base: f"*{var}"}
+        cyc, d = self.cyc_order is not None, self.den
+        parts: list[str] = []
+        for n, c in enumerate(self.coeffs):
+            if cyc:
+                if not c.terms or c.is_zero():
+                    continue
+                cs = f"({c.render()})"
+            elif not c:
+                continue
+            else:
+                cs = str(c) if d == 1 else str(Fraction(c, d))
+            parts.append(cs + short[n] if n in short else f"{cs}{pre}{base + den * n}{post}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O({_power(var, self.offset + 24 * self.prec)})"
 
