@@ -43,6 +43,13 @@ class UsageError(Exception):
 # ask for: an expansion's time grows about quadratically with its length.
 MAX_COUNT = 100_000
 
+# The largest weight accepted, by --weight, by each --weights entry and
+# as the weight of an --element.  An expansion's coefficients grow with
+# the weight: expand --element 'E200(1)' --prec 100000 takes about 4 s
+# and 520 MB, against 1.4 s and 270 MB at weight 100 (README, "Command
+# line").
+MAX_WEIGHT = 200
+
 
 def _count_arg(unit: str):
     """argparse type for a count of units (q-exponents, samples) from 1
@@ -65,9 +72,10 @@ def _count_arg(unit: str):
 _prec_arg = _count_arg("q-exponent")
 
 
-def _int_arg(noun: str, valid, rule: str):
-    """argparse type for one integer that ``valid`` accepts; ``rule``
-    describes the accepted values in the error message."""
+def _int_arg(noun: str, valid, rule: str, maximum: int | None = None):
+    """argparse type for one integer that ``valid`` accepts, at most
+    ``maximum`` if given; ``rule`` describes the accepted values in the
+    error message."""
 
     def parse(text: str) -> int:
         try:
@@ -76,18 +84,22 @@ def _int_arg(noun: str, valid, rule: str):
             raise argparse.ArgumentTypeError(f"expected a {noun}, got {text!r}") from None
         if not valid(value):
             raise argparse.ArgumentTypeError(f"a {noun} must be {rule}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"a {noun} must be at most {maximum}, got {value}")
         return value
 
     return parse
 
 
 _level_arg = _int_arg("level", lambda n: n >= 1, "at least 1")
-_weight_arg = _int_arg("weight", lambda k: k >= 2 and k % 2 == 0, "even and at least 2")
+_weight_arg = _int_arg("weight", lambda k: k >= 2 and k % 2 == 0, "even and at least 2", MAX_WEIGHT)
 
 
-def _list_arg(noun: str, minimum: int, valid=lambda v: True, rule: str = ""):
+def _list_arg(noun: str, minimum: int, valid=lambda v: True, rule: str = "",
+              maximum: int | None = None):
     """argparse type for a nonempty comma-separated list of integers, each
-    at least ``minimum`` and accepted by ``valid`` (described by ``rule``)."""
+    from ``minimum`` to ``maximum`` (if given) and accepted by ``valid``
+    (described by ``rule``)."""
 
     def parse(text: str) -> list[int]:
         try:
@@ -100,6 +112,9 @@ def _list_arg(noun: str, minimum: int, valid=lambda v: True, rule: str = ""):
         if min(values) < minimum:
             raise argparse.ArgumentTypeError(
                 f"every {noun} must be at least {minimum}, got {min(values)}")
+        if maximum is not None and max(values) > maximum:
+            raise argparse.ArgumentTypeError(
+                f"every {noun} must be at most {maximum}, got {max(values)}")
         bad = [v for v in values if not valid(v)]
         if bad:
             raise argparse.ArgumentTypeError(f"every {noun} must be {rule}, got {bad[0]}")
@@ -188,9 +203,7 @@ def cmd_expand(args) -> int:
             "scale": 24,
         }
     elif args.element:
-        from .eisenstein import parse_element
-
-        element = parse_element(args.element, args.level)
+        element = _parse_element(args.element, args.level)
         series = element.expansion(args.prec)
         payload = {
             "input": element.render(),
@@ -238,11 +251,20 @@ def _parse_cusp(text: str, level: int):
         raise UsageError(f"bad cusp {text!r}: {exc}") from exc
 
 
-def cmd_cusp_expand(args) -> int:
-    from .cusps import expansion_at_cusp
+def _parse_element(text: str, level: int | None):
+    """The --element combination, of weight at most MAX_WEIGHT."""
     from .eisenstein import parse_element
 
-    element = parse_element(args.element, args.level)
+    element = parse_element(text, level)
+    if element.k > MAX_WEIGHT:
+        raise UsageError(f"the weight of --element must be at most {MAX_WEIGHT}, got {element.k}")
+    return element
+
+
+def cmd_cusp_expand(args) -> int:
+    from .cusps import expansion_at_cusp
+
+    element = _parse_element(args.element, args.level)
     cusp = _parse_cusp(args.cusp, args.level)
     series = expansion_at_cusp(element, cusp, args.prec).series
     payload = {
@@ -479,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default=DEFAULT_LEVELS, type=_list_arg(
         "level", 1, lambda n: prime_power(n) is not None, "a prime power"))
     p.add_argument("--weights", default=DEFAULT_WEIGHTS, type=_list_arg(
-        "weight", 2, lambda k: k % 2 == 0, "even"))
+        "weight", 2, lambda k: k % 2 == 0, "even", MAX_WEIGHT))
     common(p)
     p.set_defaults(func=cmd_verify)
 

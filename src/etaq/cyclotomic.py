@@ -1,47 +1,40 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_L).
+"""Exact cyclotomic numbers: the steps of a cusp series in Q(zeta_L).
 
 An element is stored on the non-reduced group-ring basis
 {zeta_L^j : 0 <= j < L}, i.e. as a polynomial in zeta_L taken modulo
 x^L - 1, written as sparse integer numerators over one positive common
 denominator: (1/den) * sum_j n_j zeta_L^j with only the nonzero n_j
-kept.  Sums and products therefore run on Python ints.
-The representation is not unique, but zero is decidable: the element
-vanishes iff the numerator polynomial is divisible by the L-th
+kept.  The representation is not unique, but zero is decidable: the
+element vanishes iff the numerator polynomial is divisible by the L-th
 cyclotomic polynomial Phi_L.  Phi_L is monic with integer coefficients,
 so that division is done exactly in Z.  This is the entire mechanism by
 which vanishing of cusp-expansion coefficients is certified; no
 coefficient ever leaves exact arithmetic.
 
-The layer has one algebra: the sparse product ``kernels._mul_into`` on
-integer monomials (s, j, n) = n * q^s * zeta_L^j, which CycNumber
-products (all at s = 0) and the cusp series products in ``etaq.series``
-share, and the one reduction mod Phi_L.  Only the cusp code
-(``etaq.cusps``) imports this module; rational series, eta quotients,
-Eisenstein matching and the searches never load it.  Results of
-CycNumber arithmetic are reduced by ``CycNumber._normal``; the steps
-of a cusp series are not: ``CycNumber._steps`` keeps the one
-denominator they were summed over, since every reader (``coeffs``,
-``reduced``, ``render``, ``rational_value``) divides through
-``Fraction`` anyway and the zero test ignores it.  Phi_L itself is
-built from the Moebius product over 1 - x^d by in-place integer
-updates, and an inverse is the product of the element's other Galois
-conjugates over its norm, a rational number.
+Only the cusp code (``etaq.cusps``) imports this module, and only it
+builds a ``CycNumber``: each step of a cusp series, through
+``CycNumber._steps``, which keeps the one denominator the step was
+summed over, since every reader (``coeffs``, ``reduced``, ``render``)
+divides through ``Fraction`` anyway and the zero test ignores it.  A
+``CycNumber`` is read, not computed with: it has no public constructor,
+sum or difference.  It keeps an exact ``==``, a product of two numbers
+of one order (one ``kernels._mul_into`` call, the sparse product that
+the cusp series in ``etaq.series`` share) and an inverse, the product
+of the element's other Galois conjugates over its norm, a rational
+number.  Phi_L itself is built from the Moebius product over 1 - x^d by
+in-place integer updates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from collections.abc import Iterable, Mapping
-from math import gcd, lcm
-from typing import Union
+from math import gcd
 
 from .arith import divisors, factorize, totient
 from .kernels import _mul_into
 
 __all__ = ["CycNumber", "cyclotomic_polynomial"]
-
-Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
@@ -85,28 +78,10 @@ class CycNumber:
 
     ``terms`` maps exponents 0 <= j < order to nonzero integer
     numerators and ``den`` is positive; they need not be coprime.  Both
-    are read-only.
+    are read-only, and only the cusp code builds the number.
     """
 
     __slots__ = ("order", "terms", "den")
-
-    def __init__(self, order: int, coeffs: Union[Mapping[int, Scalar], Iterable[Scalar]]):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
-        acc: dict[int, Scalar] = {}
-        for j, c in items:
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
-            if c:
-                j %= order
-                acc[j] = acc.get(j, 0) + c
-        den = lcm(*(c.denominator for c in acc.values()))
-        # den is the lcm of denominators in lowest terms, so the
-        # numerators below already share no factor with it
-        self.order = order
-        self.terms = {j: c.numerator * (den // c.denominator) for j, c in acc.items() if c}
-        self.den = den
 
     @classmethod
     def _normal(cls, order: int, terms: dict[int, int], den: int) -> "CycNumber":
@@ -150,19 +125,6 @@ class CycNumber:
             raise ValueError("order must be >= 1")
         return cls._normal(order, {}, 1)
 
-    @classmethod
-    def from_rational(cls, value: Scalar, order: int = 1) -> "CycNumber":
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        return cls._normal(order, {0: value.numerator}, value.denominator)
-
-    @classmethod
-    def root_of_unity(cls, order: int, exponent: int = 1) -> "CycNumber":
-        """zeta_order^exponent."""
-        return cls(order, {exponent % order: 1})
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Dense coordinates c_0 .. c_(order-1) on the basis zeta_order^j."""
@@ -170,80 +132,6 @@ class CycNumber:
         for j, n in self.terms.items():
             vec[j] = Fraction(n, self.den)
         return tuple(vec)
-
-    def lift(self, new_order: int) -> "CycNumber":
-        """Rewrite in Q(zeta_new_order); new_order must be a multiple."""
-        if new_order == self.order:
-            return self
-        if new_order % self.order:
-            raise ValueError(f"cannot lift order {self.order} to {new_order}")
-        step = new_order // self.order
-        return CycNumber._normal(new_order, {j * step: n for j, n in self.terms.items()}, self.den)
-
-    @staticmethod
-    def _coerce(x: "CycNumber | Scalar", order: int) -> "CycNumber":
-        if isinstance(x, CycNumber):
-            return x
-        return CycNumber.from_rational(x, order)
-
-    def _common(self, other: "CycNumber | Scalar") -> tuple["CycNumber", "CycNumber"]:
-        o = self._coerce(other, 1)
-        if o.order == self.order:
-            return self, o
-        L = lcm(self.order, o.order)
-        return self.lift(L), o.lift(L)
-
-    def __add__(self, other):
-        if not isinstance(other, (CycNumber, int, Fraction)):
-            return NotImplemented
-        a, b = self._common(other)
-        if not a.terms:
-            return b
-        if not b.terms:
-            return a
-        da, db = a.den, b.den
-        if da == db:
-            out = dict(a.terms)
-            for j, n in b.terms.items():
-                out[j] = out.get(j, 0) + n
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            out = {j: n * fa for j, n in a.terms.items()}
-            for j, n in b.terms.items():
-                out[j] = out.get(j, 0) + n * fb
-            da *= fa
-        return CycNumber._normal(a.order, out, da)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycNumber._normal(self.order, {j: -n for j, n in self.terms.items()}, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, (CycNumber, int, Fraction)):
-            return NotImplemented
-        return self + (-self._coerce(other, 1))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num, den = other.numerator, other.denominator
-            return CycNumber._normal(
-                self.order, {j: n * num for j, n in self.terms.items()}, self.den * den
-            )
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        a, b = self._common(other)
-        xs = [(0, j, n) for j, n in a.terms.items()]
-        ys = [(0, j, n) for j, n in b.terms.items()]
-        out: list[dict[int, int]] = [{}]
-        _mul_into(out, xs, ys, a.order)
-        return CycNumber._normal(a.order, out[0], a.den * b.den)
-
-    __rmul__ = __mul__
 
     def _reduced_numerators(self) -> list[int]:
         """den * (remainder mod Phi_order), degree < deg Phi, in Z.
@@ -284,16 +172,28 @@ class CycNumber:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (CycNumber, int, Fraction)):
-            return (self - other).is_zero()
+        """Exact: reduced numerators, each side times the other's den."""
+        if isinstance(other, CycNumber):
+            if other.order != self.order:
+                raise TypeError(f"== needs one order, got {self.order} and {other.order}")
+            a, b = self._reduced_numerators(), other._reduced_numerators()
+            return all(x * other.den == y * self.den for x, y in zip(a, b))
+        if isinstance(other, (int, Fraction)):
+            head, *rest = self._reduced_numerators()
+            return not any(rest) and head * other.denominator == other.numerator * self.den
         return NotImplemented
 
-    def rational_value(self) -> Fraction | None:
-        """The element as a Fraction if it is rational, else None."""
-        red = self._reduced_numerators()
-        if any(red[1:]):
-            return None
-        return Fraction(red[0], self.den)
+    def __mul__(self, other):
+        if not isinstance(other, CycNumber):
+            return NotImplemented
+        L = self.order
+        if other.order != L:
+            raise TypeError(f"a product needs one order, got {L} and {other.order}")
+        xs = [(0, j, n) for j, n in self.terms.items()]
+        ys = [(0, j, n) for j, n in other.terms.items()]
+        out: list[dict[int, int]] = [{}]
+        _mul_into(out, xs, ys, L)
+        return CycNumber._normal(L, out[0], self.den * other.den)
 
     def inverse(self) -> "CycNumber":
         """Multiplicative inverse through the Galois norm, reduced mod Phi_order.
@@ -305,17 +205,18 @@ class CycNumber:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        L = self.order
-        cand = CycNumber.from_rational(1, L)
+        L, normal = self.order, CycNumber._normal
+        cand = normal(L, {0: 1}, 1)
         for a in range(2, L):
             if gcd(a, L) == 1:
-                conj = CycNumber._normal(L, {a * j % L: n for j, n in self.terms.items()}, self.den)
-                cand = cand * conj
-                red = cand._reduced_numerators()
-                cand = CycNumber._normal(L, {j: n for j, n in enumerate(red) if n}, cand.den)
-        norm = (self * cand).rational_value()
-        cand = cand * (1 / norm)
-        if not (cand * self - 1).is_zero():
+                cand = cand * normal(L, {a * j % L: n for j, n in self.terms.items()}, self.den)
+                cand = normal(L, dict(enumerate(cand._reduced_numerators())), cand.den)
+        # x * P = N(x) is rational: only its first reduced numerator is nonzero
+        norm = self * cand
+        r = Fraction(norm.den, norm._reduced_numerators()[0])  # 1 / N(x)
+        num, den = r.numerator, r.denominator
+        cand = normal(L, {j: n * num for j, n in cand.terms.items()}, cand.den * den)
+        if not cand * self == 1:
             raise AssertionError("cyclotomic inversion failed")
         return cand
 

@@ -16,10 +16,11 @@ the first two of which share one packing routine:
 * ``pow_trunc``, binary powering through ``conv_trunc``;
 * ``_mul_into``, the sparse product of integer monomials
   (s, j, n) = n * q^s * zeta_L^j accumulated into steps of
-  Z[x]/(x^L - 1).  ``CycNumber`` products (one step, all monomials at
-  s = 0) and cusp series products (``etaq.series``) both go through it.
-  It never reduces mod Phi_L, so it lives here and not in
-  ``etaq.cyclotomic``, which only the cusp code loads.
+  Z[x]/(x^L - 1).  Cusp series products (``etaq.series``) go through
+  it, and so does ``CycNumber.__mul__`` (one step, all monomials at
+  s = 0), which the cusp code never calls.  It never reduces mod Phi_L,
+  so it lives here and not in ``etaq.cyclotomic``, which only the cusp
+  code loads.
 
 The packing (``_kronecker``) writes each operand as one big integer
 with fixed-width digits, each digit biased by half the digit base so

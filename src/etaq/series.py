@@ -37,7 +37,9 @@ powers e >= 0 (x ** 0 is the one of x's order), valuation,
 ``leading``, ``coeff`` and rendering; negation, sums, scalar multiples,
 D and inversion raise TypeError, as does a product with a rational
 series or a cusp series of another order.  Every step is built by num,
-so this module never imports ``etaq.cyclotomic``.
+so this module never imports ``etaq.cyclotomic``, and is only read: its
+``terms`` to skip empty steps, ``is_zero`` and ``render``; all step
+arithmetic happens on the numerators.
 
 Precision propagation is pessimistic: a binary operation knows a
 coefficient only if both inputs determine it, so results never fabricate

@@ -3,8 +3,11 @@ layer stored integer numerators over one denominator.
 
 The module body below is the former ``etaq.series`` verbatim, apart
 from absolute imports: one ``Fraction`` per slot on a lattice of step
-1/scale, Newton inversion, and the pentagonal ``eta_series``.  The
-tests compare the current ``etaq.series.QSeries`` with it.
+1/scale, Newton inversion, and the pentagonal ``eta_series``.  Its
+cyclotomic coefficients are ``cyc_reference`` numbers, which carry the
+former ``CycNumber`` arithmetic; ``_as_coeff`` turns etaq's read-only
+``CycNumber`` into one.  The tests compare the current
+``etaq.series.QSeries`` with it.
 
 Original module docstring:
 
@@ -30,7 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from etaq.cyclotomic import CycNumber
+from cyc_reference import CycNumber, reference
+from etaq import cyclotomic
 from etaq.kernels import conv_trunc
 
 __all__ = ["QSeries", "SeriesDomainError", "eta_series"]
@@ -59,6 +63,8 @@ def _as_coeff(v: Scalar) -> Coeff:
         return Fraction(v)
     if isinstance(v, CycNumber):
         return v
+    if isinstance(v, cyclotomic.CycNumber):
+        return reference(v)
     raise TypeError(f"unsupported coefficient type {type(v).__name__}")
 
 
@@ -431,7 +437,7 @@ def assert_matches_reference(new, old: QSeries, var: str = "q") -> None:
     assert old.prec * step == new.offset + 24 * new.prec, "precision"
     for e in range(min(old.offset * step, new.offset), old.prec * step):
         n, r = divmod(e - new.offset, 24)
-        got = new.coeff(n) if r == 0 else 0
+        got = _as_coeff(new.coeff(n)) if r == 0 else 0
         want = old.coeff(e // step) if e % step == 0 else 0
         assert got == want, f"coefficient of q^({e}/24)"
     v_new, v_old = new.valuation(), old.valuation()

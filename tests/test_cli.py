@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import etaq
 import etaq.cli
-from etaq.cli import EXIT_CLOSED_PIPE, MAX_COUNT, _json, build_parser, main
+from etaq.cli import EXIT_CLOSED_PIPE, MAX_COUNT, MAX_WEIGHT, _json, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +68,32 @@ def test_counts_are_bounded(capsys):
     code, out, err = run_cli(capsys, *maingen, over)
     assert code == 2 and out == ""
     assert f"argument --samples: must be at most {limit} samples, got {over}" in err
+
+
+def test_weights_are_bounded(capsys):
+    # the limit itself parses (and runs, for an element to 2 exponents);
+    # the next even weight is a usage error in weights, in every place a
+    # weight is given; parse_element itself takes any weight
+    from etaq.eisenstein import parse_element
+
+    limit, over = str(MAX_WEIGHT), str(MAX_WEIGHT + 2)
+    search = ["search", "--level", "2", "--weight"]
+    assert build_parser().parse_args([*search, limit]).weight == MAX_WEIGHT
+    code, out, err = run_cli(capsys, *search, over)
+    assert code == 2 and out == ""
+    assert f"argument --weight: a weight must be at most {limit}, got {over}" in err
+    maingen = ["verify", "--suite", "maingen", "--weights"]
+    assert build_parser().parse_args([*maingen, f"2,{limit}"]).weights == [2, MAX_WEIGHT]
+    code, out, err = run_cli(capsys, *maingen, f"2,{over}")
+    assert code == 2 and out == ""
+    assert f"argument --weights: every weight must be at most {limit}, got {over}" in err
+    for sub in (["expand"], ["cusp-expand", "--level", "1", "--cusp", "1/1"]):
+        code, out, err = run_cli(capsys, *sub, "--element", f"E{over}(1)", "--prec", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: the weight of --element must be at most {limit}, got {over}\n"
+        code, out, err = run_cli(capsys, *sub, "--element", f"E{limit}(1)", "--prec", "2")
+        assert code == 0 and out and err == ""
+    assert parse_element(f"E{over}(1)").k == MAX_WEIGHT + 2
 
 
 def test_expand_element(capsys):

@@ -1,6 +1,9 @@
 """Cyclotomic numbers: the exact zero test is the load-bearing piece, so
 it is cross-checked against float evaluation and against known
-cyclotomic polynomial values."""
+cyclotomic polynomial values.  Inputs are built with the former
+arithmetic, kept in ``cyc_reference``; etaq's read-only ``CycNumber``
+keeps only a product, an inverse and ``==`` of its own, each checked
+against that reference below."""
 
 import cmath
 import random
@@ -11,8 +14,10 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyc_reference import CycNumber, library, reference
+from etaq import cyclotomic
 from etaq.arith import factorize, totient
-from etaq.cyclotomic import CycNumber, cyclotomic_polynomial
+from etaq.cyclotomic import cyclotomic_polynomial
 from etaq.kernels import _mul_into
 
 
@@ -127,17 +132,18 @@ def test_inverse():
         x = CycNumber(order, {j: rng.randint(-3, 3) for j in range(order)})
         if x.is_zero():
             continue
-        inv = x.inverse()
-        assert (x * inv - 1).is_zero()
+        inv = library(x).inverse()
+        assert (x * reference(inv) - 1).is_zero()
     with pytest.raises(ZeroDivisionError):
-        CycNumber(4, [1, 1, 1, 1]).inverse()
+        library(CycNumber(4, [1, 1, 1, 1])).inverse()
 
 
 @pytest.mark.parametrize("order", [49, 125])
 @pytest.mark.parametrize("kind", ["sparse", "dense"])
 def test_inverse_at_large_orders(order, kind):
     """A 3-term element with large rational numerators and a dense one:
-    the inverse is exact and comes back reduced, of degree < phi(L)."""
+    the inverse is exact, comes back reduced, of degree < phi(L), and
+    equals the reference's."""
     rng = random.Random(f"{order}:{kind}")
     if kind == "sparse":
         coeffs = {
@@ -148,9 +154,11 @@ def test_inverse_at_large_orders(order, kind):
         coeffs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(order)]
     x = CycNumber(order, coeffs)
     assert not x.is_zero()
-    inv = x.inverse()
-    assert x * inv == 1
+    inv = library(x).inverse()
+    assert x * reference(inv) == 1
     assert inv.terms and all(j < totient(order) for j in inv.terms)
+    want = x.inverse()
+    assert (inv.terms, inv.den) == (want.terms, want.den)
 
 
 def test_rational_value_and_render():
@@ -487,3 +495,87 @@ def test_matches_dense_reference(data):
         _assert_same(inv, Inv)
         assert all(j < totient(oa) for j in inv.terms)
         assert (A * Inv - 1).is_zero()
+
+
+# -- etaq's product, inverse and == against the reference --------------------
+
+
+def _vanishing(order: int, k: int, c: int) -> dict[int, int]:
+    """c * zeta^k * (1 + zeta^(order/p) + ...), p the least prime of order:
+    zero, on a nontrivial representative (empty at order 1)."""
+    if order == 1:
+        return {}
+    p = min(factorize(order))
+    return {(k + u * order // p) % order: c for u in range(p)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_inverse_and_eq_match_reference(data):
+    order = data.draw(st.sampled_from(ORDERS))
+    a, b = (CycNumber(order, data.draw(coefficient_data(order))) for _ in range(2))
+    x, y = library(a), library(b)
+    k, c = data.draw(st.integers(0, order - 1)), data.draw(st.integers(-9, 9))
+    a2 = library(a + CycNumber(order, _vanishing(order, k, c)))  # a, stored otherwise
+    # a again, as a cusp step: numerators and den times m, no gcd divided out
+    m = data.draw(st.integers(2, 30))
+    [a3] = cyclotomic.CycNumber._steps(order, [{j: n * m for j, n in a.terms.items()}], a.den * m)
+    s = data.draw(st.sampled_from([0, 1, -3, Fraction(5, 7)]))
+
+    xy = x * y
+    assert type(xy) is cyclotomic.CycNumber
+    assert (xy.order, xy.reduced()) == (order, (a * b).reduced())
+    assert (x == y) == (a == b) and (x == a2) and (a2 == x) and (x == a3) and (a3 == x)
+    assert (x == s) == (a == s) == (a3 == s)
+    assert (a3 == y) == (a == b) and xy == a3 * y
+    rational = a.rational_value()
+    if rational is not None:
+        assert x == rational == a3 and x == library(CycNumber.from_rational(rational, order))
+    assert bool(x) == bool(a) == (not a.is_zero())
+    if a.is_zero():
+        for z in (x, a2):
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+    elif totient(order) <= 20:
+        # orders 49 and 125 are pinned in test_inverse_at_large_orders
+        inv, want = x.inverse(), a.inverse()
+        assert type(inv) is cyclotomic.CycNumber
+        assert (inv.order, inv.reduced()) == (order, want.reduced())
+        assert a2.inverse().reduced() == want.reduced()
+
+    other = data.draw(st.sampled_from([o for o in ORDERS if o != order]))
+    z = library(CycNumber(other, data.draw(coefficient_data(other))))
+    refused = (lambda: x * z, lambda: z * x, lambda: x == z, lambda: z == x, lambda: x * 2, lambda: 2 * x)
+    for op in refused:
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_product_and_eq_refusals():
+    # one order only, and no scalar products; a hidden zero has no inverse
+    one3, one6 = library(CycNumber(3, [1])), library(CycNumber(6, [1]))
+    with pytest.raises(TypeError, match="a product needs one order, got 3 and 6"):
+        _ = one3 * one6
+    with pytest.raises(TypeError, match="== needs one order, got 6 and 3"):
+        _ = one6 == one3
+    assert one3 == 1 and one3 == Fraction(1) and one3 != Fraction(1, 3) and one3 != "1"
+    hidden_zero = library(CycNumber(4, [1, 1, 1, 1]))  # 1 + z4 + z4^2 + z4^3
+    assert hidden_zero.terms and hidden_zero == 0 and not hidden_zero
+    with pytest.raises(ZeroDivisionError):
+        hidden_zero.inverse()
+
+
+def test_cycnumber_interface_is_pinned():
+    # CycNumber is read-only: what the cusp code reads, and no arithmetic
+    # beyond an exact == and bool().  perfbench/tracer.py wraps three of
+    # these by name, __mul__, is_zero and inverse, so __mul__ and inverse
+    # stay, unused by the library, until ROADMAP items 1 and 3 delete them.
+    kept = {
+        "order", "terms", "den", "_normal", "_steps", "zero", "coeffs",
+        "_reduced_numerators", "reduced", "is_zero", "render", "__repr__",
+        "__bool__", "__eq__", "__mul__", "inverse",
+    }
+    bookkeeping = {"__module__", "__qualname__", "__doc__", "__slots__", "__hash__",
+                   "__firstlineno__", "__static_attributes__"}
+    assert set(vars(cyclotomic.CycNumber)) - bookkeeping == kept
+    assert cyclotomic.CycNumber.__hash__ is None

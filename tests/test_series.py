@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from etaq.arith import bernoulli, divisors, sigma_range
 from etaq.cusps import Cusp, cusp_reps, expansion_at_cusp
-from etaq.cyclotomic import CycNumber
 from etaq.eisenstein import EisensteinElement, eisenstein_series
 from etaq.eta import EtaQuotient
 from etaq.kernels import _mul_into
 from etaq.series import QSeries, SeriesDomainError, _power
+from cyc_reference import CycNumber, reference
 from qseries_reference import QSeries as OldQSeries, assert_matches_reference, to_reference
 
 
@@ -79,9 +79,10 @@ def series(offset: int, values) -> QSeries:
 
 
 def cusp_series(steps) -> QSeries:
-    """The cusp series with these CycNumber steps of one order, built
-    through QSeries._cyclotomic from their numerators over one common
-    denominator; each normalised step comes back as it went in."""
+    """The cusp series with these steps of one order, built through
+    QSeries._cyclotomic from their numerators over one common
+    denominator; each normalised step comes back as it went in, as a
+    reference number."""
     [order] = {c.order for c in steps}
     den = lcm(*(c.den for c in steps))
     accs = [{j: n * (den // c.den) for j, n in c.terms.items()} for c in steps]
@@ -578,8 +579,8 @@ def test_cusp_series_chains_match_reference(seed):
 
 
 def schoolbook_cyc_product(x: QSeries, y: QSeries) -> QSeries:
-    """The former cyclotomic branch of QSeries.__mul__: one CycNumber
-    product and one CycNumber sum, each normalised, per pair of terms."""
+    """The former cyclotomic branch of QSeries.__mul__: one reference
+    CycNumber product and one sum, each normalised, per pair of terms."""
     assert x.cyc_order == y.cyc_order is not None
     n = min(x.prec + y._lead(), y.prec + x._lead())
     out = [CycNumber.zero(x.cyc_order)] * n
@@ -588,7 +589,7 @@ def schoolbook_cyc_product(x: QSeries, y: QSeries) -> QSeries:
             for j in range(min(y.prec, n - i)):
                 yc = y.coeffs[j]
                 if yc.terms:
-                    out[i + j] = out[i + j] + xc * yc
+                    out[i + j] = out[i + j] + reference(xc) * reference(yc)
     return cusp_series(out)
 
 
