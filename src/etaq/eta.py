@@ -23,7 +23,7 @@ from operator import index, mul
 from typing import NamedTuple
 
 from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
-from .kernels import middle_product
+from .kernels import conv_trunc
 from .series import QSeries
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
@@ -132,16 +132,16 @@ class EtaQuotient:
         at the multiples of max(48, steps // 8) that leave a whole block
         after them, so the last block runs to the end.  In a block, the
         sums over the known c_0..c_(lo-1) are the coefficients lo..hi-1 of
-        c[:lo] * b, one ``kernels.middle_product`` call, and only the
-        triangle c_lo..c_(j-1) is summed step by step.  The first block's
-        history is c_0 = 1, so its sums are the b_j themselves, with no
-        product: an expansion of fewer than 96 steps takes none.  The
-        middle product packs while its digit is at most 256 bits wide and
-        takes a dot product per step past that.  One head of about lo/7
-        steps against 17-bit b_k, dots time over packed time (Python
-        3.11.7, 2 shared CPUs): 32-bit c_i gave 3.5x at lo = 150 and 11.5x
-        at lo = 4000, 128-bit c_i 1.5x to 4.0x, 256-bit c_i (a 290-bit
-        digit) 0.8x to 1.8x, and 512-bit c_i 0.3x to 0.6x.
+        c[:lo] * b, one ``kernels.conv_trunc(c[:lo], b, hi, lo=lo)`` call,
+        and only the triangle c_lo..c_(j-1) is summed step by step.  The
+        first block's history is c_0 = 1, so its sums are the b_j
+        themselves, with no product: an expansion of fewer than 96 steps
+        takes none.  The kernel packs while its digit is at most 256 bits
+        wide and takes a dot product per step past that.  One head of
+        about lo/7 steps against 17-bit b_k, dots time over packed time
+        (Python 3.11.7, 2 shared CPUs): 32-bit c_i gave 3.5x at lo = 150
+        and 11.5x at lo = 4000, 128-bit c_i 1.5x to 4.0x, 256-bit c_i (a
+        290-bit digit) 0.8x to 1.8x, and 512-bit c_i 0.3x to 0.6x.
         """
         if steps < 1:
             raise ValueError("prec must be >= 1")
@@ -158,8 +158,9 @@ class EtaQuotient:
             hi = lo - lo % block + block
             if hi > steps - block:
                 hi = steps
-            # the sums over c_0..c_(lo-1) for lo <= j < hi; c = [1] gives b_j
-            head = b[lo:hi] if lo == 1 else middle_product(c[:lo], b, lo, hi)
+            # the sums over c_0..c_(lo-1) for lo <= j < hi; c = [1] gives b_j.
+            # lo goes by keyword: perfbench's tracer reads (xs, ys, hi) positionally
+            head = b[lo:hi] if lo == 1 else conv_trunc(c[:lo], b, hi, lo=lo)
             for j, h in zip(range(lo, hi), head):
                 s = sum(map(mul, c[lo:j], b[j - lo : 0 : -1]), h)
                 c[j], rem = divmod(s, j)

@@ -1,18 +1,14 @@
 """Multiplication kernels on Python ints.
 
-These are the inner loops of every product etaq takes.  Four kernels,
-the first two of which share one packing routine:
+These are the inner loops of every product etaq takes.  Three kernels:
 
-* ``conv_trunc``, the truncated product of two dense integer
-  coefficient lists (rational series).  It has two regimes: schoolbook
-  convolution, skipping zero coefficients, for small or sparse inputs;
-  and Kronecker substitution (``_kronecker``) for large dense inputs;
-* ``middle_product``, the coefficients lo..hi-1 of a product, which
-  ``EtaQuotient.expansion`` takes as the history sums of each block of
-  its recurrence.  It packs while the packed digit is at most
-  _PACKED_DIGIT_BITS = 256 bits wide.  Past that, CPython's big-int
-  product (Karatsuba, never FFT) loses to one C-level dot product
-  (``sum(map(mul, ...))``) per coefficient, which it takes instead;
+* ``conv_trunc(xs, ys, hi, lo=0)``, the coefficients lo..hi-1 of the
+  product of two dense integer coefficient lists: the truncated product
+  of two rational series (lo = 0) and the history sums of each block of
+  ``EtaQuotient.expansion`` (lo > 0).  It takes them from one packed
+  big-int product (``_kronecker``), or, when lo > 0 and the packed digit
+  is wider than _PACKED_DIGIT_BITS = 256 bits, from one C-level dot
+  product (``sum(map(mul, ...))``) per coefficient (``_dots``);
 * ``pow_trunc``, binary powering through ``conv_trunc``;
 * ``_mul_into``, the sparse product of integer monomials
   (s, j, n) = n * q^s * zeta_L^j accumulated into steps of
@@ -28,7 +24,19 @@ that every signed coefficient packs as a nonnegative digit; the packed
 run of biases is subtracted again.  One big-int multiplication forms
 the product.  Adding the bias to each of its low digits makes them
 nonnegative and carry-free, and the digits lo..hi-1, less the bias, are
-read back; conv_trunc reads from lo = 0.
+read back.
+
+CPython multiplies big ints by Karatsuba only, never FFT.  A window
+with lo > 0 still pays for the whole packed product, the discarded low
+digits included, while its dot products cover only the window; past
+256-bit digits that is the cheaper side.  At lo = 0 the window is the
+whole lower triangle, and packing won at every width measured (Python
+3.11.7, 2 shared CPUs, best of 20, packed against dots): 10^40-sized
+entries (a 280-bit digit), 300 x 240 read through 400, 2.0 against
+9.1 ms; 1000-bit entries, 60 x 60, 3.4 against 4.7 ms; 2048-bit,
+50 x 60, 9.5 against 16.0 ms.  So dots apply only when lo > 0.  No
+caller multiplies sparse operands, so there is no sparse regime: a
+sparse product pays for the whole packed product.
 
 Coefficients must be Python ints.  ``BACKEND`` (exported as
 ``etaq.KERNEL_BACKEND``, and written into benchmark result files) names
@@ -40,15 +48,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-__all__ = ["BACKEND", "conv_trunc", "middle_product", "pow_trunc"]
+__all__ = ["BACKEND", "conv_trunc", "pow_trunc"]
 
-# Crossover between schoolbook and Kronecker, in units of object
-# multiplications actually performed; tests/test_kernels.py pins its boundary.
-_SCHOOLBOOK_WORK_LIMIT = 6000
-
-# Widest packed digit, in bits, for which middle_product packs: CPython
-# multiplies big ints by Karatsuba only, and past this width the
-# C-level dot products win; tests/test_kernels.py pins its boundary.
+# Widest packed digit, in bits, for which conv_trunc packs a window with
+# lo > 0: CPython multiplies big ints by Karatsuba only, and past this
+# width the C-level dot products win; tests/test_kernels.py pins it.
 _PACKED_DIGIT_BITS = 256
 
 BACKEND = "python"
@@ -56,36 +60,21 @@ BACKEND = "python"
 Monomial = tuple[int, int, int]  # (s, j, n): n * q^s * zeta^j, see _mul_into
 
 
-def conv_trunc(xs: list, ys: list, nout: int) -> list:
-    """First ``nout`` coefficients of the product of two coefficient lists."""
-    if nout <= 0:
+def conv_trunc(xs: list, ys: list, hi: int, lo: int = 0) -> list:
+    """Coefficients lo..hi-1 of xs * ys, fewer if hi passes the product's
+    last coefficient: one packed product (``_kronecker``), or a dot
+    product per coefficient when lo > 0 and the packed digit is wider
+    than _PACKED_DIGIT_BITS."""
+    if hi <= lo:
         return []
-    xs = xs[:nout]
-    ys = ys[:nout]
-    if not xs or not ys:
+    xs = xs[:hi]
+    ys = ys[:hi]
+    hi = min(hi, len(xs) + len(ys) - 1)
+    if lo >= hi or not xs or not ys:
         return []
-    nnz_x = sum(1 for v in xs if v)
-    nnz_y = sum(1 for v in ys if v)
-    n = min(nout, len(xs) + len(ys) - 1)
-    if nnz_x == 0 or nnz_y == 0:
-        return [0] * n
-    if min(nnz_x * len(ys), nnz_y * len(xs)) <= _SCHOOLBOOK_WORK_LIMIT:
-        if nnz_y * len(xs) < nnz_x * len(ys):
-            xs, ys = ys, xs
-        return _schoolbook(xs, ys, n)
-    return _kronecker(xs, ys, n)
-
-
-def _schoolbook(xs: list, ys: list, n: int) -> list:
-    out = [0] * n
-    for i, xi in enumerate(xs):
-        if xi:
-            jmax = min(len(ys), n - i)
-            for j in range(jmax):
-                yj = ys[j]
-                if yj:
-                    out[i + j] += xi * yj
-    return out
+    if lo and 8 * _digit_width(xs, ys) > _PACKED_DIGIT_BITS:
+        return _dots(xs, ys, lo, hi)
+    return _kronecker(xs, ys, hi, lo)
 
 
 def _digit_width(xs: list, ys: list) -> int:
@@ -135,21 +124,6 @@ def _dots(xs: list, ys: list, lo: int, hi: int) -> list:
         i0, i1 = max(0, k - ly + 1), min(lx, k + 1)
         out.append(sum(map(mul, xs[i0:i1], rys[ly - 1 - k + i0 : ly - 1 - k + i1])))
     return out
-
-
-def middle_product(xs: list, ys: list, lo: int, hi: int) -> list:
-    """Coefficients lo..hi-1 of xs * ys, fewer if hi passes the product's
-    last coefficient: one packed product (``_kronecker``) while its digit
-    is at most _PACKED_DIGIT_BITS wide, else a dot product per
-    coefficient."""
-    xs = xs[:hi]
-    ys = ys[:hi]
-    hi = min(hi, len(xs) + len(ys) - 1)
-    if lo >= hi or not xs or not ys:
-        return []
-    if 8 * _digit_width(xs, ys) > _PACKED_DIGIT_BITS:
-        return _dots(xs, ys, lo, hi)
-    return _kronecker(xs, ys, hi, lo)
 
 
 def pow_trunc(xs: list, e: int, nout: int) -> list:

@@ -152,12 +152,12 @@ def test_expansion_matches_recurrence_reference_across_blocks():
 def test_expansion_blocks_are_pinned(monkeypatch):
     # blocks start at 1 and at the multiples of max(48, steps // 8) that
     # leave a whole block after them; the first block reads the b_j
-    # directly, every later one takes its head from one middle product
+    # directly, every later one takes its head from one window of c * b
     assert (eta_module._BLOCK, eta_module._BLOCKS) == (48, 8)
     calls = []
-    real = eta_module.middle_product
+    real = eta_module.conv_trunc
     monkeypatch.setattr(
-        eta_module, "middle_product", lambda xs, ys, lo, hi: calls.append((lo, hi)) or real(xs, ys, lo, hi)
+        eta_module, "conv_trunc", lambda xs, ys, hi, lo=0: calls.append((lo, hi)) or real(xs, ys, hi, lo)
     )
     f = EtaQuotient(1, {1: 24})
     expected = {

@@ -1,7 +1,6 @@
-"""The convolution kernel against a straightforward reference, in both
-the schoolbook and the Kronecker-substitution regime and across the
-switch between them, and the middle product on both sides of its digit
-width switch."""
+"""The product kernel against a straightforward reference: whole
+truncated products and windows lo..hi-1 of a product, on both sides of
+the digit width past which a window with lo > 0 takes dot products."""
 
 import random
 
@@ -41,7 +40,7 @@ def test_conv_random_against_reference():
 
 def test_conv_kronecker_regime():
     # large dense input with mixed-sign big coefficients forces the
-    # packed-bigint path; reference is the schoolbook
+    # packed-bigint path; reference is the double loop
     rng = random.Random(1)
     xs = [rng.randint(-(10**40), 10**40) for _ in range(300)]
     ys = [rng.randint(-(10**40), 10**40) for _ in range(240)]
@@ -59,14 +58,11 @@ def test_kronecker_helper_directly():
         assert kernels._kronecker(xs, ys, n) == conv_reference(xs, ys, n)
 
 
-# -- property test across the schoolbook/Kronecker switch ---------------------
+# -- property test across operand shapes -------------------------------------
 #
-# conv_trunc picks the schoolbook when min(nnz_x*len(ys), nnz_y*len(xs)),
-# taken after truncation to nout, is at most _SCHOOLBOOK_WORK_LIMIT.  The
-# operands below reach past that on both sides: dense lists up to 200
-# long, lists with long zero runs or a handful of nonzeros (few nonzeros
-# keep a long list in the schoolbook), one-signed and mixed-signed
-# entries, and nout below, at and above len(xs) + len(ys) - 1.
+# Dense lists up to 200 long, lists with long zero runs or a handful of
+# nonzeros, one-signed and mixed-signed entries, and nout below, at and
+# above len(xs) + len(ys) - 1.
 
 
 def _operand(rng, length, bits, sign, zeros):
@@ -114,52 +110,13 @@ def test_conv_matches_reference_across_regimes(case):
     assert kernels.conv_trunc(xs, ys, nout) == conv_reference(xs, ys, nout)
 
 
-def _dense(seed, length, sign="mixed"):
-    return _operand(random.Random(seed), length, 64, sign, "dense")
-
-
-def _sparse_long(seed, length, nnz):
-    rng = random.Random(seed)
-    vals = [0] * length
-    for i in rng.sample(range(length), nnz):
-        vals[i] = rng.randint(-(1 << 64), 1 << 64) or 1
-    return vals
-
-
-# The property test hits both regimes by chance; these cases pin each
-# side of the switch and check that conv_trunc takes it.
-# (xs, ys, nout, regime conv_trunc must pick); work = min(nnz_x*ly, nnz_y*lx)
-BOUNDARY_CASES = [
-    (_dense(1, 60), _dense(2, 100), 159, "schoolbook"),  # work 6000
-    (_dense(3, 61), _dense(4, 100), 160, "kronecker"),  # work 6100
-    (_dense(5, 61), _dense(6, 100, "negative"), 160, "kronecker"),
-    (_dense(7, 100, "negative"), _dense(8, 100, "negative"), 150, "kronecker"),
-    (_dense(9, 100), _dense(10, 100), 60, "schoolbook"),  # truncated to 60x60
-    (_sparse_long(11, 500, 11), _dense(12, 500), 700, "schoolbook"),  # work 5500
-    (_sparse_long(13, 500, 13), _dense(14, 500), 999, "kronecker"),  # work 6500
-]
-
-
-@pytest.mark.parametrize("xs, ys, nout, regime", BOUNDARY_CASES, ids=range(len(BOUNDARY_CASES)))
-def test_boundary_cases_straddle_the_switch(monkeypatch, xs, ys, nout, regime):
-    used = []
-    for name in ("schoolbook", "kronecker"):
-        real = getattr(kernels, f"_{name}")
-        monkeypatch.setattr(
-            kernels, f"_{name}", lambda *a, real=real, name=name: used.append(name) or real(*a)
-        )
-    got = kernels.conv_trunc(xs, ys, nout)
-    assert used == [regime]
-    assert got == conv_reference(xs, ys, nout)
-
-
-# -- middle products: one packed product or a dot per coefficient -------------
+# -- windows: one packed product or a dot per coefficient ---------------------
 #
-# middle_product(xs, ys, lo, hi) returns coefficients lo..hi-1 of xs * ys
-# (fewer past the product's end).  It packs while _digit_width is at most
-# _PACKED_DIGIT_BITS // 8 bytes and takes a dot product per coefficient
-# past that; the cases below reach both sides, from 1-bit to 2048-bit
-# entries.
+# conv_trunc(xs, ys, hi, lo) returns coefficients lo..hi-1 of xs * ys
+# (fewer past the product's end).  It packs, except that a window with
+# lo > 0 whose _digit_width is more than _PACKED_DIGIT_BITS // 8 bytes
+# takes a dot product per coefficient; the cases below reach both sides,
+# from 1-bit to 2048-bit entries.
 
 
 @st.composite
@@ -182,7 +139,7 @@ def middle_cases(draw):
 @given(middle_cases())
 def test_middle_product_matches_reference_slices(case):
     xs, ys, lo, hi = case
-    assert kernels.middle_product(xs, ys, lo, hi) == conv_reference(xs, ys, hi)[lo:]
+    assert kernels.conv_trunc(xs, ys, hi, lo) == conv_reference(xs, ys, hi)[lo:]
 
 
 def test_kronecker_reads_any_window():
@@ -202,17 +159,18 @@ def _top(seed, length, bits, sign="mixed"):
     return vals
 
 
-# (xs, ys, lo, hi, regime middle_product must pick); the packed digit has
+# (xs, ys, lo, hi, regime conv_trunc must pick); the packed digit has
 # xs bits + ys bits + min(len(xs), len(ys)).bit_length() + 2 bits, rounded
-# up to whole bytes
+# up to whole bytes, and at lo = 0 every width packs
 WIDTH_CASES = [
     (_top(1, 10, 125), _top(2, 10, 125), 3, 12, "kronecker"),  # 256 bits
     (_top(3, 10, 125), _top(4, 10, 126), 3, 12, "dots"),  # 257 -> 264 bits
     (_top(5, 10, 125, "negative"), _top(6, 12, 125, "negative"), 0, 21, "kronecker"),
-    (_top(7, 10, 126, "negative"), _top(8, 12, 125, "positive"), 0, 21, "dots"),
+    (_top(7, 10, 126, "negative"), _top(8, 12, 125, "positive"), 0, 21, "kronecker"),
     (_top(9, 200, 16), _top(10, 300, 230), 200, 300, "kronecker"),  # 256 bits
     (_top(11, 200, 17), _top(12, 300, 230), 200, 300, "dots"),  # 257 -> 264 bits
     (_top(13, 50, 2048), _top(14, 60, 1), 49, 60, "dots"),
+    (_top(15, 50, 2048), _top(16, 60, 1), 0, 60, "kronecker"),  # 2064 bits
 ]
 
 
@@ -224,9 +182,30 @@ def test_width_cases_straddle_the_switch(monkeypatch, xs, ys, lo, hi, regime):
         monkeypatch.setattr(
             kernels, f"_{name}", lambda *a, real=real, name=name: used.append(name) or real(*a)
         )
-    got = kernels.middle_product(xs, ys, lo, hi)
+    got = kernels.conv_trunc(xs, ys, hi, lo)
     assert used == [regime]
     assert got == conv_reference(xs, ys, hi)[lo:]
+
+
+class _Unsliceable(list):
+    def __getitem__(self, key):
+        raise AssertionError(f"operand read at {key}")
+
+
+def test_empty_windows_read_no_operand():
+    # hi <= lo is empty before any slice: a negative hi must not slice
+    # xs[:hi] from the end
+    xs, ys = _Unsliceable([1, 2, 3]), _Unsliceable([4, 5])
+    for hi, lo in [(0, 0), (-1, 0), (-5, 0), (3, 3), (2, 4)]:
+        assert kernels.conv_trunc(xs, ys, hi, lo) == [], (hi, lo)
+
+
+@pytest.mark.parametrize("lx, ly", [(1, 1), (2, 5), (7, 3), (40, 40)])
+def test_zero_operands_give_zeros(lx, ly):
+    for hi in range(1, lx + ly + 3):
+        n = min(hi, lx + ly - 1)
+        assert kernels.conv_trunc([0] * lx, [0] * ly, hi) == [0] * n
+        assert kernels.conv_trunc([0] * lx, [0] * ly, hi, hi // 2) == [0] * max(0, n - hi // 2)
 
 
 def test_packed_digit_limit_is_pinned():

@@ -9,6 +9,7 @@ import etaq.eisenstein
 import etaq.search
 from etaq.cusps import Cusp, expansion_at_cusp
 from etaq.cyclotomic import CycNumber
+from etaq.eta import EtaQuotient
 from etaq.series import QSeries
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,3 +63,36 @@ def test_tracer_splits_products_by_coefficient_domain(monkeypatch):
     finally:
         tracer.uninstall()
     assert (tracer.calls["series.cyc_mul"], tracer.calls["series.mul"]) == (1, 1)
+
+
+def test_tracer_counts_the_eta_block_heads(monkeypatch):
+    # an expansion's block heads are windows of one product kernel: 200
+    # steps take three heads, each one traced kernels.conv call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        EtaQuotient(1, {1: 24}).expansion(200)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["kernels.conv"] == 3
+
+
+def test_tiny_workloads_pass_their_checks_under_the_tracer(monkeypatch):
+    # the tracer's counters unpack the arguments of what they wrap, so a
+    # signature they no longer fit fails here, not only in a traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        for name in workloads.WORKLOADS:
+            for op in workloads.build(name, 0, "tiny"):
+                assert op.verify(op.extract(op.run())) == [], (name, op.label)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["kernels.conv"] > 0
