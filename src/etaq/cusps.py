@@ -27,12 +27,13 @@ of the cusp, _cusp_map: for each t | N, t'^k and a column of
 (e, j, sigma_{k-1}(n)) for the steps e = n * step_t below prec, with
 omega_t^n = zeta_L^j.  A window lo <= e < hi applies it to the W_t,
 each term writing only into the slice of its column in the window.
-An expansion is the window [0, prec), whose numerators go to
-QSeries._cyclotomic over their one denominator (see etaq.series); an
-order zero-tests the nonempty steps of the doubling windows [0, 1),
-[1, 2), [2, 4), ... and stops at the first nonzero one.
-check_order_bound computes one order per denominator c and reports it
-under every cusp label with that c.
+Each window's numerators go to QSeries._cyclotomic over their one
+denominator (see etaq.series).  An expansion is the window [0, prec);
+an order is the valuation of the series of each doubling window
+[0, 1), [1, 2), [2, 4), ..., taken until one is not None, so the exact
+zero test lives in QSeries.valuation alone.
+check_order_bound computes one order per denominator c, reports it
+under every cusp label with that c, and totals the reported orders.
 
 Two bounded caches hold shapes, never element data or coefficients:
 the maps, keyed on (N, c, d mod L, k, prec), since w_t depends on d
@@ -247,13 +248,13 @@ def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpans
 def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> int:
     """Order of vanishing of f at the cusp in the q_{c,N} variable.
 
-    The nonempty steps of the doubling windows [0, 1), [1, 2), [2, 4),
-    ... below prec are tested exactly from exponent 0 upward, so a low
-    order costs a short window; raises precision-exhausted if none is
-    nonzero below prec (impossible for nonzero elements once prec
+    It is lo plus the valuation of the first doubling window [lo, hi) in
+    [0, 1), [1, 2), [2, 4), ... below prec whose series has one, so a
+    low order costs a short window; raises precision-exhausted if none
+    has one below prec (impossible for nonzero elements once prec
     exceeds the Sturm bound).
     """
-    if f.is_zero():
+    if not f.coeffs:
         raise ValueError("order of the zero element is undefined")
     if prec is None:
         # Valence formula: the orders of a nonzero weight-k form on
@@ -270,10 +271,9 @@ def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> 
     while lo < prec:
         hi = min(2 * lo or 1, prec)
         accs, d = _window(terms, den, f.k, lo, hi)
-        steps = CycNumber._steps(order, accs, d)
-        for e, acc in enumerate(accs):
-            if acc and not steps[e].is_zero():
-                return lo + e
+        v = QSeries._cyclotomic(CycNumber, order, accs, d).valuation()
+        if v is not None:
+            return lo + v
         lo = hi
     raise SeriesDomainError("precision-exhausted", f"no nonzero coefficient below {prec}")
 
@@ -285,16 +285,11 @@ def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> 
 
 def order_sum_bound(level: int) -> int:
     """Strict upper bound for the total cusp order of an element that is
-    new at a prime-power level (nonzero r_1 and r_{p^m}): 1 at level 1,
-    4 at level 4, and the cusp count otherwise."""
-    pp = prime_power(level)
-    if pp is None:
+    new at a prime-power level (nonzero r_1 and r_{p^m}): the cusp count
+    (1 at level 1), except 4 at level 4."""
+    if prime_power(level) is None:
         raise ValueError(f"bound defined for prime-power levels, got {level}")
-    if level == 1:
-        return 1
-    if level == 4:
-        return 4
-    return cusp_count(level)
+    return 4 if level == 4 else cusp_count(level)
 
 
 @dataclass(frozen=True)
@@ -338,16 +333,15 @@ def check_order_bound(f: EisensteinElement) -> OrderBoundReport:
     by_denominator: dict[int, int] = {}
     orders: dict[str, int] = {}
     violations: list[str] = []
-    total = 0
     for cusp in cusp_reps(level):
         v = by_denominator.get(cusp.c)
         if v is None:
             v = by_denominator[cusp.c] = order_at_cusp(f, cusp)
         orders[cusp.label()] = v
-        total += v
         cap = per_cusp_cap(level, cusp.c)
         if v > cap:
             violations.append(f"order {v} at cusp {cusp.label()} exceeds cap {cap}")
+    total = sum(orders.values())
     if total >= bound:
         violations.append(f"total order {total} reaches bound {bound}")
     return OrderBoundReport(f, level, orders, total, bound, tuple(violations))

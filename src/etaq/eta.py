@@ -11,7 +11,8 @@ are reported in the width-normalized local variable (period N/gcd(c^2,N)),
 the normalization under which the orders of a weight-k holomorphic
 quotient of prime-power level p^m, counted with denominator multiplicity,
 sum to (k/12) mu with mu = gamma0_index(p^m) = p^m + p^(m-1).  order_map24
-is the one place those orders are computed.
+is the one place those orders are computed, and the two mod-24
+modularity congruences read its entries at the cusps N and 1.
 """
 
 from __future__ import annotations
@@ -190,19 +191,18 @@ class EtaQuotient:
 
     # -- modularity ----------------------------------------------------------
 
-    def _conditions(self) -> tuple[tuple[str, bool], ...]:
-        """The criteria besides holomorphy at the cusps, in integers."""
-        n = self.level
-        su = sum(t * r for t, r in self.exponents.items())
-        sv = sum((n // t) * r for t, r in self.exponents.items())
+    def _conditions(self, orders: dict[int, int]) -> tuple[tuple[str, bool], ...]:
+        """The criteria besides holomorphy at the cusps, in integers, from
+        order_map24: its entries at N and 1 are sum t*r_t and
+        sum (N/t)*r_t, as cusp_step(N, N, t) = t and cusp_step(N, 1, t) = N/t."""
         w2 = sum(self.exponents.values())
         # prod_t t^(r_t) is a rational square exactly when prod_t t^|r_t|
         # is an integer square, i.e. when the product of the t with odd
         # r_t is
         odd = prod(t for t, r in self.exponents.items() if r % 2)
         return (
-            ("sum t*r_t = 0 mod 24", su % 24 == 0),
-            ("sum (N/t)*r_t = 0 mod 24", sv % 24 == 0),
+            ("sum t*r_t = 0 mod 24", orders[self.level] % 24 == 0),
+            ("sum (N/t)*r_t = 0 mod 24", orders[1] % 24 == 0),
             ("even integer weight", w2 % 4 == 0),
             ("trivial character", isqrt(odd) ** 2 == odd),
         )
@@ -213,7 +213,8 @@ class EtaQuotient:
 
     def is_modular_on_gamma0(self) -> ModularityReport:
         """Holomorphic-modular-form criteria on Gamma0(level), trivial character."""
-        return ModularityReport(self.weight(), self._conditions(), self.order_map24())
+        orders = self.order_map24()
+        return ModularityReport(self.weight(), self._conditions(orders), orders)
 
     # -- transformations ------------------------------------------------------
 

@@ -304,46 +304,34 @@ def _map_json(exps: dict[int, int]) -> dict[str, int]:
     return {str(t): r for t, r in sorted(exps.items())}
 
 
+def _freeze(exps: dict[int, int]) -> tuple:
+    return tuple(sorted(exps.items()))
+
+
 def verify_classification_lists() -> ClassificationReport:
     """Run the six populated searches and the thirteen empty ones, and
     compare against the published lists.  Discrepancies are surfaced,
     not suppressed: each printed entry that the certified search cannot
     reproduce is reported alongside the certified corrected forms."""
-    weight2: dict[int, SearchResult] = {}
-    found_maps: list[dict[int, int]] = []
-    found_pairs: list[SearchPair] = []
-    for k, p, m in WEIGHT2_CELLS:
-        res = enumerate_eta_in_e(k, p, m)
-        weight2[res.level] = res
-        found_maps.extend(res.exponent_maps())
-        found_pairs.extend(res.pairs)
+    weight2 = {p**m: enumerate_eta_in_e(k, p, m) for k, p, m in WEIGHT2_CELLS}
+    weight4 = {p**m: enumerate_eta_in_e(k, p, m) for k, p, m in WEIGHT4_CELLS}
+    # several excluded cells share a level, so they are keyed by (k, level)
+    excluded = {(k, p**m): len(enumerate_eta_in_e(k, p, m).pairs) for k, p, m in EXCLUDED_CELLS}
 
-    weight4: dict[int, SearchResult] = {}
-    w4_maps: list[dict[int, int]] = []
-    for k, p, m in WEIGHT4_CELLS:
-        res = enumerate_eta_in_e(k, p, m)
-        weight4[res.level] = res
-        w4_maps.extend(res.exponent_maps())
-
-    excluded = {}
-    for k, p, m in EXCLUDED_CELLS:
-        res = enumerate_eta_in_e(k, p, m)
-        excluded[(k, res.level)] = len(res.pairs)
-
-    def freeze(d: dict[int, int]) -> tuple:
-        return tuple(sorted(d.items()))
-
-    printed = {freeze(e): e for e in REFERENCE_WEIGHT2}
-    found = {freeze(e): e for e in found_maps}
-    matched = [printed[key] for key in printed if key in found]
-    missing = [printed[key] for key in printed if key not in found]
-    extra = [sp for sp in found_pairs if freeze(sp.eta.exponents) not in printed]
-
-    weight4_exact = {freeze(e) for e in REFERENCE_WEIGHT4} == {freeze(e) for e in w4_maps}
-
-    return ClassificationReport(
-        weight2, weight4, excluded, matched, missing, extra, weight4_exact
-    )
+    found = {_freeze(e) for res in weight2.values() for e in res.exponent_maps()}
+    printed = {_freeze(e): e for e in REFERENCE_WEIGHT2}
+    matched = [e for key, e in printed.items() if key in found]
+    missing = [e for key, e in printed.items() if key not in found]
+    extra = [
+        sp
+        for res in weight2.values()
+        for sp in res.pairs
+        if _freeze(sp.eta.exponents) not in printed
+    ]
+    weight4_exact = {_freeze(e) for e in REFERENCE_WEIGHT4} == {
+        _freeze(e) for res in weight4.values() for e in res.exponent_maps()
+    }
+    return ClassificationReport(weight2, weight4, excluded, matched, missing, extra, weight4_exact)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 layer stored integer numerators over one denominator.
 
 The module body below is the former ``etaq.series`` verbatim, apart
-from absolute imports: one ``Fraction`` per slot on a lattice of step
-1/scale, Newton inversion, and the pentagonal ``eta_series``.  Its
+from absolute imports and ``_mul_coeff_lists``, which multiplies with
+one plain loop over the nonzero slots instead of ``etaq.kernels``, so
+that the reference does not run the kernel under test.  It keeps one
+``Fraction`` per slot on a lattice of step 1/scale, Newton inversion,
+and the pentagonal ``eta_series``.  Its
 cyclotomic coefficients are ``cyc_reference`` numbers, which carry the
 former ``CycNumber`` arithmetic; ``_as_coeff`` turns etaq's read-only
 ``CycNumber`` into one.  The tests compare the current
@@ -35,7 +38,6 @@ from typing import Iterable, Union
 
 from cyc_reference import CycNumber, reference
 from etaq import cyclotomic
-from etaq.kernels import conv_trunc
 
 __all__ = ["QSeries", "SeriesDomainError", "eta_series"]
 
@@ -344,34 +346,20 @@ def _power(var: str, e: int, scale: int) -> str:
     return var if num == 1 else f"{var}^{num}"
 
 
-def _rationals_to_ints(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        den = den * (d // gcd(den, d))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _mul_coeff_lists(xs: list[Coeff], ys: list[Coeff], nout: int) -> list[Coeff]:
+    # one double loop over the nonzero slots for both coefficient
+    # domains, so that the reference runs no etaq kernel
     if nout <= 0:
         raise SeriesDomainError("precision-exhausted", "empty product window")
-    if not isinstance(xs[0], CycNumber) and not isinstance(ys[0], CycNumber):
-        xi, dx = _rationals_to_ints(xs)
-        yi, dy = _rationals_to_ints(ys)
-        den = dx * dy
-        return [Fraction(z, den) for z in conv_trunc(xi, yi, nout)]
-    order = 1
+    order = None
     for c in xs + ys:
         if isinstance(c, CycNumber):
-            order = lcm(order, c.order)
-    zero = CycNumber.zero(order)
+            order = c.order if order is None else lcm(order, c.order)
+    zero: Coeff = Fraction(0) if order is None else CycNumber.zero(order)
     out: list[Coeff] = [zero] * nout
-    for i, xc in enumerate(xs):
-        if i >= nout:
-            break
+    for i, xc in enumerate(xs[:nout]):
         if _stored_nonzero(xc):
-            for j in range(min(len(ys), nout - i)):
-                yc = ys[j]
+            for j, yc in enumerate(ys[: nout - i]):
                 if _stored_nonzero(yc):
                     out[i + j] = out[i + j] + xc * yc
     return out

@@ -1,18 +1,21 @@
 """Cusp representatives, widths, expansions at cusps, exact orders, and
 the order-sum bound machinery.
 
-The three structural oracles here: (1) for elements matched to eta
+The four structural oracles here: (1) for elements matched to eta
 quotients, orders at every cusp must agree with the closed-form eta
 order, for every numerator; (2) orders must be invariant under the
 (non-canonical) choice of the cusp's d, which only rotates the roots of
 unity entering the coefficients; (3) cusps with one denominator have
 the same orders, since changing the numerator applies a Galois
-automorphism to the coefficients.  The roots of unity's closed form in
-cusps._omega is checked against the auxiliary completion of E_k(tz) at
-a/c, kept here as the reference; expansions and orders read from the
-per-cusp integer map cusps._cusp_map against the per-element scatter
-they replaced (cusp_terms_reference and scatter_reference) and, window
-by window, against the gather generator before it; and
+automorphism to the coefficients; (4) the Fricke involution W_N, which
+turns the expansion at 1/1 into a rational expansion at infinity that
+no cusp code computes, and sends orders at 1/c to orders at 1/(N/c).
+The roots of unity's closed form in cusps._omega is checked against the
+auxiliary completion of E_k(tz) at a/c, kept here as the reference;
+expansions and orders read from the per-cusp integer map
+cusps._cusp_map against the per-element scatter they replaced
+(cusp_terms_reference and scatter_reference) and, window by window,
+against the gather generator before it; and
 check_order_bound, which computes one order per denominator, against
 the order at every cusp.
 """
@@ -51,7 +54,7 @@ from etaq.cyclotomic import CycNumber
 from etaq.eisenstein import EisensteinElement, _constant, match_eta, random_p_element, sturm_bound
 from etaq.eta import EtaQuotient
 from etaq.linalg import rref
-from etaq.search import WEIGHT2_CELLS, WEIGHT4_CELLS, enumerate_eta_in_e
+from etaq.search import EXCLUDED_CELLS, WEIGHT2_CELLS, WEIGHT4_CELLS, enumerate_eta_in_e
 from etaq.series import SeriesDomainError
 from test_eta import order_at_denominator
 import cyc_reference
@@ -907,3 +910,69 @@ def test_cusp_code_does_no_cyclotomic_number_arithmetic(monkeypatch, capsys):
     for name in ("__mul__", "inverse", "__eq__", "__bool__"):
         monkeypatch.setattr(CycNumber, name, refuse)
     assert run() == today
+
+
+# ---------------------------------------------------------------------------
+# the Fricke involution W_N
+# ---------------------------------------------------------------------------
+
+
+def fricke(f: EisensteinElement) -> EisensteinElement:
+    """f|W_N up to the factor N^(k/2): sum_t r_t t^(-k) E_k((N/t)z) for
+    f = sum_t r_t E_k(tz).  At weight 2 it keeps the balance, since
+    sum_t r_t t^(-2) / (N/t) = (1/N) sum_t r_t / t = 0."""
+    n, k = f.level, f.k
+    return EisensteinElement(k, n, {n // t: r / t**k for t, r in f.coeffs.items()})
+
+
+FRICKE_EXPANSION_LEVELS = [p**m for p in (2, 3, 5, 7) for m in range(1, 6) if p**m <= 49]
+
+
+def test_cusp_one_matches_the_fricke_image_at_infinity():
+    # With d = 1 the cusp 1/1 takes M = (1 0; 1 1).  As f(z + 1) = f(z),
+    # (z+1)^(-k) f(z/(z+1)) = (z+1)^(-k) f(-1/(z+1)) = N^(-k/2) (f|W_N)((z+1)/N),
+    # so in q_{1,N} = e(z/N) coefficient n of f at 1/1 is N^(-k/2) zeta_N^n
+    # times b_n, the q^n coefficient of f|W_N at infinity: a rational
+    # series that no cusp code touches.  Compared on reduced coordinates,
+    # with zeta_N^n b_n built by the reference numbers.
+    rng = random.Random(1728)
+    prec, compared = 36, 0
+    for n in FRICKE_EXPANSION_LEVELS:
+        p, m = prime_power(n)
+        for k in (2, 4, 6, 8):
+            f = random_p_element(rng, k, p, m)
+            got = expansion_at_cusp(f, Cusp(1, 1, n), prec).series
+            want = fricke(f).expansion(prec)
+            for e in range(prec):
+                zeta_b = cyc_reference.CycNumber(n, {e % n: want.coeff(e)})
+                assert got.coeff(e).reduced() == zeta_b.reduced(), (f, e)
+                compared += 1
+    assert compared == 1728
+
+
+FRICKE_ORDER_LEVELS = sorted(
+    {p**m for _, p, m in WEIGHT2_CELLS + WEIGHT4_CELLS + EXCLUDED_CELLS} | {2**7, 3**5, 5**4, 7**3}
+)
+
+
+def test_orders_are_symmetric_under_fricke():
+    # W_N maps the cusp 1/c to 1/(N/c), so the order of f at 1/c is the
+    # order of f|W_N at 1/(N/c), for every c | N.  The matches of the 16
+    # classified quotients reach order 2, so the valuation scan runs on
+    # nonzero orders in windows past the first; random draws cover every
+    # published level and four deeper ones, at k = 2, 4 and 6.
+    classified = [match_eta(sp.eta) for cell in WEIGHT2_CELLS + WEIGHT4_CELLS
+                  for sp in enumerate_eta_in_e(*cell).pairs]
+    assert len(classified) == 16 and None not in classified
+    rng = random.Random(324)
+    drawn = [random_p_element(rng, k, *prime_power(n)) for n in FRICKE_ORDER_LEVELS
+             for k in (2, 4, 6) if (k, n) != (2, 1) for _ in range(2)]
+    compared, seen = 0, set()
+    for f in classified + drawn:
+        g, n = fricke(f), f.level
+        for c in divisors(n):
+            v = order_at_cusp(f, Cusp(1, c, n))
+            assert v == order_at_cusp(g, Cusp(1, n // c, n)), (f, c)
+            compared += 1
+            seen.add(v)
+    assert compared == 356 and seen == {0, 1, 2}

@@ -808,3 +808,40 @@ def test_search_result_json_schema():
     assert js["k"] == 2 and js["p"] == 3 and js["m"] == 2
     assert js["pairs"][0]["eta"]["exponents"] == {"1": -3, "3": 10, "9": -3}
     assert set(js["pairs"][0]) >= {"eta", "eisenstein", "bound"}
+
+
+def fricke_flip(exps: dict[int, int], level: int) -> dict[int, int]:
+    """The exponent vector of f|W_N for f = prod_t eta(tz)^(r_t): t -> N/t."""
+    return {level // t: r for t, r in exps.items()}
+
+
+def test_result_sets_are_closed_under_fricke():
+    # As eta(-t/(Nz)) = sqrt(-i(N/t)z) eta((N/t)z), W_N maps an eta
+    # quotient to a constant times the one with exponents moved t -> N/t,
+    # and E_k(tz) to a multiple of E_k((N/t)z); it keeps the weight,
+    # holomorphy at the cusps and the character.  So each searched set
+    # is closed under t -> N/t, at level 4 (r1, r2, r4) -> (r4, r2, r1).
+    for k, p, m in WEIGHT2_CELLS + WEIGHT4_CELLS:
+        found = {_freeze(e) for e in enumerate_eta_in_e(k, p, m).exponent_maps()}
+        assert {_freeze(fricke_flip(dict(e), p**m)) for e in found} == found, (k, p, m)
+    second = {sol.r for sol in classify_second_derivatives_level4()}
+    assert {(r4, r2, r1) for r1, r2, r4 in second} == second
+
+    # The sources of the dual pairs are a closed set.  Their f are closed
+    # only up to scale: D(f)/f = lambda * source with lambda > 0 picks one
+    # of f and 1/f and fixes its scale, so each flipped f is a negative
+    # rational multiple of a listed f.
+    pairs = dual_pairs_prime_power()
+    sources = {(dp.source.level, _freeze(dp.source.exponents)) for dp in pairs}
+    assert {(n, _freeze(fricke_flip(dict(e), n))) for n, e in sources} == sources
+    factors = []
+    for dp in pairs:
+        flipped = fricke_flip(dp.f.exponents, dp.f.level)
+        for other in pairs:
+            if other.f.level == dp.f.level and set(other.f.exponents) == set(flipped):
+                ratios = {Fraction(r, other.f.exponents[t]) for t, r in flipped.items()}
+                if len(ratios) == 1 and min(ratios) < 0:
+                    factors.append(min(ratios))
+                    break
+    assert len(factors) == len(pairs) == 12
+    assert set(factors) == {-1, -2, -8, Fraction(-1, 2), Fraction(-1, 8)}
