@@ -34,36 +34,26 @@ __all__ = [
 ]
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
-_bernoulli_lock = threading.Lock()
-
-
 def bernoulli(k: int) -> Fraction:
     """B_k for even k >= 0, in the convention with B_1 = -1/2.
 
     B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) from the tangent numbers
     T_n of the integer in-place recurrence of Brent and Harvey
-    (arXiv:1108.0286), so B_2 = 1/6 and B_4 = -1/30; a cache that is
-    too short is rebuilt to at least twice its length.  Odd or negative
+    (arXiv:1108.0286), so B_2 = 1/6 and B_4 = -1/30.  Odd or negative
     k is a domain error (the odd values are never needed).
     """
     if k < 0 or k % 2:
         raise ValueError(f"bernoulli is defined here for even k >= 0, got {k}")
-    with _bernoulli_lock:
-        size = len(_bernoulli_cache)
-        if size <= k // 2:
-            n = max(k // 2, 2 * (size - 1))
-            tangent = [0, 1] + [0] * (n - 1)
-            for i in range(2, n + 1):
-                tangent[i] = (i - 1) * tangent[i - 1]
-            for i in range(2, n + 1):
-                for j in range(i, n + 1):
-                    tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
-            _bernoulli_cache[size:] = [
-                Fraction((-1) ** (m - 1) * 2 * m * tangent[m], 4**m * (4**m - 1))
-                for m in range(size, n + 1)
-            ]
-        return _bernoulli_cache[k // 2]
+    n = k // 2
+    if n == 0:
+        return Fraction(1)
+    tangent = [0, 1] + [0] * (n - 1)
+    for i in range(2, n + 1):
+        tangent[i] = (i - 1) * tangent[i - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+    return Fraction((-1) ** (n - 1) * 2 * n * tangent[n], 4**n * (4**n - 1))
 
 
 def sigma(power: int, n: int) -> int:

@@ -95,8 +95,7 @@ _level_arg = _int_arg("level", lambda n: n >= 1, "at least 1")
 _weight_arg = _int_arg("weight", lambda k: k >= 2 and k % 2 == 0, "even and at least 2", MAX_WEIGHT)
 
 
-def _list_arg(noun: str, minimum: int, valid=lambda v: True, rule: str = "",
-              maximum: int | None = None):
+def _list_arg(noun: str, minimum: int, valid, rule: str, maximum: int | None = None):
     """argparse type for a nonempty comma-separated list of integers, each
     from ``minimum`` to ``maximum`` (if given) and accepted by ``valid``
     (described by ``rule``)."""
@@ -193,29 +192,23 @@ def _emit_text(payload, indent: str = "") -> None:
 
 def cmd_expand(args) -> int:
     if args.eta:
-        quotient = parse_eta(args.eta, args.level)
-        series = quotient.expansion(args.prec)
-        payload = {
-            "input": quotient.render(),
-            "level": quotient.level,
-            "weight": str(quotient.weight()),
-            "series": series.render_text(),
-            "scale": 24,
-        }
+        source = parse_eta(args.eta, args.level)
+        weight, scale = str(source.weight()), 24
     elif args.element:
-        element = _parse_element(args.element, args.level)
-        series = element.expansion(args.prec)
-        payload = {
-            "input": element.render(),
-            "level": element.level,
-            "weight": element.k,
-            "series": series.render_text(),
-            "scale": 1,
-        }
+        source = _parse_element(args.element, args.level)
+        weight, scale = source.k, 1
     else:
         raise UsageError("expand needs --eta or --element")
+    series = source.expansion(args.prec)
+    payload = {
+        "input": source.render(),
+        "level": source.level,
+        "weight": weight,
+        "series": series.render_text(),
+        "scale": scale,
+    }
     if args.json:
-        payload["coeffs"] = series.to_json_triples(payload["scale"])
+        payload["coeffs"] = series.to_json_triples(scale)
     _emit(payload, args)
     return 0
 
@@ -447,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--text", dest="json", action="store_false", help="text output (default)")
 
     p = sub.add_parser("expand", help="q-expansion of an eta quotient or Eisenstein element")
     source = p.add_mutually_exclusive_group()
@@ -533,10 +525,7 @@ def _run(argv: list[str] | None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, AssertionError) as exc:

@@ -51,7 +51,7 @@ never represented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -299,7 +299,7 @@ class OrderBoundReport:
     orders: dict[str, int]  # cusp label -> order
     total: int
     bound: int
-    violations: tuple[str, ...] = field(default_factory=tuple)
+    violations: tuple[str, ...]
 
     @property
     def ok(self) -> bool:

@@ -119,7 +119,7 @@ class CycNumber:
 
     @classmethod
     @cache
-    def zero(cls, order: int = 1) -> "CycNumber":
+    def zero(cls, order: int) -> "CycNumber":
         """The zero of Q(zeta_order), one shared instance per order."""
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -220,7 +220,7 @@ class CycNumber:
             raise AssertionError("cyclotomic inversion failed")
         return cand
 
-    def render(self, symbol: str = "zeta") -> str:
+    def render(self) -> str:
         """Canonical text form over reduced coordinates, e.g. '1/2 - 3*zeta8^2'."""
         red = self.reduced()
         parts: list[str] = []
@@ -231,7 +231,7 @@ class CycNumber:
             if j == 0:
                 body = str(mag)
             else:
-                pw = f"{symbol}{self.order}" + (f"^{j}" if j > 1 else "")
+                pw = f"zeta{self.order}" + (f"^{j}" if j > 1 else "")
                 body = pw if mag == 1 else f"{mag}*{pw}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

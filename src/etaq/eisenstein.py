@@ -259,9 +259,9 @@ def match_eta(g: EtaQuotient) -> EisensteinElement | None:
     Preconditions: g passes the modularity criteria, which make its
     weight an even integer, with weight >= 2.
     """
-    if not g.is_modular():
-        failed = g.is_modular_on_gamma0().failed()
-        raise ValueError(f"quotient fails modularity criteria: {failed}")
+    report = g.is_modular_on_gamma0()
+    if not report.is_modular:
+        raise ValueError(f"quotient fails modularity criteria: {report.failed()}")
     k = int(g.weight())
     if k < 2:
         raise ValueError(f"matching needs even integer weight >= 2, got {k}")
@@ -420,16 +420,17 @@ def verify_identities(prec: int | None = None) -> list[IdentityCheck]:
 # ---------------------------------------------------------------------------
 
 
-def random_p_element(rng: random.Random, k: int, p: int, m: int, bound: int = 9) -> EisensteinElement:
+def random_p_element(rng: random.Random, k: int, p: int, m: int) -> EisensteinElement:
     """Random element with r_1 != 0 and r_{p^m} != 0 (plus the weight-2
-    balance when k = 2, sampled in the E_2(z) - d E_2(dz) basis)."""
+    balance when k = 2, sampled in the E_2(z) - d E_2(dz) basis), its
+    integer coefficients drawn from -9 .. 9."""
     n = p**m
     divs = divisors(n)
     if k == 2:
         if m == 0:
             raise ValueError("the weight-2 space at level 1 is trivial")
         while True:
-            cs = {d: Fraction(rng.randint(-bound, bound)) for d in divs if d > 1}
+            cs = {d: Fraction(rng.randint(-9, 9)) for d in divs if d > 1}
             if cs[n] == 0 or sum(cs.values()) == 0:
                 continue
             coeffs = {1: sum(cs.values())}
@@ -437,6 +438,6 @@ def random_p_element(rng: random.Random, k: int, p: int, m: int, bound: int = 9)
                 coeffs[d] = -d * c
             return EisensteinElement(2, n, coeffs)
     while True:
-        coeffs = {d: Fraction(rng.randint(-bound, bound)) for d in divs}
+        coeffs = {d: Fraction(rng.randint(-9, 9)) for d in divs}
         if coeffs[1] != 0 and coeffs[n] != 0:
             return EisensteinElement(k, n, coeffs)

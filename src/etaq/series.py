@@ -68,9 +68,9 @@ Scalar = Union[int, Fraction]
 class SeriesDomainError(ArithmeticError):
     """Raised for division-by-nonunit, precision-exhausted, lattice-mismatch."""
 
-    def __init__(self, kind: str, message: str = ""):
+    def __init__(self, kind: str, message: str):
         self.kind = kind
-        super().__init__(f"{kind}: {message}" if message else kind)
+        super().__init__(f"{kind}: {message}")
 
 
 def _stored_nonzero(c: Coeff) -> bool:

@@ -48,17 +48,10 @@ def test_bernoulli_against_recurrence_oracle():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 150), min_size=1, max_size=4))
 def test_bernoulli_from_tangent_numbers_matches_recurrence(halves):
-    # every even k <= 300, asked for in a drawn order on an emptied
-    # cache, so that it is built cold and rebuilt longer
+    # every even k <= 300, asked for in a drawn order
     oracle = bernoulli_oracle(300)
-    built = etaq.arith._bernoulli_cache
-    saved = built[:]
-    try:
-        del built[1:]
-        for n in halves:
-            assert bernoulli(2 * n) == oracle[2 * n], 2 * n
-    finally:
-        built[:] = saved
+    for n in halves:
+        assert bernoulli(2 * n) == oracle[2 * n], 2 * n
 
 
 def test_bernoulli_frozen_values():

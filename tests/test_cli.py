@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -464,6 +465,21 @@ def test_one_parser_per_process_keeps_no_state(capsys, monkeypatch):
     for argv, expect in zip(runs + runs, fresh + fresh):
         assert run_cli(capsys, *argv) == expect, argv
     assert build_parser() is build_parser()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_option_is_documented():
+    """Each option string of each subcommand, besides -h/--help, appears
+    in README's "Command line" section as a whole flag."""
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                assert re.search(re.escape(option) + r"(?![\w-])", section), (name, option)
 
 
 def reference_json(payload) -> str:

@@ -5,7 +5,7 @@ the acceptance suite for the full discussion)."""
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -307,6 +307,30 @@ def test_weight4_level2_search():
 def test_excluded_cells_empty():
     for k, p, m in EXCLUDED_CELLS:
         assert enumerate_eta_in_e(k, p, m).pairs == (), (k, p, m)
+
+
+# the cells the order bound allows beyond the published ones
+BOUND_ONLY_CELLS = [(2, 2, 5), (2, 3, 3), (2, 11, 1), (4, 2, 3), (4, 3, 2), (4, 5, 1),
+                    (6, 3, 1), (8, 2, 1), (8, 2, 2), (12, 2, 0)]
+
+
+def test_bound_allows_only_the_published_and_ten_empty_cells():
+    # a nonzero weight-k form on Gamma0(p^m) has total cusp order k mu/12
+    # (valence formula), so a quotient new at p^m needs k mu <= 12 times
+    # the capped orders summed over the cusps; level 1 is (2, 0)
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, isqrt(p) + 1))]
+    allowed = []
+    for p in primes:
+        for m in range(0 if p == 2 else 1, 24):
+            if p**m > 10**7:
+                break
+            mu = p**m + p ** (m - 1) if m else 1
+            caps = order_bound_caps(p, m)
+            total = sum(totient(gcd(p**i, p ** (m - i))) * caps[i] for i in range(m + 1))
+            allowed += [(k, p, m) for k in range(2, 200, 2) if k * mu <= 12 * total]
+    assert sorted(allowed) == sorted(PUBLISHED_CELLS + BOUND_ONLY_CELLS)
+    for cell in BOUND_ONLY_CELLS:
+        assert enumerate_eta_in_e(*cell).pairs == (), cell
 
 
 def test_classification_report():
