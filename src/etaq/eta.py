@@ -29,7 +29,7 @@ from .series import QSeries
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
 
-# EtaQuotient.expansion runs its recurrence in blocks of
+# EtaQuotient.expansion runs its log-derivative recurrence in blocks of
 # max(_BLOCK, steps // _BLOCKS) steps; tests/test_eta.py pins both.
 _BLOCK = 48
 _BLOCKS = 8
@@ -120,8 +120,14 @@ class EtaQuotient:
     def expansion(self, steps: int) -> QSeries:
         """The exact q-expansion through ``steps`` q-steps from q^(offset/24).
 
-        q^(-offset/24) * f is F = prod_t prod_m (1 - q^(tm))^(r_t) =
-        sum c_n q^n, whose logarithmic derivative D(F)/F (D = q d/dq) is
+        q^(-offset/24) * f is F = prod_t P(q^t)^(r_t) = sum c_n q^n, with
+        P(x) = prod_{m>=1} (1 - x^m).  Which recurrence runs depends only
+        on the shape of f: a quotient with one factor eta(tz)^r takes
+        Miller's power recurrence (_pentagonal_power), whose c_n vanish
+        off the multiples of t; every other quotient, the empty one too,
+        takes the blocked log-derivative recurrence below.
+
+        The logarithmic derivative D(F)/F (D = q d/dq) is
         sum_k b_k q^k with b_k = sum_{t | k} (-t r_t) sigma(k/t): the
         integer weights -t r_t of log_derivative() times the coefficients
         of sum sigma(m) q^(tm).
@@ -146,6 +152,11 @@ class EtaQuotient:
         """
         if steps < 1:
             raise ValueError("prec must be >= 1")
+        if len(self.exponents) == 1:
+            ((t, r),) = self.exponents.items()
+            c = [0] * steps
+            c[::t] = _pentagonal_power(r, (steps - 1) // t + 1)
+            return QSeries(self.offset(), c)
         sig = sigma_table(1, steps)
         b = [0] * steps
         for t, r in self.exponents.items():
@@ -253,6 +264,36 @@ class EtaQuotient:
 
     def __repr__(self):
         return f"EtaQuotient(level={self.level}, {self.render()})"
+
+
+def _pentagonal_power(r: int, m: int) -> list[int]:
+    """g_0..g_(m-1) of P(x)^r, P(x) = prod_{i>=1} (1 - x^i).
+
+    By Euler's pentagonal theorem P_k is (-1)^j at k = j(3j -+ 1)/2 and 0
+    elsewhere, so below x^m P has about 1.6 sqrt(m) nonzero terms.  J. C.
+    P. Miller's recurrence for a power (Knuth, TAOCP vol. 2, 4.7) comes
+    from P * D(P^r) = r D(P) * P^r, D = x d/dx:
+    n g_n = sum_{k>=1} ((r+1)k - n) P_k g_(n-k), O(m^1.5) operations in
+    all.  The g_n are integers, so every division by n is exact.
+    """
+    r1 = r + 1
+    terms = []  # (k, (r+1) k P_k, P_k) for the pentagonal k, ascending
+    j = 1
+    while (k := j * (3 * j - 1) // 2) < m:
+        p = -1 if j % 2 else 1
+        terms += [(k, r1 * k * p, p), (k + j, r1 * (k + j) * p, p)]
+        j += 1
+    g = [1] + [0] * (m - 1)
+    for n in range(1, m):
+        s = 0
+        for k, a, p in terms:
+            if k > n:
+                break
+            s += (a - n * p) * g[n - k]
+        g[n], rem = divmod(s, n)
+        if rem:
+            raise ArithmeticError(f"Miller's recurrence: {n} does not divide {s}")
+    return g
 
 
 _ETA_TERM = re.compile(r"^eta\((\d+)\)(?:\^(-?\d+))?$")

@@ -149,17 +149,60 @@ def test_expansion_matches_recurrence_reference_across_blocks():
             assert list(got.coeffs) == recurrence_expansion(f, steps), (f, steps)
 
 
-def test_expansion_blocks_are_pinned(monkeypatch):
-    # blocks start at 1 and at the multiples of max(48, steps // 8) that
-    # leave a whole block after them; the first block reads the b_j
-    # directly, every later one takes its head from one window of c * b
-    assert (eta_module._BLOCK, eta_module._BLOCKS) == (48, 8)
+def spy_heads(monkeypatch) -> list[tuple[int, int]]:
+    """The (lo, hi) of every eta_module.conv_trunc call from now on."""
     calls = []
     real = eta_module.conv_trunc
     monkeypatch.setattr(
         eta_module, "conv_trunc", lambda xs, ys, hi, lo=0: calls.append((lo, hi)) or real(xs, ys, hi, lo)
     )
-    f = EtaQuotient(1, {1: 24})
+    return calls
+
+
+def test_one_factor_expansions_match_recurrence_reference():
+    # Miller's power recurrence against the former whole-history
+    # log-derivative recurrence, at the block sizes of the blocked path
+    block = eta_module._BLOCK
+    sizes = (1, 2, 200, block - 1, block, block + 1, 2 * block)
+    for t in (1, 2, 3, 4, 8):
+        for r in range(-48, 49):
+            if r:
+                f = EtaQuotient(t, {t: r})
+                for steps in sizes:
+                    got = f.expansion(steps)
+                    assert (got.offset, got.den) == (f.offset(), 1)
+                    assert list(got.coeffs) == recurrence_expansion(f, steps), (t, r, steps)
+    f = parse_eta("eta(1)^-24")
+    assert list(f.expansion(2000).coeffs) == recurrence_expansion(f, 2000)
+
+
+def test_expansion_path_is_pinned_by_shape(monkeypatch):
+    # one factor takes Miller's recurrence and no kernel call; every other
+    # shape, the empty quotient too, takes the blocked recurrence
+    heads = spy_heads(monkeypatch)
+    powers = []
+    real = eta_module._pentagonal_power
+    monkeypatch.setattr(eta_module, "_pentagonal_power", lambda r, m: powers.append((r, m)) or real(r, m))
+    for steps in (200, 800):
+        EtaQuotient(1, {1: 24}).expansion(steps)
+        EtaQuotient(8, {8: -3}).expansion(steps)
+    assert heads == []
+    assert powers == [(24, 200), (-3, 25), (24, 800), (-3, 100)]
+    powers.clear()
+    EtaQuotient(1, {}).expansion(200)
+    EtaQuotient(2, {1: 24, 2: -1}).expansion(200)
+    assert powers == []
+    assert heads == [(48, 96), (96, 144), (144, 200)] * 2
+
+
+def test_expansion_blocks_are_pinned(monkeypatch):
+    # blocks start at 1 and at the multiples of max(48, steps // 8) that
+    # leave a whole block after them; the first block reads the b_j
+    # directly, every later one takes its head from one window of c * b.
+    # The heads depend only on steps; one factor takes none (see above).
+    assert (eta_module._BLOCK, eta_module._BLOCKS) == (48, 8)
+    calls = spy_heads(monkeypatch)
+    f = EtaQuotient(2, {1: 24, 2: -1})
     expected = {
         95: [],
         96: [(48, 96)],
@@ -176,7 +219,7 @@ def test_expansion_blocks_are_pinned(monkeypatch):
 @pytest.mark.parametrize(
     "text, steps, regimes",
     [
-        ("eta(1)^-24", 600, {"kronecker", "dots"}),  # digits pass 256 bits on the way
+        ("eta(1)^-24*eta(2)^-1", 600, {"kronecker", "dots"}),  # digits pass 256 bits on the way
         ("eta(2)^40*eta(1)^-16*eta(4)^-16", 1000, {"kronecker"}),  # theta^8
     ],
 )

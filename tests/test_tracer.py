@@ -66,15 +66,16 @@ def test_tracer_splits_products_by_coefficient_domain(monkeypatch):
 
 
 def test_tracer_counts_the_eta_block_heads(monkeypatch):
-    # an expansion's block heads are windows of one product kernel: 200
-    # steps take three heads, each one traced kernels.conv call
+    # a blocked expansion's heads are windows of one product kernel: 200
+    # steps of a two-factor quotient take three heads, each one traced
+    # kernels.conv call
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
     tracer = Tracer()
     try:
         tracer.install()
-        EtaQuotient(1, {1: 24}).expansion(200)
+        EtaQuotient(2, {1: 24, 2: -1}).expansion(200)
     finally:
         tracer.uninstall()
     assert tracer.calls["kernels.conv"] == 3
