@@ -24,7 +24,7 @@ from operator import index, mul
 from typing import NamedTuple
 
 from .arith import cusp_step, denominator_multiplicity, divisors, prime_power, sigma_table
-from .kernels import conv_trunc
+from .kernels import _digits, _halves, _pack, conv_trunc
 from .series import QSeries
 
 __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
@@ -33,6 +33,9 @@ __all__ = ["EtaQuotient", "ModularityReport", "LogDerivative", "parse_eta"]
 # max(_BLOCK, steps // _BLOCKS) steps; tests/test_eta.py pins both.
 _BLOCK = 48
 _BLOCKS = 8
+# Widest digit, in bits, of the accumulator a block's steps run off
+# (_packed_run); tests/test_eta.py pins it.
+_RUN_DIGIT_BITS = 128
 
 
 class LogDerivative(NamedTuple):
@@ -140,7 +143,9 @@ class EtaQuotient:
         after them, so the last block runs to the end.  In a block, the
         sums over the known c_0..c_(lo-1) are the coefficients lo..hi-1 of
         c[:lo] * b, one ``kernels.conv_trunc(c[:lo], b, hi, lo=lo)`` call,
-        and only the triangle c_lo..c_(j-1) is summed step by step.  The
+        and only the triangle c_lo..c_(j-1) is summed step by step: off one
+        packed accumulator (_packed_run) while its digits are exact, by a
+        dot product per step before 48 steps and after the run.  The
         first block's history is c_0 = 1, so its sums are the b_j
         themselves, with no product: an expansion of fewer than 96 steps
         takes none.  The kernel packs while its digit is at most 256 bits
@@ -148,7 +153,8 @@ class EtaQuotient:
         about lo/7 steps against 17-bit b_k, dots time over packed time
         (Python 3.11.7, 2 shared CPUs): 32-bit c_i gave 3.5x at lo = 150
         and 11.5x at lo = 4000, 128-bit c_i 1.5x to 4.0x, 256-bit c_i (a
-        290-bit digit) 0.8x to 1.8x, and 512-bit c_i 0.3x to 0.6x.
+        290-bit digit) 0.8x to 1.8x, and 512-bit c_i 0.3x to 0.6x.  The
+        heads and the runs share one packing of b per digit width (packs).
         """
         if steps < 1:
             raise ValueError("prec must be >= 1")
@@ -165,6 +171,7 @@ class EtaQuotient:
                 b[t * m] += lt * sig[m]
         c = [1] + [0] * (steps - 1)
         block = max(_BLOCK, steps // _BLOCKS)
+        packs = {}  # b and c packed by digit width, see kernels.conv_trunc
         lo = 1
         while lo < steps:
             hi = lo - lo % block + block
@@ -172,12 +179,9 @@ class EtaQuotient:
                 hi = steps
             # the sums over c_0..c_(lo-1) for lo <= j < hi; c = [1] gives b_j.
             # lo goes by keyword: perfbench's tracer reads (xs, ys, hi) positionally
-            head = b[lo:hi] if lo == 1 else conv_trunc(c[:lo], b, hi, lo=lo)
-            for j, h in zip(range(lo, hi), head):
-                s = sum(map(mul, c[lo:j], b[j - lo : 0 : -1]), h)
-                c[j], rem = divmod(s, j)
-                if rem:
-                    raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
+            head = b[lo:hi] if lo == 1 else conv_trunc(c[:lo], b, hi, lo=lo, packs=packs)
+            j = lo if steps < _BLOCK else _packed_run(c, b, lo, hi, head, packs)
+            _dot_steps(c, b, lo, j, hi, head)
             lo = hi
         return QSeries(self.offset(), c)
 
@@ -207,16 +211,18 @@ class EtaQuotient:
         order_map24: its entries at N and 1 are sum t*r_t and
         sum (N/t)*r_t, as cusp_step(N, N, t) = t and cusp_step(N, 1, t) = N/t."""
         w2 = sum(self.exponents.values())
-        # prod_t t^(r_t) is a rational square exactly when prod_t t^|r_t|
-        # is an integer square, i.e. when the product of the t with odd
-        # r_t is
-        odd = prod(t for t, r in self.exponents.items() if r % 2)
         return (
             ("sum t*r_t = 0 mod 24", orders[self.level] % 24 == 0),
             ("sum (N/t)*r_t = 0 mod 24", orders[1] % 24 == 0),
             ("even integer weight", w2 % 4 == 0),
-            ("trivial character", isqrt(odd) ** 2 == odd),
+            ("trivial character", self.trivial_character()),
         )
+
+    def trivial_character(self) -> bool:
+        """prod_t t^(r_t) is a rational square exactly when prod_t t^|r_t|
+        is an integer square, i.e. when the product of the t with odd r_t is."""
+        odd = prod(t for t, r in self.exponents.items() if r % 2)
+        return isqrt(odd) ** 2 == odd
 
     def is_modular(self) -> bool:
         """The verdict of is_modular_on_gamma0()."""
@@ -294,6 +300,68 @@ def _pentagonal_power(r: int, m: int) -> list[int]:
         if rem:
             raise ArithmeticError(f"Miller's recurrence: {n} does not divide {s}")
     return g
+
+
+def _dot_steps(c: list, b: list, lo: int, start: int, stop: int, head: list) -> None:
+    """Steps start..stop-1 of the block from lo: c_j from the head sum and
+    one C-level dot product over the triangle c_lo..c_(j-1)."""
+    for j in range(start, stop):
+        s = sum(map(mul, c[lo:j], b[j - lo : 0 : -1]), head[j - lo])
+        c[j], rem = divmod(s, j)
+        if rem:
+            raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
+
+
+def _packed_run(c: list, b: list, lo: int, hi: int, head: list, packs: dict) -> int:
+    """Steps of the block [lo, hi) off one sliding packed accumulator;
+    the first step it leaves to the dot products, hi if none.
+
+    The accumulator holds one digit per step still to come, the sum
+    j c_j = head_j + sum_{lo <= i < j} c_i b_(j-i) as far as it is known.
+    Each step reads the low digit, divides it exactly by j, shifts it off
+    and adds c_j * (b_1 + b_2 B + ...), B the digit base: one C-level
+    multiply-add.  Digits are biased by half = B/2, as in kernels._pack
+    (the n - 1 digits past the block too, so acc stays nonnegative and
+    its shifts cheap), and every one is exact while max|head| + max|c| sum_k |b_k| < half.
+    The width is fitted to that bound, with max|c| taken to grow by as
+    many bits to the end of the block as over the last w known steps; a
+    c_j past the bound, or a digit wider than _RUN_DIGIT_BITS, ends the
+    run.  The first block has no history, so its first quarter runs by
+    dot products before the fit.
+    """
+    n = hi - lo
+    j = lo
+    if lo == 1:
+        j = 1 + n // 4
+        _dot_steps(c, b, 1, 1, j, head)
+    w = min(n, j // 2)
+    x = max(map(abs, c[j - w : j])).bit_length()
+    y = max(map(abs, c[max(0, j - 2 * w) : j - w])).bit_length()
+    mh = max(map(abs, head))
+    sb = sum(map(abs, b[1:n])) or 1
+    cb = max(x, y) + max(0, x - y) * (hi - j) // w
+    width = (mh + (sb << cb)).bit_length() // 8 + 1
+    bits = 8 * width
+    if bits > _RUN_DIGIT_BITS:
+        return j
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    cap = (half - 1 - mh) // sb  # |c| <= cap keeps every digit below half
+    bp = _pack(b[:n], width, half, packs, "y")  # b_0 = 0
+    acc = _digits(head, 0, width, half) + (_halves(half, width, n - 1) << (bits * n))
+    if j > lo:
+        # c_lo..c_(j-1), all within cap, were found by dots: add their terms
+        acc = (acc + _pack(c[lo:j], width, half) * bp) >> (bits * (j - lo))
+    bp >>= bits
+    for j in range(j, hi):
+        s = (acc & mask) - half
+        c[j], rem = divmod(s, j)
+        if rem:
+            raise ArithmeticError(f"log-derivative recurrence: {j} does not divide {s}")
+        if not -cap <= c[j] <= cap:
+            return j + 1
+        acc = (acc >> bits) + c[j] * bp
+    return hi
 
 
 _ETA_TERM = re.compile(r"^eta\((\d+)\)(?:\^(-?\d+))?$")

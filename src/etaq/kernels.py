@@ -8,7 +8,9 @@ These are the inner loops of every product etaq takes.  Three kernels:
   ``EtaQuotient.expansion`` (lo > 0).  It takes them from one packed
   big-int product (``_kronecker``), or, when lo > 0 and the packed digit
   is wider than _PACKED_DIGIT_BITS = 256 bits, from one C-level dot
-  product (``sum(map(mul, ...))``) per coefficient (``_dots``);
+  product (``sum(map(mul, ...))``) per coefficient (``_dots``).  A
+  caller that keeps ys fixed and grows xs passes one ``packs`` dict, so
+  each entry is packed once per digit width;
 * ``pow_trunc``, binary powering through ``conv_trunc``;
 * ``_mul_into``, the sparse product of integer monomials
   (s, j, n) = n * q^s * zeta_L^j accumulated into steps of
@@ -46,6 +48,7 @@ this plain-Python implementation.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import islice
 from operator import mul
 
 __all__ = ["BACKEND", "conv_trunc", "pow_trunc"]
@@ -60,11 +63,16 @@ BACKEND = "python"
 Monomial = tuple[int, int, int]  # (s, j, n): n * q^s * zeta^j, see _mul_into
 
 
-def conv_trunc(xs: list, ys: list, hi: int, lo: int = 0) -> list:
+def conv_trunc(xs: list, ys: list, hi: int, lo: int = 0, packs: dict | None = None) -> list:
     """Coefficients lo..hi-1 of xs * ys, fewer if hi passes the product's
     last coefficient: one packed product (``_kronecker``), or a dot
     product per coefficient when lo > 0 and the packed digit is wider
-    than _PACKED_DIGIT_BITS."""
+    than _PACKED_DIGIT_BITS.
+
+    ``packs`` is a dict a caller keeps across calls whose ys is one fixed
+    list and whose xs only grows at its end.  It holds the digits each
+    operand has been packed to at each width (``_pack``), so a call packs
+    only the entries that no earlier call packed at its width."""
     if hi <= lo:
         return []
     xs = xs[:hi]
@@ -74,7 +82,7 @@ def conv_trunc(xs: list, ys: list, hi: int, lo: int = 0) -> list:
         return []
     if lo and 8 * _digit_width(xs, ys) > _PACKED_DIGIT_BITS:
         return _dots(xs, ys, lo, hi)
-    return _kronecker(xs, ys, hi, lo)
+    return _kronecker(xs, ys, hi, lo, packs)
 
 
 def _digit_width(xs: list, ys: list) -> int:
@@ -86,11 +94,29 @@ def _digit_width(xs: list, ys: list) -> int:
     return (bits + 7) // 8
 
 
-def _pack(xs: list, width: int, half: int) -> int:
+def _pack(xs: list, width: int, half: int, packs: dict | None = None, key: str = "") -> int:
     """sum_i xs[i] * 2^(8 * width * i), packed from the nonnegative
-    digits xs[i] + half."""
-    packed = b"".join([(v + half).to_bytes(width, "little") for v in xs])
-    return int.from_bytes(packed, "little") - _halves(half, width, len(xs))
+    digits xs[i] + half.  packs[key, width], when packs is given, holds
+    the digits of the longest prefix of xs packed at this width so far
+    and its length; only the entries past it are packed, and kept."""
+    n = len(xs)
+    if packs is None:
+        return _digits(xs, 0, width, half) - _halves(half, width, n)
+    digits, k = packs.get((key, width), (0, 0))
+    if k < n:
+        digits += _digits(xs, k, width, half) << (8 * width * k)
+        packs[key, width] = digits, n
+    elif k > n:
+        digits &= (1 << (8 * width * n)) - 1
+    return digits - _halves(half, width, n)
+
+
+def _digits(xs: list, start: int, width: int, half: int) -> int:
+    """sum_{i >= start} (xs[i] + half) * 2^(8 * width * (i - start)), for
+    entries below half in absolute value: one nonnegative digit each."""
+    return int.from_bytes(
+        b"".join([(v + half).to_bytes(width, "little") for v in islice(xs, start, None)]), "little"
+    )
 
 
 def _halves(half: int, width: int, n: int) -> int:
@@ -98,7 +124,7 @@ def _halves(half: int, width: int, n: int) -> int:
     return int.from_bytes(half.to_bytes(width, "little") * n, "little")
 
 
-def _kronecker(xs: list, ys: list, hi: int, lo: int = 0) -> list:
+def _kronecker(xs: list, ys: list, hi: int, lo: int = 0, packs: dict | None = None) -> list:
     """Coefficients lo..hi-1 of xs * ys by one big-int product, for
     nonempty operands and lo <= hi <= len(xs) + len(ys) - 1.  Every
     coefficient is below half = 2^(8 * width - 1) in absolute value, so
@@ -106,7 +132,7 @@ def _kronecker(xs: list, ys: list, hi: int, lo: int = 0) -> list:
     2^(8 * width * hi), has digit k = coefficient k + half."""
     width = _digit_width(xs, ys)
     half = 1 << (8 * width - 1)
-    z = _pack(xs, width, half) * _pack(ys, width, half)
+    z = _pack(xs, width, half, packs, "x") * _pack(ys, width, half, packs, "y")
     z = (z + _halves(half, width, hi)) & ((1 << (8 * width * hi)) - 1)
     buf = z.to_bytes(width * hi, "little")
     return [

@@ -170,10 +170,11 @@ def _integral_exponents(k: int, p: int, m: int, caps: list[int]):
 
 def _walk_matches(k: int, p: int, m: int, caps: list[int]):
     """(quotient, its certified Eisenstein match or None) for each point
-    of _integral_exponents: whole orders leave only the character."""
+    of _integral_exponents: whole orders leave only the character, so
+    match_eta builds the one ModularityReport of each point that has it."""
     for r in _integral_exponents(k, p, m, caps):
         quotient = EtaQuotient(p**m, {p**j: rj for j, rj in enumerate(r)})
-        yield quotient, match_eta(quotient) if quotient.is_modular() else None
+        yield quotient, match_eta(quotient) if quotient.trivial_character() else None
 
 
 def enumerate_eta_in_e(k: int, p: int, m: int) -> SearchResult:

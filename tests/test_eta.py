@@ -116,15 +116,21 @@ def test_expansion_matches_product_reference():
         assert_matches_reference(got, product_expansion(f, steps))
 
 
-def recurrence_expansion(f: EtaQuotient, steps: int) -> list[int]:
-    """Reference: the former EtaQuotient.expansion, which summed the
-    recurrence n c_n = sum_{k=1}^{n} b_k c_(n-k) over the whole history
-    at every step."""
+def log_derivative_coeffs(f: EtaQuotient, steps: int) -> list[int]:
+    """b_0..b_(steps-1) of D(F)/F: b_k = sum_{t | k} (-t r_t) sigma(k/t)."""
     sig = sigma_range(1, steps)
     b = [0] * steps
     for t, r in f.exponents.items():
         for m in range(1, (steps - 1) // t + 1):
             b[t * m] += -t * r * sig[m]
+    return b
+
+
+def recurrence_expansion(f: EtaQuotient, steps: int) -> list[int]:
+    """Reference: the former EtaQuotient.expansion, which summed the
+    recurrence n c_n = sum_{k=1}^{n} b_k c_(n-k) over the whole history
+    at every step."""
+    b = log_derivative_coeffs(f, steps)
     c = [1] + [0] * (steps - 1)
     for j in range(1, steps):
         s = sum(map(mul, b[1 : j + 1], c[j - 1 :: -1]))
@@ -154,7 +160,9 @@ def spy_heads(monkeypatch) -> list[tuple[int, int]]:
     calls = []
     real = eta_module.conv_trunc
     monkeypatch.setattr(
-        eta_module, "conv_trunc", lambda xs, ys, hi, lo=0: calls.append((lo, hi)) or real(xs, ys, hi, lo)
+        eta_module,
+        "conv_trunc",
+        lambda xs, ys, hi, lo=0, packs=None: calls.append((lo, hi)) or real(xs, ys, hi, lo, packs),
     )
     return calls
 
@@ -233,6 +241,75 @@ def test_deep_expansions_match_recurrence_reference(monkeypatch, text, steps, re
     f = parse_eta(text)
     assert list(f.expansion(steps).coeffs) == recurrence_expansion(f, steps)
     assert used == regimes
+
+
+# Every block of an expansion of at least _BLOCK steps runs off a packed
+# accumulator (eta._packed_run) until a c_j breaks its digit bound; the
+# quotients below end a run inside a block, and eta(1)^-24*eta(2)^-1
+# outgrows _RUN_DIGIT_BITS, so the dot products take over.
+BREAKS = [("eta(1)^34*eta(3)^20*eta(6)^-47", 96), ("eta(4)^2*eta(12)^38", 96)]
+WIDE = [("eta(1)^-24*eta(2)^-1", 96), ("eta(1)^-24*eta(2)^-1", 600)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_runs_match_recurrence_reference(data):
+    n = data.draw(st.sampled_from([4, 6, 8, 12, 16, 25]))
+    support = data.draw(st.lists(st.sampled_from(divisors(n)), min_size=2, unique=True))
+    f = EtaQuotient(n, {t: data.draw(st.integers(-48, 48).filter(bool)) for t in support})
+    steps = data.draw(st.sampled_from([48, 49, 95, 96, 97, 200, 333, 600]))
+    assert list(f.expansion(steps).coeffs) == recurrence_expansion(f, steps), (f, steps)
+
+
+@pytest.mark.parametrize("text, steps", BREAKS + WIDE)
+def test_runs_handed_to_dots_match_recurrence_reference(text, steps):
+    f = parse_eta(text)
+    assert list(f.expansion(steps).coeffs) == recurrence_expansion(f, steps)
+
+
+def test_packed_runs_are_pinned(monkeypatch):
+    # (lo, hi, first step left to the dot products) of every block: the
+    # first block runs its first quarter by dots before the digit is fitted
+    assert eta_module._RUN_DIGIT_BITS == 128
+    runs = []
+    real = eta_module._packed_run
+
+    def spy(c, b, lo, hi, head, packs):
+        runs.append((lo, hi, real(c, b, lo, hi, head, packs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(eta_module, "_packed_run", spy)
+    expected = {
+        ("eta(2)^40*eta(1)^-16*eta(4)^-16", 200): [(1, 48, 48), (48, 96, 96), (96, 144, 144), (144, 200, 200)],
+        ("eta(2)^40*eta(1)^-16*eta(4)^-16", 47): [],
+        ("eta(1)^-24*eta(2)^-1", 600): [(1, 75, 19)] + [(lo, lo + 75, lo) for lo in range(75, 600, 75)],
+        BREAKS[0]: [(1, 48, 32), (48, 96, 96)],
+        BREAKS[1]: [(1, 48, 13), (48, 96, 96)],
+    }
+    for (text, steps), pinned in expected.items():
+        runs.clear()
+        parse_eta(text).expansion(steps)
+        assert runs == pinned, (text, steps)
+
+
+def test_expansion_packs_each_entry_of_b_once_per_width(monkeypatch):
+    # the block heads and the packed runs share one packing of b per digit
+    # width, extended only as far as each head or run needs
+    f = EtaQuotient(2, {1: 24, 2: -1})
+    b = log_derivative_coeffs(f, 800)
+    packed = []
+    real = kernels._digits
+
+    def spy(xs, start, width, half):
+        if xs == b[: len(xs)]:
+            packed.extend((i, width) for i in range(start, len(xs)))
+        return real(xs, start, width, half)
+
+    monkeypatch.setattr(kernels, "_digits", spy)
+    monkeypatch.setattr(eta_module, "_digits", spy)
+    assert list(f.expansion(800).coeffs) == recurrence_expansion(f, 800)
+    assert len({w for _, w in packed}) > 1
+    assert len(packed) == len(set(packed))
 
 
 def test_expansion_matches_eisenstein_combination():

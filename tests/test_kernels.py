@@ -142,6 +142,54 @@ def test_middle_product_matches_reference_slices(case):
     assert kernels.conv_trunc(xs, ys, hi, lo) == conv_reference(xs, ys, hi)[lo:]
 
 
+# -- packs: one fixed ys, a growing xs prefix --------------------------------
+#
+# The block heads of EtaQuotient.expansion pass one dict across calls, so
+# each operand is packed once per digit width; appending entries of a new
+# size changes the width, and lo > 0 past _PACKED_DIGIT_BITS takes dots.
+
+
+@st.composite
+def growing_cases(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    bits = st.sampled_from([1, 8, 32, 100, 126, 128, 200, 512, 2048])
+    ys = _operand(rng, draw(st.integers(1, 60)), draw(bits), "mixed", "dense")
+    xs, calls = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        xs += _operand(rng, draw(st.integers(1, 20)), draw(bits), "mixed", "dense")
+        full = len(xs) + len(ys) - 1
+        hi = draw(st.integers(1, full + 2))
+        calls.append((len(xs), hi, draw(st.sampled_from([0, hi // 2, hi - 1]))))
+    return xs, ys, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(growing_cases())
+def test_packs_kept_across_calls_match_reference(case):
+    xs, ys, calls = case
+    packs = {}
+    for n, hi, lo in calls:
+        assert kernels.conv_trunc(xs[:n], ys, hi, lo, packs) == conv_reference(xs[:n], ys, hi)[lo:]
+
+
+def test_packs_extend_each_prefix(monkeypatch):
+    # at one digit width, a longer prefix packs only its new entries and a
+    # shorter one packs none: (start, stop) of each packing, xs then ys
+    packed = []
+    real = kernels._digits
+    monkeypatch.setattr(
+        kernels, "_digits", lambda xs, start, width, half: packed.append((start, len(xs))) or real(xs, start, width, half)
+    )
+    xs, ys, packs = list(range(40, 0, -1)), list(range(-30, 30)), {}  # 3-byte digits
+    expected = {(10, 30): [(0, 10), (0, 30)], (20, 50): [(10, 20), (30, 50)], (20, 20): [],
+                (40, 60): [(20, 40), (50, 60)]}
+    for (n, hi), packings in expected.items():
+        packed.clear()
+        assert kernels.conv_trunc(xs[:n], ys, hi, 5, packs) == conv_reference(xs[:n], ys, hi)[5:]
+        assert packed == packings, (n, hi)
+    assert len(packs) == 2  # one digit width, two operands
+
+
 def test_kronecker_reads_any_window():
     rng = random.Random(3)
     for _ in range(50):

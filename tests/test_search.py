@@ -304,6 +304,20 @@ def test_weight4_level2_search():
     assert maps == {_freeze({1: -8, 2: 16}), _freeze({1: 16, 2: -8})}
 
 
+def test_each_walked_point_builds_one_modularity_report(monkeypatch):
+    # whole, capped orders leave only the character to test, so each walked
+    # point that has it goes to match_eta, which builds its one report
+    reports, matches = [], []
+    real_report = EtaQuotient.is_modular_on_gamma0
+    monkeypatch.setattr(EtaQuotient, "is_modular_on_gamma0", lambda f: reports.append(f) or real_report(f))
+    real_match = etaq.search.match_eta
+    monkeypatch.setattr(etaq.search, "match_eta", lambda g: matches.append(g) or real_match(g))
+    cells = WEIGHT2_CELLS + WEIGHT4_CELLS
+    scanned = sum(enumerate_eta_in_e(k, p, m).candidates_scanned for k, p, m in cells)
+    assert scanned == len(reports) == len(matches) == 24
+    assert reports == matches
+
+
 def test_excluded_cells_empty():
     for k, p, m in EXCLUDED_CELLS:
         assert enumerate_eta_in_e(k, p, m).pairs == (), (k, p, m)
