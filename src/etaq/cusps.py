@@ -27,13 +27,13 @@ of the cusp, _cusp_map: for each t | N, t'^k and a column of
 (e, j, sigma_{k-1}(n)) for the steps e = n * step_t below prec, with
 omega_t^n = zeta_L^j.  A window lo <= e < hi applies it to the W_t,
 each term writing only into the slice of its column in the window.
-Each window's numerators go to QSeries._cyclotomic over their one
-denominator (see etaq.series).  An expansion is the window [0, prec);
-an order is the valuation of the series of each doubling window
-[0, 1), [1, 2), [2, 4), ..., taken until one is not None, so the exact
-zero test lives in QSeries.valuation alone.
+An expansion is the window [0, prec), its numerators handed to
+QSeries._cyclotomic (see etaq.series).  An order is the first step of
+the doubling windows [0, 1), [1, 2), [2, 4), ... that CycNumber._steps
+makes nonempty and CycNumber.is_zero finds nonzero: no series is built.
 check_order_bound computes one order per denominator c, reports it
 under every cusp label with that c, and totals the reported orders.
+Both results, CuspExpansion and OrderBoundReport, are NamedTuples.
 
 Two bounded caches hold shapes, never element data or coefficients:
 the maps, keyed on (N, c, d mod L, k, prec), since w_t depends on d
@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import (
     cusp_step,
@@ -160,8 +161,7 @@ def _cusp_reps(level: int) -> tuple[Cusp, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CuspExpansion:
+class CuspExpansion(NamedTuple):
     cusp: Cusp
     series: QSeries  # offset 0, whole steps of the local variable q_{c,N}
 
@@ -205,9 +205,10 @@ def _cusp_scalars(f: EisensteinElement, cusp: Cusp, prec: int) -> tuple[int, lis
         raise ValueError(f"cusp lives on Gamma0({cusp.level}) but element on Gamma0({f.level})")
     order = f.level // cusp.c
     shape = _cusp_map(f.level, cusp.c, cusp.d % order, f.k, prec)
-    raw = [(r.numerator, r.denominator * shape[t][0], shape[t]) for t, r in f.coeffs.items()]
-    den = lcm(*(pd for _, pd, _ in raw))
-    return order, [(pn * (den // pd), step, column) for pn, pd, (_, step, column) in raw], den
+    raw = [(r.numerator, r.denominator * tk, step, column)
+           for t, r in f.coeffs.items() for tk, step, column in [shape[t]]]
+    den = lcm(*[pd for _, pd, _, _ in raw])
+    return order, [(pn * (den // pd), step, column) for pn, pd, step, column in raw], den
 
 
 def _window(
@@ -248,11 +249,11 @@ def expansion_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int) -> CuspExpans
 def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> int:
     """Order of vanishing of f at the cusp in the q_{c,N} variable.
 
-    It is lo plus the valuation of the first doubling window [lo, hi) in
-    [0, 1), [1, 2), [2, 4), ... below prec whose series has one, so a
-    low order costs a short window; raises precision-exhausted if none
-    has one below prec (impossible for nonzero elements once prec
-    exceeds the Sturm bound).
+    It is the first exactly nonzero step of the doubling windows [lo, hi)
+    in [0, 1), [1, 2), [2, 4), ... below prec, each tested straight from
+    its numerators, so a low order costs a short window; raises
+    precision-exhausted if no step below prec is nonzero (impossible for
+    nonzero elements once prec exceeds the Sturm bound).
     """
     if not f.coeffs:
         raise ValueError("order of the zero element is undefined")
@@ -271,9 +272,9 @@ def order_at_cusp(f: EisensteinElement, cusp: Cusp, prec: int | None = None) -> 
     while lo < prec:
         hi = min(2 * lo or 1, prec)
         accs, d = _window(terms, den, f.k, lo, hi)
-        v = QSeries._cyclotomic(CycNumber, order, accs, d).valuation()
-        if v is not None:
-            return lo + v
+        for e, x in enumerate(CycNumber._steps(order, accs, d), lo):
+            if x.terms and not x.is_zero():
+                return e
         lo = hi
     raise SeriesDomainError("precision-exhausted", f"no nonzero coefficient below {prec}")
 
@@ -292,8 +293,7 @@ def order_sum_bound(level: int) -> int:
     return 4 if level == 4 else cusp_count(level)
 
 
-@dataclass(frozen=True)
-class OrderBoundReport:
+class OrderBoundReport(NamedTuple):
     element: EisensteinElement
     level: int
     orders: dict[str, int]  # cusp label -> order

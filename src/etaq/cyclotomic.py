@@ -7,9 +7,11 @@ denominator: (1/den) * sum_j n_j zeta_L^j with only the nonzero n_j
 kept.  The representation is not unique, but zero is decidable: the
 element vanishes iff the numerator polynomial is divisible by the L-th
 cyclotomic polynomial Phi_L.  Phi_L is monic with integer coefficients,
-so that division is done exactly in Z.  This is the entire mechanism by
-which vanishing of cusp-expansion coefficients is certified; no
-coefficient ever leaves exact arithmetic.
+so that division is done exactly in Z, by its lower terms (``_phi_tail``,
+one per order).  The zeta_L^j, j < deg Phi_L, are a basis of Q(zeta_L)
+(Washington, Introduction to Cyclotomic Fields, ch. 2), so numerators
+all below deg Phi_L are nonzero undivided.  This is the whole mechanism
+that certifies vanishing cusp coefficients, all in exact arithmetic.
 
 Only the cusp code (``etaq.cusps``) imports this module, and only it
 builds a ``CycNumber``: each step of a cusp series, through
@@ -64,6 +66,13 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
             for i in range(d, deg + 1):
                 poly[i] += poly[i - d]
     return tuple(poly)
+
+
+@cache
+def _phi_tail(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(deg Phi_order, its nonzero (i, p_i) below the top), built once."""
+    *tail, _ = cyclotomic_polynomial(order)
+    return len(tail), tuple((i, p) for i, p in enumerate(tail) if p)
 
 
 def _mobius(n: int) -> int:
@@ -139,9 +148,7 @@ class CycNumber:
         Phi_order is monic with integer coefficients, so the division
         never leaves the integers.
         """
-        phi = cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        tail = [(i, p) for i, p in enumerate(phi[:deg]) if p]
+        deg, tail = _phi_tail(self.order)
         rem = [0] * self.order
         for j, n in self.terms.items():
             rem[j] = n
@@ -163,9 +170,12 @@ class CycNumber:
         return tuple(Fraction(n, den) if n else _ZERO for n in self._reduced_numerators())
 
     def is_zero(self) -> bool:
-        """Exact test: the representative is divisible by Phi_order."""
+        """Exact test: the representative is divisible by Phi_order, which
+        it is not if its numerators all sit below deg Phi_order (a basis)."""
         if not self.terms:
             return True
+        if max(self.terms) < _phi_tail(self.order)[0]:
+            return False
         return not any(self._reduced_numerators())
 
     def __bool__(self) -> bool:

@@ -337,9 +337,11 @@ def _packed_run(c: list, b: list, lo: int, hi: int, head: list, packs: dict) -> 
     w = min(n, j // 2)
     x = max(map(abs, c[j - w : j])).bit_length()
     y = max(map(abs, c[max(0, j - 2 * w) : j - w])).bit_length()
+    cb = max(x, y) + max(0, x - y) * (hi - j) // w
+    if cb + 2 > _RUN_DIGIT_BITS:  # sb << cb has cb + 1 bits or more, so bits >= cb + 2
+        return j
     mh = max(map(abs, head))
     sb = sum(map(abs, b[1:n])) or 1
-    cb = max(x, y) + max(0, x - y) * (hi - j) // w
     width = (mh + (sb << cb)).bit_length() // 8 + 1
     bits = 8 * width
     if bits > _RUN_DIGIT_BITS:

@@ -80,9 +80,10 @@ def conv_trunc(xs: list, ys: list, hi: int, lo: int = 0, packs: dict | None = No
     hi = min(hi, len(xs) + len(ys) - 1)
     if lo >= hi or not xs or not ys:
         return []
-    if lo and 8 * _digit_width(xs, ys) > _PACKED_DIGIT_BITS:
+    width = _digit_width(xs, ys)
+    if lo and 8 * width > _PACKED_DIGIT_BITS:
         return _dots(xs, ys, lo, hi)
-    return _kronecker(xs, ys, hi, lo, packs)
+    return _kronecker(xs, ys, width, hi, lo, packs)
 
 
 def _digit_width(xs: list, ys: list) -> int:
@@ -124,13 +125,12 @@ def _halves(half: int, width: int, n: int) -> int:
     return int.from_bytes(half.to_bytes(width, "little") * n, "little")
 
 
-def _kronecker(xs: list, ys: list, hi: int, lo: int = 0, packs: dict | None = None) -> list:
+def _kronecker(xs: list, ys: list, width: int, hi: int, lo: int = 0, packs: dict | None = None) -> list:
     """Coefficients lo..hi-1 of xs * ys by one big-int product, for
-    nonempty operands and lo <= hi <= len(xs) + len(ys) - 1.  Every
-    coefficient is below half = 2^(8 * width - 1) in absolute value, so
-    the product plus half in each of its low hi digits, read mod
-    2^(8 * width * hi), has digit k = coefficient k + half."""
-    width = _digit_width(xs, ys)
+    nonempty operands, lo <= hi <= len(xs) + len(ys) - 1 and width =
+    _digit_width(xs, ys): every coefficient is below half = 2^(8 * width - 1)
+    in absolute value, so the product plus half in each of its low hi
+    digits, read mod 2^(8 * width * hi), has digit k = coefficient k + half."""
     half = 1 << (8 * width - 1)
     z = _pack(xs, width, half, packs, "x") * _pack(ys, width, half, packs, "y")
     z = (z + _halves(half, width, hi)) & ((1 << (8 * width * hi)) - 1)
@@ -170,15 +170,16 @@ def pow_trunc(xs: list, e: int, nout: int) -> list:
 
 
 def _mul_into(
-    out: list[dict[int, int]], xs: Iterable[Monomial], ys: Sequence[Monomial], order: int
+    out: list[dict[int, int] | None], xs: Iterable[Monomial], ys: Sequence[Monomial], order: int
 ) -> None:
     """out[s] += the q^s part of xs * ys, for s < len(out).
 
     A monomial (s, j, n) is n * q^s * zeta_order^j with 0 <= j < order,
     and out[s] holds the integer numerators {j: n} of step s in
-    Z[x]/(x^order - 1).  ys must be sorted by s, so the inner loop stops
-    at the first product past the last step.  Callers normalise each
-    step once afterwards.
+    Z[x]/(x^order - 1), or is None until a product first lands there,
+    when its dict is made.  ys must be sorted by s, so the inner loop
+    stops at the first product past the last step.  Callers normalise
+    each step once afterwards.
     """
     size = len(out)
     for s, i, x in xs:
@@ -190,4 +191,7 @@ def _mul_into(
             if k >= order:
                 k -= order
             step = out[s + t]
-            step[k] = step.get(k, 0) + x * y
+            if step is None:
+                out[s + t] = {k: x * y}
+            else:
+                step[k] = step.get(k, 0) + x * y

@@ -27,12 +27,14 @@ denominator den (None or {} for an empty step), and num is the
 coefficient class, ``CycNumber``, which ``etaq.cusps`` hands in.  Each
 step of ``.coeffs`` is num's wrap of accs[s] over den itself, with no
 per-step gcd (``CycNumber._steps``); the series keeps (accs, den) and
-lists them as monomials (s, j, n) = n * q^s * zeta_L^j on its first
-product.  The numerators come from the cusp map's window or from a
-product; the public constructor takes ints only.  A cusp series is
-multiplied only by a cusp series of the same order, the same local
+lists the nonzero ones as monomials (s, j, n) = n * q^s * zeta_L^j on
+its first product.  The numerators come from the cusp map's window or
+from a product; the public constructor takes ints only.  A cusp series
+is multiplied only by a cusp series of the same order, the same local
 variable q_{c,N}: one ``kernels._mul_into`` call adds all products of
-the operands' monomials into the output steps over dx * dy.  It has
+the operands' monomials over dx * dy into the output steps, each made
+on first touch, as many as the first monomials' steps (the stored
+leading zeros) allow.  It has
 powers e >= 0 (x ** 0 is the one of x's order), valuation,
 ``leading``, ``coeff`` and rendering; negation, sums, scalar multiples,
 D and inversion raise TypeError, as does a product with a rational
@@ -120,11 +122,11 @@ class QSeries:
         return len(self.coeffs)
 
     def _monomials(self) -> tuple[list[Monomial], int]:
-        """A cusp series' monomials (s, j, n) in step order over its one
-        denominator, listed from its numerators on the first call."""
+        """A cusp series' monomials (s, j, n), n != 0, in step order over
+        its one denominator, listed from its numerators on the first call."""
         if self._monos is None:
             accs, den = self._accs
-            self._monos = [(s, j, n) for s, a in enumerate(accs) if a for j, n in a.items()], den
+            self._monos = [(s, j, n) for s, a in enumerate(accs) if a for j, n in a.items() if n], den
         return self._monos
 
     def _rational_only(self, op: str) -> None:
@@ -184,13 +186,15 @@ class QSeries:
         order = x.cyc_order
         if order != y.cyc_order:
             raise TypeError("a product needs two rational series or two cusp series of one order")
-        n = min(x.prec + y._lead(), y.prec + x._lead())
         if order is None:
+            n = min(x.prec + y._lead(), y.prec + x._lead())
             vec = conv_trunc(x.coeffs, y.coeffs, n)
             vec += [0] * (n - len(vec))
             return QSeries(x.offset + y.offset, vec, x.den * y.den)
         (xs, dx), (ys, dy) = x._monomials(), y._monomials()
-        acc: list[dict[int, int]] = [{} for _ in range(n)]
+        lx, ly = xs[0][0] if xs else x.prec - 1, ys[0][0] if ys else y.prec - 1
+        n = min(x.prec + ly, y.prec + lx)
+        acc: list[dict[int, int] | None] = [None] * n
         _mul_into(acc, xs, ys, order)
         return QSeries._cyclotomic(x._num, order, acc, dx * dy)
 

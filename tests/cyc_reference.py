@@ -5,11 +5,12 @@ The class body below is the former ``etaq.cyclotomic.CycNumber``
 arithmetic verbatim: the public constructor, ``from_rational``,
 ``root_of_unity``, ``lift``, sums, differences, negation, products with
 scalars and across orders (by the lcm lift), ``==`` across orders,
-``rational_value`` and the inverse built on them.  It subclasses the
-library class for what the library still has (the stored form,
-``_normal``, ``_steps``, ``zero``, the reduction mod Phi_L, the zero
-test and rendering), so ``CycNumber._steps`` and ``QSeries._cyclotomic``
-called with this class build reference numbers.  ``reference`` turns a
+``rational_value`` and the inverse built on them, and the former
+reduction mod Phi_L and zero test, which divide every number with
+Phi_L's tail rebuilt per call.  It subclasses the library class for
+what the library still has (the stored form, ``_normal``, ``_steps``,
+``zero`` and rendering), so ``CycNumber._steps`` and
+``QSeries._cyclotomic`` called with this class build reference numbers.  ``reference`` turns a
 number the cusp code built into one, and ``library`` turns one back.
 The tests build their inputs and compare through it.
 """
@@ -141,6 +142,26 @@ class CycNumber(cyclotomic.CycNumber):
         if isinstance(other, (CycNumber, int, Fraction)):
             return (self - other).is_zero()
         return NotImplemented
+
+    def _reduced_numerators(self) -> list[int]:
+        """den * (remainder mod Phi_order), degree < deg Phi, in Z."""
+        phi = cyclotomic.cyclotomic_polynomial(self.order)
+        deg = len(phi) - 1
+        tail = [(i, p) for i, p in enumerate(phi[:deg]) if p]
+        rem = [0] * self.order
+        for j, n in self.terms.items():
+            rem[j] = n
+        for i in range(len(rem) - 1, deg - 1, -1):
+            q = rem[i]
+            if q:
+                shift = i - deg
+                for j, p in tail:
+                    rem[shift + j] -= q * p
+        return rem[:deg]
+
+    def is_zero(self) -> bool:
+        """The representative is divisible by Phi_order, by the division."""
+        return not self.terms or not any(self._reduced_numerators())
 
     def rational_value(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None."""

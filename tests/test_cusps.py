@@ -55,7 +55,7 @@ from etaq.eisenstein import EisensteinElement, _constant, match_eta, random_p_el
 from etaq.eta import EtaQuotient
 from etaq.linalg import rref
 from etaq.search import EXCLUDED_CELLS, WEIGHT2_CELLS, WEIGHT4_CELLS, enumerate_eta_in_e
-from etaq.series import SeriesDomainError
+from etaq.series import QSeries, SeriesDomainError
 from test_eta import order_at_denominator
 import cyc_reference
 
@@ -679,6 +679,54 @@ def test_check_order_bound_examples():
 
     with pytest.raises(ValueError):
         check_order_bound(EisensteinElement(4, 4, {1: 1, 2: 1}))  # not IN_P
+
+
+def window_order_reference(f, cusp, prec: int) -> int | None:
+    """The former order_at_cusp: each doubling window's numerators made a
+    cusp series, whose valuation is the order once one has one."""
+    order, terms, den = _cusp_scalars(f, cusp, prec)
+    lo = 0
+    while lo < prec:
+        hi = min(2 * lo or 1, prec)
+        accs, d = _window(terms, den, f.k, lo, hi)
+        v = QSeries._cyclotomic(CycNumber, order, accs, d).valuation()
+        if v is not None:
+            return lo + v
+        lo = hi
+    return None
+
+
+# precs on both sides of the window boundaries 1, 2, 4, 8 and 16
+WINDOW_PRECS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+
+
+def test_orders_read_from_window_numerators_match_window_series():
+    # order_at_cusp tests each window's steps straight from its
+    # numerators; the reference makes a cusp series of each window.  The
+    # elements w_t2 E_4(t1 z) - w_t1 E_4(t2 z), w_t = (gcd(t, c)/t)^4,
+    # lose their constant term at the denominator c, so their orders
+    # there reach the later windows (16 at 1/32 of Gamma0(32)), some past
+    # every prec below
+    seen = set()
+    for level in (8, 27, 32, 49, 125, 12):
+        divs = divisors(level)
+        pairs = [(t1, t2) for i, t1 in enumerate(divs) for t2 in divs[i + 1 :]]
+        elements = [EisensteinElement(4, level, {1: 3, level: -2})]
+        for c in divs:
+            w = {t: Fraction(gcd(t, c), t) ** 4 for t in divs}
+            elements += [EisensteinElement(4, level, {t1: w[t2], t2: -w[t1]})
+                         for t1, t2 in pairs if t1 == 1 or c == level]
+        for f in elements:
+            for cusp in cusp_reps(level):
+                for prec in WINDOW_PRECS:
+                    want = window_order_reference(f, cusp, prec)
+                    if want is None:
+                        with pytest.raises(SeriesDomainError, match="precision-exhausted"):
+                            order_at_cusp(f, cusp, prec)
+                    else:
+                        assert order_at_cusp(f, cusp, prec) == want, (f, cusp, prec)
+                    seen.add(want)
+    assert {0, 1, 2, 3, 4, 5, 8, 16, None} <= seen
 
 
 def test_default_order_depth_is_one_past_the_sturm_bound():

@@ -551,6 +551,91 @@ def test_product_inverse_and_eq_match_reference(data):
             op()
 
 
+# -- the zero test's basis shortcut against the former division ------------
+#
+# zeta^j, j < deg Phi_L, are a basis of Q(zeta_L), so CycNumber.is_zero
+# answers "nonzero" without dividing when every numerator sits below
+# deg Phi_L; cyc_reference keeps the division for every number.  The
+# numbers below have their top exponent below, at or above deg Phi_L,
+# and some are hidden zeros g * Phi_L with that top exponent.
+
+ZERO_TEST_ORDERS = tuple(sorted(set(ORDERS) | {125, 243}))
+
+
+def _times_phi(order: int, g: dict[int, int]) -> dict[int, int]:
+    """g * Phi_order as numerators, for deg g + deg Phi_order < order."""
+    out: dict[int, int] = {}
+    for i, a in g.items():
+        for j, p in enumerate(phi_reference(order)):
+            if p:
+                out[i + j] = out.get(i + j, 0) + a * p
+    return out
+
+
+@st.composite
+def topped_numbers(draw, order):
+    """(terms, den): integer numerators whose top exponent is drawn below,
+    at or above deg Phi_order, as a hidden zero of that degree, a hidden
+    zero plus numerators at or below it, or those numerators alone."""
+    deg = totient(order)
+    places = ["below"] + ["at"] * (deg < order) + ["above"] * (deg + 1 < order)
+    place = draw(st.sampled_from(places))
+    top = {"below": draw(st.integers(0, deg - 1)), "at": deg, "above": order - 1}[place]
+    if place == "above":
+        top = draw(st.integers(deg + 1, order - 1))
+    nonzero = st.integers(-10**6, 10**6).filter(bool)
+    terms: dict[int, int] = {}
+    kind = draw(st.sampled_from(["zero", "zero+", "plain"] if top >= deg else ["plain"]))
+    if kind != "plain":
+        js = draw(st.lists(st.integers(0, top - deg - 1), max_size=3)) if top > deg else []
+        terms = _times_phi(order, {top - deg: draw(nonzero), **{j: draw(nonzero) for j in js}})
+    if kind != "zero":
+        js = draw(st.lists(st.integers(0, top), max_size=4)) + [top] * (kind == "plain")
+        for j in js:
+            terms[j] = terms.get(j, 0) + draw(nonzero)
+    return {j: n for j, n in terms.items() if n}, draw(st.integers(1, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_zero_test_eq_and_reduced_match_the_division(data):
+    order = data.draw(st.sampled_from(ZERO_TEST_ORDERS))
+    (ta, da), (tb, db) = data.draw(topped_numbers(order)), data.draw(topped_numbers(order))
+    a, b = CycNumber._normal(order, ta, da), CycNumber._normal(order, tb, db)
+    x, y = library(a), library(b)
+    # a again, plus a hidden zero c * zeta^k * Phi_order wrapped mod x^order - 1
+    k, c = data.draw(st.integers(0, order - 1)), data.draw(st.integers(1, 9))
+    hidden: dict[int, int] = {}
+    for j, n in _times_phi(order, {0: c}).items():
+        hidden[(k + j) % order] = hidden.get((k + j) % order, 0) + n
+    x2 = library(a + CycNumber._normal(order, hidden, da))
+    for new, ref in ((x, a), (y, b)):
+        assert type(new) is cyclotomic.CycNumber
+        assert new.is_zero() == ref.is_zero() == (not bool(new))
+        assert new.reduced() == ref.reduced()
+    assert (x == y) == (y == x) == (a == b)
+    assert x == x2 and x2 == x and x2.is_zero() == a.is_zero()
+    rational = a.rational_value()
+    for s in {0, 1, Fraction(-3, 7)} | ({rational} if rational is not None else set()):
+        assert (x == s) == (a == s)
+
+
+def test_zero_test_at_the_basis_edge():
+    # each order's hidden zeros of top exponent deg Phi_L (Phi_L itself)
+    # and above, and the nonzero numbers just below and at that degree
+    for order in ZERO_TEST_ORDERS:
+        deg = totient(order)
+        for g in ({0: 1}, {0: -3}, {order - 1 - deg: 2, 0: 5}):
+            if max(g) + deg < order:
+                zero = library(CycNumber._normal(order, _times_phi(order, g), 1))
+                assert zero.terms and zero.is_zero() and zero == 0 and zero.reduced() == (0,) * deg
+        below = library(CycNumber._normal(order, {deg - 1: 1}, 1))
+        assert not below.is_zero() and below.reduced() == tuple(int(j == deg - 1) for j in range(deg))
+        if deg < order:
+            at = library(CycNumber._normal(order, {deg: 1}, 1))
+            assert not at.is_zero() and at.reduced() == tuple(-p for p in phi_reference(order)[:deg])
+
+
 def test_product_and_eq_refusals():
     # one order only, and no scalar products; a hidden zero has no inverse
     one3, one6 = library(CycNumber(3, [1])), library(CycNumber(6, [1]))

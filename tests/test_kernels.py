@@ -55,7 +55,8 @@ def test_kronecker_helper_directly():
         xs = [rng.randint(-999, 999) for _ in range(lx)]
         ys = [rng.randint(-999, 999) for _ in range(ly)]
         n = min(lx + ly - 1, 60)
-        assert kernels._kronecker(xs, ys, n) == conv_reference(xs, ys, n)
+        width = kernels._digit_width(xs, ys)
+        assert kernels._kronecker(xs, ys, width, n) == conv_reference(xs, ys, n)
 
 
 # -- property test across operand shapes -------------------------------------
@@ -197,7 +198,8 @@ def test_kronecker_reads_any_window():
         ys = _operand(rng, rng.randint(1, 40), rng.choice([1, 20, 90]), "mixed", "dense")
         hi = rng.randint(1, len(xs) + len(ys) - 1)
         lo = rng.randint(0, hi)
-        assert kernels._kronecker(xs, ys, hi, lo) == conv_reference(xs, ys, hi)[lo:]
+        width = kernels._digit_width(xs, ys)
+        assert kernels._kronecker(xs, ys, width, hi, lo) == conv_reference(xs, ys, hi)[lo:]
 
 
 def _top(seed, length, bits, sign="mixed"):

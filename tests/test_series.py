@@ -673,10 +673,27 @@ def test_cusp_series_built_unchecked_equal_checked_ones():
                     assert c.den > 0
 
 
+def cancelled(rng, s: QSeries, lead: int) -> QSeries:
+    """s built again from numerators with zeros in them, as numerators
+    that cancelled leave them: lead steps of zeros in front (so many
+    stored leading zeros), and zeros before the other numerators of some
+    steps.  Its steps are s's, after those stored zeros; its product
+    must skip every zero numerator."""
+    order = s.cyc_order
+    den = lcm(*(c.den for c in s.coeffs))
+    accs = [{rng.randrange(order): 0} for _ in range(lead)]
+    for c in s.coeffs:
+        acc = dict.fromkeys(rng.sample(range(order), min(order, rng.randint(0, 2))), 0)
+        acc.update((j, n * (den // c.den)) for j, n in c.terms.items())
+        accs.append(acc)
+    return QSeries._cyclotomic(CycNumber, order, accs, den)
+
+
 def random_cusp_pair(rng, leads: list[int]) -> list[QSeries]:
     """Two cusp series of one order: expansions of two elements (some
     vanish there) at one cusp, or hand-made series with per-step
-    denominators.  leads[i] stored zeros are put in front of series i."""
+    denominators.  leads[i] stored zeros are put in front of series i,
+    as empty steps or as steps whose numerators cancelled to 0."""
     if rng.random() < 0.6:
         level = rng.choice([4, 8, 9, 16, 25, 27, 32, 49])
         cusp = rng.choice(cusp_reps(level))
@@ -697,6 +714,8 @@ def random_cusp_pair(rng, leads: list[int]) -> list[QSeries]:
                          for _ in range(rng.randint(0, 3))}
                 vec.append(CycNumber(order, terms))
             out.append(cusp_series(vec))
+    if rng.random() < 0.5:
+        return [cancelled(rng, s, lead) for s, lead in zip(out, leads)]
     return [s if not lead else cusp_series([CycNumber.zero(s.cyc_order)] * lead + list(s.coeffs))
             for s, lead in zip(out, leads)]
 
@@ -706,8 +725,9 @@ def random_cusp_pair(rng, leads: list[int]) -> list[QSeries]:
 def test_cyclotomic_product_matches_schoolbook(seed):
     # products of cusp series of one cyclotomic order, expansions or
     # hand-made with per-step denominators, and operands with stored
-    # leading zeros, whose _lead() sets the product's precision: the
-    # same offset, prec and (order, terms, den) at every step
+    # leading zeros, whose _lead() sets the product's precision (the
+    # library reads it off the first nonzero monomial): the same offset,
+    # prec and (order, terms, den) at every step
     rng = random.Random(seed)
     x, y = random_cusp_pair(rng, [rng.choice([0, 0, 1, 3]) for _ in range(2)])
     for a, b in ((x, y), (y, x), (x, x)):
@@ -783,8 +803,9 @@ def stored_monomial_products(x: QSeries, y: QSeries):
 @given(st.data())
 def test_stored_monomial_products_match_rebuilt_ones(data):
     # elements with large rational weights (some vanishing at a cusp) at
-    # one cusp of a level; every product, also of a product and of a
-    # series that is multiplied more than once, equals the rebuild path
+    # one cusp of a level, with a drawn flag built again with zero
+    # numerators (see cancelled); every product, also of a product and of
+    # a series that is multiplied more than once, equals the rebuild path
     # step for step
     n = data.draw(st.sampled_from([4, 8, 9, 12, 16, 25, 27, 32, 49, 125]), label="level")
     k = data.draw(st.sampled_from([2, 4, 6, 8]), label="k")
@@ -799,6 +820,9 @@ def test_stored_monomial_products_match_rebuilt_ones(data):
             for t in support
         }
         series_at.append(expansion_at_cusp(element, cusp, data.draw(st.integers(1, 14))).series)
+    if data.draw(st.booleans(), label="cancelled"):
+        rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+        series_at = [cancelled(rng, s, data.draw(st.sampled_from([0, 1, 3]))) for s in series_at]
     for new, ref in stored_monomial_products(*series_at):
         assert_same_representatives(new, ref)
 
