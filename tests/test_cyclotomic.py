@@ -580,8 +580,11 @@ def topped_numbers(draw, order):
     deg = totient(order)
     places = ["below"] + ["at"] * (deg < order) + ["above"] * (deg + 1 < order)
     place = draw(st.sampled_from(places))
-    top = {"below": draw(st.integers(0, deg - 1)), "at": deg, "above": order - 1}[place]
-    if place == "above":
+    if place == "below":
+        top = draw(st.integers(0, deg - 1))
+    elif place == "at":
+        top = deg
+    else:
         top = draw(st.integers(deg + 1, order - 1))
     nonzero = st.integers(-10**6, 10**6).filter(bool)
     terms: dict[int, int] = {}
